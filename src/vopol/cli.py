@@ -17,7 +17,7 @@ from .policy.ast import PolicyDocument
 from .policy.parser import parse_policy_document
 from .policy.validate import THIS, validate_policies
 from .domain import VOCABULARY
-from .engine import ScenarioEvent, run_scenario
+from .engine import EVENT_ARITY, ScenarioEvent, run_scenario
 from .errors import Diagnostic, ParseError, VopolError
 from .model import CUSTOMER, RELATIONS, MemberKind, TaskType, VoModel, load_model, validate_model
 from .trace import format_text, format_trace
@@ -41,13 +41,8 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             continue
         tokens = line.split()
         kind, args = tokens[0], tokens[1:]
-        if kind == "start":
-            wanted = 0
-        elif kind in ("activate", "complete", "fail", "load-policy", "retract-policy"):
-            wanted = 1
-        elif kind in ("consume", "release"):
-            wanted = 3
-        else:
+        wanted = EVENT_ARITY.get(kind)
+        if wanted is None:
             raise ParseError(f"unknown scenario command {kind!r}", line_no, 1)
         if len(args) != wanted:
             raise ParseError(

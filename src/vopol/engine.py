@@ -40,6 +40,7 @@ from .domain import (
 )
 from .errors import (
     IllegalTransitionError,
+    InvalidArgumentError,
     InvalidModelError,
     ModelError,
     ParseError,
@@ -64,22 +65,34 @@ class ScenarioEvent:
     args: tuple[str | int, ...] = ()
 
 
-def _eligible(m: VoModel, s: InstanceState, task: str) -> bool:
-    task_def = m.tasks[task]
-    preds = {p for p in m.predecessors(task) if m.tasks[p].in_process}
-    if any(s.status.get(p) is not Status.COMPLETED for p in preds):
-        return False
-    return task_def.inputs <= s.available_data
+# number of arguments each scenario event kind takes
+EVENT_ARITY = {
+    "start": 0,
+    "activate": 1,
+    "complete": 1,
+    "fail": 1,
+    "load-policy": 1,
+    "retract-policy": 1,
+    "consume": 3,
+    "release": 3,
+}
+
+
+def _eligible(m: VoModel, s: InstanceState, tasks: list[str]) -> set[str]:
+    """The given tasks whose in-process predecessors are all completed and
+    whose inputs have arrived, from one sweep over the control edges."""
+    blocked = {
+        b
+        for a, b in m.control_edges
+        if s.status.get(a) is not Status.COMPLETED and m.tasks[a].in_process
+    }
+    return {t for t in tasks if t not in blocked and m.tasks[t].inputs <= s.available_data}
 
 
 def ready_set(m: VoModel, s: InstanceState) -> set[str]:
     """Pending tasks whose in-process predecessors are all completed and
     whose inputs have arrived."""
-    return {
-        t
-        for t, status in s.status.items()
-        if status is Status.PENDING and _eligible(m, s, t)
-    }
+    return _eligible(m, s, [t for t, status in s.status.items() if status is Status.PENDING])
 
 
 def init_instance(m: VoModel) -> InstanceState:
@@ -154,12 +167,10 @@ class Engine:
         for task in sorted(in_proc):
             if task not in self.instance.status:
                 self.instance.status[task] = Status.PENDING
-        for task in sorted(in_proc):
-            status = self.instance.status[task]
-            if status is Status.PENDING and _eligible(self.model, self.instance, task):
-                self.instance.status[task] = Status.READY
-            elif status is Status.READY and not _eligible(self.model, self.instance, task):
-                self.instance.status[task] = Status.PENDING
+        waiting = [t for t in in_proc if self.instance.status[t] in (Status.PENDING, Status.READY)]
+        eligible = _eligible(self.model, self.instance, waiting)
+        for task in waiting:
+            self.instance.status[task] = Status.READY if task in eligible else Status.PENDING
 
     def _release_holds(self, task: str):
         for hold in self.instance.release_holds(task):
@@ -212,6 +223,11 @@ class Engine:
                 continue
             for rule_idx in applied:
                 self._emit("POLICY-FIRED", ("policy", policy.name), ("rule", str(rule_idx)))
+
+        # the evaluator's recursive closures reach ``box`` through reference
+        # cycles; emptying it frees the speculative model now, not at the
+        # next cyclic collection
+        box.clear()
 
         # phase 2: conflict detection over the collected list
         resolved_idx = [i for i, c in enumerate(collected) if c.action is not None]
@@ -320,16 +336,24 @@ class Engine:
 
     def handle_event(self, ev: ScenarioEvent) -> list[TraceRecord]:
         mark = len(self.records)
-        self.instance.clock += 1
-        handler = getattr(self, "_ev_" + ev.kind.replace("-", "_"), None)
-        if handler is None:
-            self._emit("EVENT", ("event", ev.kind))
-            self._emit_error(
-                IllegalTransitionError(f"unknown event kind {ev.kind!r}", ev.kind)
+        wanted = EVENT_ARITY.get(ev.kind)
+        if wanted is None:
+            self._reject(ev, IllegalTransitionError(f"unknown event kind {ev.kind!r}", ev.kind))
+        elif len(ev.args) != wanted:
+            self._reject(
+                ev,
+                InvalidArgumentError(
+                    f"{ev.kind} takes {wanted} argument(s), got {len(ev.args)}", ev.kind
+                ),
             )
-            return self.records[mark:]
-        handler(ev)
+        else:
+            getattr(self, "_ev_" + ev.kind.replace("-", "_"))(ev)
         return self.records[mark:]
+
+    def _reject(self, ev: ScenarioEvent, err: VopolError):
+        """Trace an unknown or malformed event: its kind, then the error."""
+        self._emit("EVENT", ("event", ev.kind))
+        self._emit_error(err)
 
     def _ev_start(self, ev: ScenarioEvent):
         self._emit("EVENT", ("event", "start"))
@@ -362,9 +386,7 @@ class Engine:
             return
         self.instance.status[task] = Status.COMPLETED
         self._release_holds(task)
-        for flow in sorted(self.model.dataflows, key=lambda f: (f.item, f.target)):
-            if flow.source == task:
-                self.instance.available_data.add(flow.item)
+        self.instance.available_data |= {f.item for f in self.model.dataflows if f.source == task}
         self._refresh_readiness()
         self.dispatch_trigger(DomainTrigger("task_exit", task))
 
@@ -379,30 +401,27 @@ class Engine:
         self.dispatch_trigger(DomainTrigger("task_failure", task))
 
     def _ev_consume(self, ev: ScenarioEvent):
-        member, capability, amount = str(ev.args[0]), str(ev.args[1]), int(ev.args[2])
-        self._emit(
-            "EVENT",
-            ("event", "consume"),
-            ("member", member),
-            ("capability", capability),
-            ("amount", str(amount)),
-        )
-        try:
-            self.model = adjust_reserved_capacity(self.model, member, capability, amount)
-        except ModelError as err:
-            self._emit_error(err)
+        self._adjust_capacity(ev, 1)
 
     def _ev_release(self, ev: ScenarioEvent):
-        member, capability, amount = str(ev.args[0]), str(ev.args[1]), int(ev.args[2])
+        self._adjust_capacity(ev, -1)
+
+    def _adjust_capacity(self, ev: ScenarioEvent, sign: int):
+        member, capability, raw = str(ev.args[0]), str(ev.args[1]), ev.args[2]
+        try:
+            amount = int(raw)
+        except (TypeError, ValueError):
+            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
+            return
         self._emit(
             "EVENT",
-            ("event", "release"),
+            ("event", ev.kind),
             ("member", member),
             ("capability", capability),
             ("amount", str(amount)),
         )
         try:
-            self.model = adjust_reserved_capacity(self.model, member, capability, -amount)
+            self.model = adjust_reserved_capacity(self.model, member, capability, sign * amount)
         except ModelError as err:
             self._emit_error(err)
 

@@ -69,10 +69,6 @@ class UnknownDutyError(ModelError):
     code = "UnknownDuty"
 
 
-class UnknownItemError(ModelError):
-    code = "UnknownItem"
-
-
 class AlreadyInProcessError(ModelError):
     code = "AlreadyInProcess"
 

@@ -340,35 +340,21 @@ def load_model(text: str) -> VoModel:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_free(tasks: list[str], edges: set[tuple[str, str]]) -> bool:
-    indeg = {t: 0 for t in tasks}
-    for _, s in edges:
-        if s in indeg:
-            indeg[s] += 1
-    queue = sorted(t for t, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for p, s in edges:
-            if p == node and s in indeg:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    queue.append(s)
-    return seen == len(tasks)
-
-
-def _reaches(start: set[str], edges: set[tuple[str, str]], forward: bool) -> set[str]:
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        node = frontier.pop()
-        for p, s in edges:
-            nxt = s if forward and p == node else p if not forward and s == node else None
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _acyclic(tasks: list[str], edges: set[tuple[str, str]]) -> bool:
+    """Kahn's algorithm: true iff every task can be taken off in
+    topological order. Every edge must join two of ``tasks``."""
+    succ: dict[str, list[str]] = {}
+    indeg = dict.fromkeys(tasks, 0)
+    for p, s in edges:
+        succ.setdefault(p, []).append(s)
+        indeg[s] += 1
+    queue = [t for t, d in indeg.items() if d == 0]
+    for node in queue:  # the queue grows while it is read
+        for s in succ.get(node, ()):
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                queue.append(s)
+    return len(queue) == len(tasks)
 
 
 def validate_model(m: VoModel) -> list[Diagnostic]:
@@ -395,20 +381,12 @@ def validate_model(m: VoModel) -> list[Diagnostic]:
             elif tid not in in_process_set:
                 bad("EdgeOutsideProcess", f"edge ({p} -> {s}) touches catalogue-only task {tid!r}", tid)
 
+    # An acyclic graph also satisfies the entry/exit rule: walking back
+    # (or forward) from any task must stop, and it can only stop at an
+    # entry (or exit) task, so no separate reachability check is needed.
     edges_ok = not any(d.code in ("DanglingEdge", "EdgeOutsideProcess") for d in out)
-    if edges_ok:
-        if not _cycle_free(in_process, m.control_edges):
-            bad("CycleError", "control graph contains a cycle", m.name)
-        else:
-            entries = {t for t in in_process_set if not m.predecessors(t)}
-            exits = {t for t in in_process_set if not m.successors(t)}
-            from_entry = _reaches(entries, m.control_edges, forward=True)
-            to_exit = _reaches(exits, m.control_edges, forward=False)
-            for t in in_process:
-                if t not in from_entry:
-                    bad("Unreachable", f"task {t!r} is unreachable from any entry task", t)
-                if t not in to_exit:
-                    bad("NoExitPath", f"task {t!r} reaches no exit task", t)
+    if edges_ok and not _acyclic(in_process, m.control_edges):
+        bad("CycleError", "control graph contains a cycle", m.name)
 
     for flow in sorted(m.dataflows, key=lambda f: (f.item, f.source, f.target)):
         if flow.target not in m.tasks:
@@ -506,20 +484,6 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> VoModel:
     return out
 
 
-def _has_path(edges: set[tuple[str, str]], start: str, goal: str) -> bool:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for p, s in edges:
-            if p == node and s not in seen:
-                if s == goal:
-                    return True
-                seen.add(s)
-                frontier.append(s)
-    return False
-
-
 def remove_task_node(m: VoModel, t: str) -> VoModel:
     """Unwire ``t`` from the process, bridging predecessors to successors.
 
@@ -536,10 +500,21 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
     preds = out.predecessors(t)
     succs = out.successors(t)
     out.control_edges -= {(p, t) for p in preds} | {(t, s) for s in succs}
-    remaining = set(out.control_edges)
-    out.control_edges |= {
-        (p, s) for p in preds for s in succs if not _has_path(remaining, p, s)
-    }
+    succ_of: dict[str, list[str]] = {}
+    for p, s in out.control_edges:
+        succ_of.setdefault(p, []).append(s)
+    bridges = set()
+    for p in preds:
+        reach = {p}
+        frontier = [p]
+        while frontier:
+            for s in succ_of.get(frontier.pop(), ()):
+                if s not in reach:
+                    reach.add(s)
+                    frontier.append(s)
+        reach.discard(p)  # on cyclic input a task that is both pred and succ gets p -> p
+        bridges |= {(p, s) for s in succs if s not in reach}
+    out.control_edges |= bridges
     for (mid, task, cap), amount in sorted(m.duties.items()):
         if task == t:
             del out.duties[(mid, task, cap)]

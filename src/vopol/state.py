@@ -28,11 +28,10 @@ class Hold(NamedTuple):
 @dataclass
 class InstanceState:
     """Lifecycle status per in-process task plus the set of data items
-    that have arrived. ``clock`` counts processed scenario events."""
+    that have arrived."""
 
     status: dict[str, Status] = field(default_factory=dict)
     available_data: set[str] = field(default_factory=set)
-    clock: int = 0
     holds: list[Hold] = field(default_factory=list)
 
     def is_active(self, task: str) -> bool:

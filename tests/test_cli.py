@@ -31,6 +31,7 @@ def test_parse_unknown_command():
     with pytest.raises(ParseError) as err:
         parse_scenario("teleport X")
     assert err.value.line == 1
+    assert err.value.message == "1:1: unknown scenario command 'teleport'"
 
 
 def test_parse_full_scenario_in_order():
@@ -40,10 +41,15 @@ def test_parse_full_scenario_in_order():
 
 
 def test_parse_arity_and_integer_errors():
-    with pytest.raises(ParseError):
-        parse_scenario("activate")
-    with pytest.raises(ParseError):
-        parse_scenario("consume Hotel beds lots")
+    for text, message in [
+        ("start now", "1:1: start takes 0 argument(s), got 1"),
+        ("activate", "1:1: activate takes 1 argument(s), got 0"),
+        ("release Hotel beds", "1:1: release takes 3 argument(s), got 2"),
+        ("consume Hotel beds lots", "1:1: amount must be an integer, got 'lots'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.message == message
 
 
 def test_parse_comments_and_blanks():

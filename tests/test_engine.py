@@ -149,6 +149,28 @@ def test_unknown_scenario_event_is_error_record():
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["IllegalTransition"]
 
 
+@pytest.mark.parametrize(
+    "event",
+    [
+        ev("activate"),
+        ev("consume", "Hotel", "beds"),
+        ev("load-policy"),
+        ev("consume", "Hotel", "beds", "x"),
+    ],
+    ids=["activate-no-task", "consume-two-args", "load-policy-no-path", "consume-non-integer"],
+)
+def test_malformed_event_is_invalid_argument_record(event):
+    engine = Engine(load_model(VISITUS), NO_POLICIES)
+    before = format_trace(engine.records)
+    records = engine.handle_event(event)
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [
+        ("EVENT", event.kind),
+        ("ERROR", "InvalidArgument"),
+    ]
+    assert engine.model.ledger.reserved == {}
+    assert format_trace(engine.records).startswith(before)
+
+
 # --- dispatch ----------------------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from vopol.model import (
 )
 
 from conftest import VISITUS
+from test_acceptance import _closure
 
 
 def chain(*tasks: str, extra_edges=()) -> VoModel:
@@ -106,6 +107,29 @@ def test_cycle_detected():
     m = chain("A", "B", extra_edges=[("B", "A")])
     codes = [d.code for d in validate_model(m)]
     assert "CycleError" in codes
+    self_loop = load_model("vo X\ntask A type=Atomic\nedge A A\n")
+    assert [d.code for d in validate_model(self_loop)] == ["CycleError"]
+
+
+def test_cycle_reported_exactly_when_a_task_reaches_itself():
+    rng = random.Random(41)
+    for _ in range(300):
+        count = rng.randint(1, 8)
+        nodes = [f"T{i}" for i in range(count)]
+        edges = set()
+        for i in range(count):
+            for j in range(count):
+                # forward edges often, back edges and self-loops now and then
+                if rng.random() < (0.3 if i < j else 0.06):
+                    edges.add((nodes[i], nodes[j]))
+        rows = ["vo Rand"]
+        rows += [f"task {n} type=Atomic" for n in nodes]
+        rows += [f"task C{i} type=Atomic inprocess=false" for i in range(rng.randint(0, 2))]
+        rows += [f"edge {a} {b}" for a, b in sorted(edges)]
+        model = load_model("\n".join(rows))
+        reach = _closure(nodes, edges)
+        cyclic = any(n in reach[n] for n in nodes)
+        assert [d.code for d in validate_model(model)] == (["CycleError"] if cyclic else [])
 
 
 def test_atomic_two_member_duties_flagged():
@@ -198,6 +222,18 @@ def test_remove_bridges_cross_product():
     out = remove_task_node(m, "T")
     assert out.control_edges == {("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")}
     assert validate_model(out) == []
+
+
+def test_remove_on_cyclic_input_bridges_a_task_to_itself():
+    # A is both predecessor and successor of T; A -> B -> A survives, yet
+    # A is never counted as reaching itself, so the bridge A -> A is added
+    m = load_model(
+        "vo X\n"
+        + "".join(f"task {t} type=Atomic\n" for t in "ATB")
+        + "edge A T\nedge T A\nedge A B\nedge B A\n"
+    )
+    out = remove_task_node(m, "T")
+    assert out.control_edges == {("A", "A"), ("A", "B"), ("B", "A")}
 
 
 def test_remove_entry_task_promotes_successor():
