@@ -12,7 +12,7 @@ model untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .policy.ast import ActionCall, Arg, Ident, Number, Text
 from .policy.validate import THIS, Vocabulary
@@ -307,10 +307,9 @@ def apply_change_type(ctx: EvalContext, task: str, new_type: str, sharing: str |
             raise AtomicityViolationError(
                 f"cannot make {task!r} atomic: duties from {len(holders)} members", task
             )
+    old = m.tasks[task]
     out = m.clone()
-    out.tasks[task].ttype = ttype
-    if sharing is not None:
-        out.tasks[task].sharing = sharing
+    out.tasks[task] = replace(old, ttype=ttype, sharing=old.sharing if sharing is None else sharing)
     return out
 
 

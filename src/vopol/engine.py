@@ -186,8 +186,9 @@ class Engine:
         event_spec = TriggerSpec(trig.name, (Ident(trig.task),))
 
         # phase 1: evaluate policies against a speculative model, collecting
-        # every attempted action
-        box = [self.model.clone()]
+        # every attempted action; it starts as the authoritative model, which
+        # predicates only read and apply_action never writes
+        box = [self.model]
         collected: list[_Collected] = []
 
         def predicate(pred: Pred) -> bool:
@@ -224,9 +225,8 @@ class Engine:
             for rule_idx in applied:
                 self._emit("POLICY-FIRED", ("policy", policy.name), ("rule", str(rule_idx)))
 
-        # the evaluator's recursive closures reach ``box`` through reference
-        # cycles; emptying it frees the speculative model now, not at the
-        # next cyclic collection
+        # the last speculative version is dead from here on; drop its
+        # containers before phase 3 builds the authoritative versions
         box.clear()
 
         # phase 2: conflict detection over the collected list

@@ -6,11 +6,16 @@ parameters, duty assignments and the capacity ledger. Mutating operations
 never modify their input: they return a fresh model, and a successful
 result always satisfies :func:`validate_model`. Failed operations raise
 and leave the caller's model untouched.
+
+Model versions share their records: :class:`Member` and :class:`TaskDef`
+are frozen, so a change puts a new record (``dataclasses.replace``) into
+the new version's containers (dicts, sets, ledger), which it owns alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import (
@@ -44,30 +49,22 @@ class TaskType(str, Enum):
 RELATIONS = ("parallel", "after")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Member:
     id: str
     kind: MemberKind
     capabilities: dict[str, int] = field(default_factory=dict)
     cost: dict[str, int] = field(default_factory=dict)
 
-    def clone(self) -> "Member":
-        return Member(self.id, self.kind, dict(self.capabilities), dict(self.cost))
 
-
-@dataclass
+@dataclass(frozen=True)
 class TaskDef:
     id: str
     ttype: TaskType
     sharing: str | None = None
     required: dict[str, int] = field(default_factory=dict)
-    inputs: set[str] = field(default_factory=set)
+    inputs: frozenset[str] = frozenset()
     in_process: bool = True
-
-    def clone(self) -> "TaskDef":
-        return TaskDef(
-            self.id, self.ttype, self.sharing, dict(self.required), set(self.inputs), self.in_process
-        )
 
 
 @dataclass(frozen=True)
@@ -121,11 +118,13 @@ class VoModel:
     ledger: CapacityLedger = field(default_factory=CapacityLedger)
 
     def clone(self) -> "VoModel":
+        """A new version with its own containers; the records in them are
+        shared with this one, since no version writes a record."""
         return VoModel(
             name=self.name,
-            members={k: v.clone() for k, v in self.members.items()},
-            registry={k: v.clone() for k, v in self.registry.items()},
-            tasks={k: v.clone() for k, v in self.tasks.items()},
+            members=dict(self.members),
+            registry=dict(self.registry),
+            tasks=dict(self.tasks),
             control_edges=set(self.control_edges),
             dataflows=set(self.dataflows),
             vbe_resources=set(self.vbe_resources),
@@ -156,16 +155,17 @@ class VoModel:
         return {s for p, s in self.control_edges if p == task}
 
     def iter_duties(self) -> list[Duty]:
-        return [
-            Duty(m, t, c, amount)
-            for (m, t, c), amount in sorted(self.duties.items())
-        ]
+        return _sorted_duties(self.duties.items())
 
     def duties_on(self, task: str) -> list[Duty]:
-        return [d for d in self.iter_duties() if d.task == task]
+        return _sorted_duties(kv for kv in self.duties.items() if kv[0][1] == task)
 
     def duties_of(self, member_id: str) -> list[Duty]:
-        return [d for d in self.iter_duties() if d.member == member_id]
+        return _sorted_duties(kv for kv in self.duties.items() if kv[0][0] == member_id)
+
+
+def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Duty]:
+    return [Duty(m, t, c, amount) for (m, t, c), amount in sorted(items)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def _parse_task(tokens: list[str], line_no: int) -> TaskDef:
         i += 1
     if ttype is None:
         raise ParseError(f"task {tid!r} is missing type=", line_no, 1)
-    return TaskDef(tid, ttype, sharing, required, inputs, in_process)
+    return TaskDef(tid, ttype, sharing, required, frozenset(inputs), in_process)
 
 
 def load_model(text: str) -> VoModel:
@@ -325,13 +325,17 @@ def load_model(text: str) -> VoModel:
             if tid not in model.tasks:
                 raise DanglingRefError(f"edge references undefined task {tid!r}", line_no, 1)
         model.control_edges.add((src, dst))
+    flow_inputs: dict[str, set[str]] = {}
     for line_no, item, source, target in pending_flows:
         if source != CUSTOMER and source not in model.tasks:
             raise DanglingRefError(f"dataflow source {source!r} is not a task", line_no, 1)
         if target not in model.tasks:
             raise DanglingRefError(f"dataflow target {target!r} is not a task", line_no, 1)
         model.dataflows.add(DataFlow(item, source, target))
-        model.tasks[target].inputs.add(item)
+        flow_inputs.setdefault(target, set()).add(item)
+    for target, items in flow_inputs.items():
+        task = model.tasks[target]
+        model.tasks[target] = replace(task, inputs=task.inputs | items)
     return model
 
 
@@ -480,7 +484,7 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> VoModel:
     else:
         out.control_edges |= {(p, t1) for p in out.predecessors(t2)}
         out.control_edges |= {(t1, s) for s in out.successors(t2)}
-    out.tasks[t1].in_process = True
+    out.tasks[t1] = replace(out.tasks[t1], in_process=True)
     return out
 
 
@@ -520,7 +524,7 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
             del out.duties[(mid, task, cap)]
             out.ledger.add(mid, cap, -amount)
     out.dataflows = {f for f in out.dataflows if f.source != t and f.target != t}
-    out.tasks[t].in_process = False
+    out.tasks[t] = replace(out.tasks[t], in_process=False)
     return out
 
 
@@ -535,14 +539,14 @@ def set_dataflow_edge(
     """
     if mode not in ("add", "remove"):
         raise InvalidArgumentError(f"mode must be add or remove, got {mode!r}", mode)
-    _need_task(m, t, in_process=True)
+    task_def = _need_task(m, t, in_process=True)
     existing = {f for f in m.dataflows if f.item == item and f.target == t}
     if mode == "add":
         out = m.clone()
         if not existing:
             sources = sorted({f.source for f in m.dataflows if f.item == item})
             out.dataflows.add(DataFlow(item, sources[0] if sources else CUSTOMER, t))
-        out.tasks[t].inputs.add(item)
+        out.tasks[t] = replace(task_def, inputs=task_def.inputs | {item})
         return out, None
     if not existing:
         warning = Diagnostic(
@@ -554,7 +558,7 @@ def set_dataflow_edge(
         return m, warning
     out = m.clone()
     out.dataflows -= existing
-    out.tasks[t].inputs.discard(item)
+    out.tasks[t] = replace(task_def, inputs=task_def.inputs - {item})
     return out, None
 
 

@@ -89,27 +89,26 @@ def linearize_actions(tree: Action, attempt: ActionAttempt) -> ActionOutcome:
     - ``or``: exactly one alternative runs, deterministically the left.
     - ``orelse``: right runs only if left failed; succeeds if either did.
     """
-    outcome = ActionOutcome(succeeded=True)
+    attempts: list[tuple[ActionCall, bool]] = []
+    return ActionOutcome(_run(tree, attempt, attempts), attempts)
 
-    def run(node: Action) -> bool:
-        if isinstance(node, ActionCall):
-            ok = bool(attempt(node))
-            outcome.attempts.append((node, ok))
-            return ok
-        if node.op == "andthen":
-            return run(node.left) and run(node.right)
-        if node.op == "and":
-            left_ok = run(node.left)
-            right_ok = run(node.right)
-            return left_ok and right_ok
-        if node.op == "or":
-            return run(node.left)
-        if node.op == "orelse":
-            return run(node.left) or run(node.right)
-        raise TypeError(f"unknown action operator: {node.op!r}")
 
-    outcome.succeeded = run(tree)
-    return outcome
+def _run(node: Action, attempt: ActionAttempt, attempts: list[tuple[ActionCall, bool]]) -> bool:
+    if isinstance(node, ActionCall):
+        ok = bool(attempt(node))
+        attempts.append((node, ok))
+        return ok
+    if node.op == "andthen":
+        return _run(node.left, attempt, attempts) and _run(node.right, attempt, attempts)
+    if node.op == "and":
+        left_ok = _run(node.left, attempt, attempts)
+        right_ok = _run(node.right, attempt, attempts)
+        return left_ok and right_ok
+    if node.op == "or":
+        return _run(node.left, attempt, attempts)
+    if node.op == "orelse":
+        return _run(node.left, attempt, attempts) or _run(node.right, attempt, attempts)
+    raise TypeError(f"unknown action operator: {node.op!r}")
 
 
 def evaluate_rule_group(
@@ -137,47 +136,40 @@ def evaluate_rule_group(
     Predicate evaluation errors propagate to the caller.
     """
     applied: list[int] = []
-    index = -1
 
-    def next_index() -> int:
-        nonlocal index
-        index += 1
-        return index
-
-    def skip(node: RuleGroup):
-        # keep leaf numbering stable across unevaluated branches
-        nonlocal index
-        if isinstance(node, RuleLeaf):
-            index += 1
-        else:
-            skip(node.left)
-            skip(node.right)
-
-    def eval_leaf(rule: PolicyRule) -> bool:
-        idx = next_index()
-        if not match_trigger(rule, event, location):
-            return False
-        if rule.condition is not None and not eval_condition(
-            rule.condition, predicate_eval
+    def visit(rule: PolicyRule, index: int):
+        if match_trigger(rule, event, location) and (
+            rule.condition is None or eval_condition(rule.condition, predicate_eval)
         ):
-            return False
-        applied.append(idx)
-        linearize_actions(rule.action, action_sink)
-        return True
+            applied.append(index)
+            linearize_actions(rule.action, action_sink)
 
-    def walk(node: RuleGroup) -> bool:
-        if isinstance(node, RuleLeaf):
-            return eval_leaf(node.rule)
-        if node.op in ("seq", "par"):
-            left_applied = walk(node.left)
-            right_applied = walk(node.right)
-            return left_applied or right_applied
-        if node.op in ("gchoice", "uchoice"):
-            if walk(node.left):
-                skip(node.right)
-                return True
-            return walk(node.right)
-        raise TypeError(f"unknown group operator: {node.op!r}")
-
-    walk(group)
+    _walk(group, 0, visit, applied)
     return applied
+
+
+def _walk(
+    node: RuleGroup, index: int, visit: Callable[[PolicyRule, int], None], applied: list[int]
+) -> int:
+    """Visit the leaves of ``node`` numbered from ``index``; return the next
+    free number. A subtree applied iff ``visit`` appended to ``applied``."""
+    if isinstance(node, RuleLeaf):
+        visit(node.rule, index)
+        return index + 1
+    if node.op in ("seq", "par"):
+        index = _walk(node.left, index, visit, applied)
+        return _walk(node.right, index, visit, applied)
+    if node.op in ("gchoice", "uchoice"):
+        before = len(applied)
+        index = _walk(node.left, index, visit, applied)
+        if len(applied) > before:
+            # keep leaf numbering stable across the unevaluated branch
+            return index + _leaf_count(node.right)
+        return _walk(node.right, index, visit, applied)
+    raise TypeError(f"unknown group operator: {node.op!r}")
+
+
+def _leaf_count(node: RuleGroup) -> int:
+    if isinstance(node, RuleLeaf):
+        return 1
+    return _leaf_count(node.left) + _leaf_count(node.right)

@@ -48,7 +48,11 @@ def run_fixture(scenario_name: str):
     model = load_model((FIXTURES / "visitus.vo").read_text())
     policies = parse_policy_document((FIXTURES / "morebeds.pol").read_text())
     events = parse_scenario((FIXTURES / scenario_name).read_text())
-    return run_scenario(model, policies, events, base_dir=FIXTURES)
+    before = canonical_dump(model)
+    result = run_scenario(model, policies, events, base_dir=FIXTURES)
+    # the run makes its own model versions; the caller's model is untouched
+    assert canonical_dump(model) == before
+    return result
 
 
 def user_policy_records(records):

@@ -5,7 +5,7 @@ import pytest
 from vopol.domain import DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
 from vopol.errors import InvalidModelError
-from vopol.model import load_model, validate_model
+from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
 from vopol.state import Status
 from vopol.trace import format_trace
@@ -447,7 +447,9 @@ def test_random_event_soup_preserves_engine_invariants():
     )
     rng = random.Random(99)
     for round_no in range(30):
-        engine = Engine(load_model(model_text), parse_policy_document(policy_text))
+        model = load_model(model_text)
+        before = canonical_dump(model)
+        engine = Engine(model, parse_policy_document(policy_text))
         settled: dict[str, Status] = {}
         activations = completions = 0
         for _ in range(rng.randint(4, 14)):
@@ -485,3 +487,4 @@ def test_random_event_soup_preserves_engine_invariants():
         )
         assert entries == became_active
         assert exits == completed
+        assert canonical_dump(model) == before

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -173,9 +174,7 @@ def test_duty_referencing_candidate_flagged():
 
 def test_insert_after_takes_over_outgoing_edges():
     m = chain("A", "B", "C")
-    m.tasks["X"] = m.tasks["A"].clone()
-    m.tasks["X"].id = "X"
-    m.tasks["X"].in_process = False
+    m.tasks["X"] = replace(m.tasks["A"], id="X", in_process=False)
     out = insert_task_node(m, "X", "B", "after")
     assert out.control_edges == {("A", "B"), ("B", "X"), ("X", "C")}
     assert out.tasks["X"].in_process
@@ -262,9 +261,7 @@ def test_remove_drops_duties_and_flows():
 def test_insert_then_remove_restores_edges():
     for relation in ("after", "parallel"):
         m = chain("A", "B", "C")
-        m.tasks["X"] = m.tasks["A"].clone()
-        m.tasks["X"].id = "X"
-        m.tasks["X"].in_process = False
+        m.tasks["X"] = replace(m.tasks["A"], id="X", in_process=False)
         before = set(m.control_edges)
         out = remove_task_node(insert_task_node(m, "X", "B", relation), "X")
         assert out.control_edges == before, relation
@@ -412,3 +409,15 @@ def test_canonical_dump_is_stable():
     m = load_model(VISITUS)
     assert canonical_dump(m) == canonical_dump(m.clone())
     assert canonical_dump(m) == canonical_dump(load_model(VISITUS))
+
+
+def test_versions_share_frozen_records():
+    m = load_model(VISITUS)
+    version = m.clone()
+    assert version.tasks["HotelProv"] is m.tasks["HotelProv"]
+    assert version.members["Hotel"] is m.members["Hotel"]
+    assert version.tasks is not m.tasks and version.members is not m.members
+    with pytest.raises(FrozenInstanceError):
+        m.tasks["HotelProv"].in_process = False
+    with pytest.raises(FrozenInstanceError):
+        m.members["Hotel"].kind = MemberKind.ASSOCIATE

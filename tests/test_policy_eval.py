@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -232,6 +233,30 @@ def test_rule_indices_stable_when_branches_skipped():
     body = body_of("policy P (do a() gchoice do b()) seq do c()")
     applied, fired = run_group(body)
     assert applied == [0, 2] and fired == ["a", "c"]
+
+
+def test_evaluation_leaves_no_cyclic_garbage():
+    # the recursion keeps its state in arguments, so evaluating a policy
+    # leaves nothing for the cyclic collector
+    body = body_of(
+        "policy P (if no() do a() gchoice do b() andthen c())"
+        " seq (do d() orelse e() uchoice do f()) seq do g() andthen h()"
+    )
+    fired: list[str] = []
+
+    def attempt(call: ActionCall) -> bool:
+        fired.append(call.name)
+        return call.name != "d"
+
+    gc.collect()
+    gc.disable()
+    try:
+        applied = evaluate_rule_group(body, ENTRY, "T", lambda p: False, attempt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert applied == [1, 2, 4]
+    assert fired == ["b", "c", "d", "e", "g", "h"]
 
 
 def test_predicate_errors_propagate():
