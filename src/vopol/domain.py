@@ -357,9 +357,13 @@ def can_run(m: VoModel, task: str) -> bool:
     task_def = m.tasks.get(task)
     if task_def is None:
         raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
-    if any(d.member not in m.members for d in m.duties_on(task)):
-        return False
-    return all(remaining_shortfall(m, task, cap) == 0 for cap in task_def.required)
+    covered: dict[str, int] = {}
+    for (mid, tid, cap), amount in m.duties.items():
+        if tid == task:
+            if mid not in m.members:
+                return False
+            covered[cap] = covered.get(cap, 0) + amount
+    return all(covered.get(cap, 0) >= need for cap, need in task_def.required.items())
 
 
 def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
@@ -467,7 +471,9 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
                 break
             if allowed(mid):
                 shortfall -= take_from(mid, capability, shortfall)
-        for mid in _candidate_order(scratch, capability, competition):
+        # the registry is sorted only when current members left a gap
+        candidates = _candidate_order(scratch, capability, competition) if shortfall else []
+        for mid in candidates:
             if shortfall == 0:
                 break
             if not allowed(mid):

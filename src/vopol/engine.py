@@ -53,6 +53,9 @@ from .trace import TraceRecord
 
 BOOTSTRAP_POLICY = "@bootstrap"
 
+# the STATE text of each status, looked up once per task per record
+_STATUS_TEXT = {status: status.value for status in Status}
+
 
 @dataclass(frozen=True)
 class ScenarioEvent:
@@ -78,21 +81,37 @@ EVENT_ARITY = {
 }
 
 
-def _eligible(m: VoModel, s: InstanceState, tasks: list[str]) -> set[str]:
-    """The given tasks whose in-process predecessors are all completed and
-    whose inputs have arrived, from one sweep over the control edges."""
-    blocked = {
-        b
-        for a, b in m.control_edges
-        if s.status.get(a) is not Status.COMPLETED and m.tasks[a].in_process
-    }
-    return {t for t in tasks if t not in blocked and m.tasks[t].inputs <= s.available_data}
+def _adjacency(edges: set[tuple[str, str]]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Predecessor and successor lists per task, from one pass over the
+    control edges."""
+    preds: dict[str, list[str]] = {}
+    succs: dict[str, list[str]] = {}
+    for p, s in edges:
+        preds.setdefault(s, []).append(p)
+        succs.setdefault(p, []).append(s)
+    return preds, succs
+
+
+def _eligible(m: VoModel, s: InstanceState, task: str, preds: list[str]) -> bool:
+    """The readiness rule: every in-process predecessor of ``task`` is
+    completed and every input of ``task`` has arrived."""
+    if not m.tasks[task].inputs <= s.available_data:
+        return False
+    for p in preds:
+        if s.status.get(p) is not Status.COMPLETED and m.tasks[p].in_process:
+            return False
+    return True
 
 
 def ready_set(m: VoModel, s: InstanceState) -> set[str]:
     """Pending tasks whose in-process predecessors are all completed and
     whose inputs have arrived."""
-    return _eligible(m, s, [t for t, status in s.status.items() if status is Status.PENDING])
+    preds = _adjacency(m.control_edges)[0]
+    return {
+        t
+        for t, status in s.status.items()
+        if status is Status.PENDING and _eligible(m, s, t, preds.get(t, []))
+    }
 
 
 def init_instance(m: VoModel) -> InstanceState:
@@ -130,6 +149,14 @@ class Engine:
         self.records: list[TraceRecord] = []
         self._seq = 0
         self.instance = init_instance(self.model)
+        self._preds, self._succs = _adjacency(self.model.control_edges)
+        # data item -> catalogue tasks that declare it as an input
+        self._consumers: dict[str, set[str]] = {}
+        for task, task_def in self.model.tasks.items():
+            for item in task_def.inputs:
+                self._consumers.setdefault(item, set()).add(task)
+        # tasks whose readiness may have changed since the last refresh
+        self._touched: set[str] = set()
         self._emit_state()
 
     # trace helpers ------------------------------------------------------
@@ -141,9 +168,8 @@ class Engine:
         return rec
 
     def _emit_state(self):
-        tasks = ",".join(
-            f"{t}:{self.instance.status[t].value}" for t in sorted(self.instance.status)
-        )
+        status = self.instance.status
+        tasks = ",".join(f"{t}:{_STATUS_TEXT[status[t]]}" for t in sorted(status))
         data = ",".join(sorted(self.instance.available_data))
         members = ",".join(sorted(self.model.members))
         self._emit("STATE", ("tasks", tasks), ("data", data), ("members", members))
@@ -154,23 +180,45 @@ class Engine:
     # lifecycle helpers ----------------------------------------------------
 
     def _refresh_readiness(self):
-        """Sync the status map with the (possibly rewired) process graph.
+        """Re-check the readiness of the touched tasks against the current
+        graph, then forget them.
 
-        Tasks that joined the process appear as pending, tasks that left it
-        are dropped, and pending/ready assignments are recomputed from the
-        current graph; started tasks are never touched.
+        A touched task that joined the process appears as pending, one that
+        left it is dropped, and a pending or ready one gets the readiness
+        rule's verdict; started tasks are never changed.
         """
-        in_proc = {t for t, d in self.model.tasks.items() if d.in_process}
-        for task in list(self.instance.status):
-            if task not in in_proc:
-                del self.instance.status[task]
-        for task in sorted(in_proc):
-            if task not in self.instance.status:
-                self.instance.status[task] = Status.PENDING
-        waiting = [t for t in in_proc if self.instance.status[t] in (Status.PENDING, Status.READY)]
-        eligible = _eligible(self.model, self.instance, waiting)
-        for task in waiting:
-            self.instance.status[task] = Status.READY if task in eligible else Status.PENDING
+        status = self.instance.status
+        for task in sorted(self._touched):
+            if not self.model.tasks[task].in_process:
+                status.pop(task, None)
+                continue
+            current = status.setdefault(task, Status.PENDING)
+            if current is Status.PENDING or current is Status.READY:
+                eligible = _eligible(self.model, self.instance, task, self._preds.get(task, []))
+                status[task] = Status.READY if eligible else Status.PENDING
+        self._touched.clear()
+
+    def _touch_applied(self, action: DomainAction):
+        """Note the tasks whose readiness an applied action may change:
+        the task a graph change adds or deletes with its successors, or
+        the task whose inputs changed. ``self.model`` is already the new
+        version; the adjacency maps still describe the old one."""
+        if action.name == "delete_task":
+            task = str(action.args[0])
+            self._touched.add(task)
+            self._touched.update(self._succs.get(task, []))
+            self._preds, self._succs = _adjacency(self.model.control_edges)
+        elif action.name == "add_task":
+            task = str(action.args[0])
+            self._preds, self._succs = _adjacency(self.model.control_edges)
+            self._touched.add(task)
+            self._touched.update(self._succs.get(task, []))
+        elif action.name in ("provide_input", "remove_input"):
+            item, task = str(action.args[0]), str(action.args[1])
+            self._touched.add(task)
+            if action.name == "provide_input":
+                # never dropped on removal: a stale consumer costs one re-check
+                self._consumers.setdefault(item, set()).add(task)
 
     def _release_holds(self, task: str):
         for hold in self.instance.release_holds(task):
@@ -201,7 +249,8 @@ class Engine:
                 try:
                     action = resolve_action(ctx, call)
                 except ModelError as err:
-                    collected.append(_Collected(policy_name, call, None, err))
+                    # without its traceback, whose frames hold ``collected``
+                    collected.append(_Collected(policy_name, call, None, err.with_traceback(None)))
                     return False
                 collected.append(_Collected(policy_name, call, action, None))
                 try:
@@ -276,6 +325,7 @@ class Engine:
                 )
                 continue
             self.model = new_model
+            self._touch_applied(action)
             self.instance.holds.extend(ctx.hold_sink)
             self._emit(
                 "ACTION-APPLIED",
@@ -386,7 +436,12 @@ class Engine:
             return
         self.instance.status[task] = Status.COMPLETED
         self._release_holds(task)
-        self.instance.available_data |= {f.item for f in self.model.dataflows if f.source == task}
+        arrived = {f.item for f in self.model.dataflows if f.source == task}
+        arrived -= self.instance.available_data
+        self.instance.available_data |= arrived
+        for item in arrived:
+            self._touched.update(self._consumers.get(item, ()))
+        self._touched.update(self._succs.get(task, []))
         self._refresh_readiness()
         self.dispatch_trigger(DomainTrigger("task_exit", task))
 
@@ -397,7 +452,6 @@ class Engine:
             return
         self.instance.status[task] = Status.FAILED
         self._release_holds(task)
-        self._refresh_readiness()
         self.dispatch_trigger(DomainTrigger("task_failure", task))
 
     def _ev_consume(self, ev: ScenarioEvent):

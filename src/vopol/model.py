@@ -540,12 +540,17 @@ def set_dataflow_edge(
     if mode not in ("add", "remove"):
         raise InvalidArgumentError(f"mode must be add or remove, got {mode!r}", mode)
     task_def = _need_task(m, t, in_process=True)
-    existing = {f for f in m.dataflows if f.item == item and f.target == t}
+    existing: list[DataFlow] = []
+    sources: set[str] = set()
+    for f in m.dataflows:
+        if f.item == item:
+            sources.add(f.source)
+            if f.target == t:
+                existing.append(f)
     if mode == "add":
         out = m.clone()
         if not existing:
-            sources = sorted({f.source for f in m.dataflows if f.item == item})
-            out.dataflows.add(DataFlow(item, sources[0] if sources else CUSTOMER, t))
+            out.dataflows.add(DataFlow(item, min(sources) if sources else CUSTOMER, t))
         out.tasks[t] = replace(task_def, inputs=task_def.inputs | {item})
         return out, None
     if not existing:
@@ -557,7 +562,7 @@ def set_dataflow_edge(
         )
         return m, warning
     out = m.clone()
-    out.dataflows -= existing
+    out.dataflows.difference_update(existing)
     out.tasks[t] = replace(task_def, inputs=task_def.inputs - {item})
     return out, None
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from vopol.domain import DomainTrigger
@@ -7,7 +9,7 @@ from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_sc
 from vopol.errors import InvalidModelError
 from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
-from vopol.state import Status
+from vopol.state import InstanceState, Status
 from vopol.trace import format_trace
 
 from conftest import MOREBEDS, VISITUS
@@ -302,6 +304,23 @@ def test_unassigned_duty_reservation_released_on_failure():
     assert engine.instance.holds == []
 
 
+def test_failed_resolution_leaves_no_cyclic_garbage():
+    # the collected error keeps no traceback, whose frames would hold the
+    # list it sits in
+    import gc
+
+    policy_text = "policy Bad appliesTo T when task_entry() do change_type(T)\n"
+    engine = Engine(load_model("vo X\ntask T type=Atomic\n"), parse_policy_document(policy_text))
+    gc.collect()
+    gc.disable()
+    try:
+        records = engine.handle_event(ev("activate", "T"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [r.get("error") for r in records if r.kind == "ACTION-FAILED"] == ["InvalidArgument"]
+
+
 # --- bootstrap failure path ---------------------------------------------------------
 
 
@@ -488,3 +507,85 @@ def test_random_event_soup_preserves_engine_invariants():
         assert entries == became_active
         assert exits == completed
         assert canonical_dump(model) == before
+
+
+# --- incremental readiness against a full recompute ------------------------------
+
+
+def _soup_model(rng) -> tuple[str, list[str], list[str], list[str]]:
+    """A random DAG with catalogue tasks, customer- and
+    task-sourced data flows and input clauses that no flow feeds."""
+    n = rng.randint(4, 8)
+    tasks = [f"T{i}" for i in range(n)]
+    spare = [f"C{i}" for i in range(rng.randint(2, 3))]
+    items = ["brief", "plan", "memo", "ghost"]
+    clauses = {t: set() for t in tasks + spare}
+    rows = ["vo Diff", "member P kind=Partner cap a=50"]
+    edges = {(tasks[i], tasks[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    flows = [("brief", "customer", tasks[0])]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(n - 1)
+        flows.append((rng.choice(items[1:3]), tasks[i], rng.choice(tasks[i + 1:])))
+    for t in tasks + spare:
+        if rng.random() < 0.3:
+            clauses[t].add(rng.choice(items))  # often no flow behind it
+    for t in tasks + spare:
+        need = " requires a=1" if rng.random() < 0.3 else ""
+        inputs = "".join(f" input {item}" for item in sorted(clauses[t]))
+        where = " inprocess=false" if t in spare else ""
+        rows.append(f"task {t} type=Replicable{need}{inputs}{where}")
+    rows += [f"edge {p} {s}" for p, s in sorted(edges)]
+    rows += [f"dataflow {item} from={src} to={dst}" for item, src, dst in flows]
+    return "\n".join(rows) + "\n", tasks, spare, items
+
+
+def _soup_policies(rng, tasks: list[str], spare: list[str], items: list[str]) -> str:
+    every = tasks + spare
+    actions = [
+        lambda: f"add_task({rng.choice(spare)}, this, after)",
+        lambda: f"add_task({rng.choice(spare)}, {rng.choice(every)}, parallel)",
+        lambda: f"delete_task({rng.choice(every)})",
+        lambda: f"provide_input({rng.choice(items)}, {rng.choice(every)})",
+        lambda: f"remove_input({rng.choice(items)}, {rng.choice(every)})",
+    ]
+    rows = []
+    for k in range(rng.randint(2, 5)):
+        trigger = rng.choice(["task_entry", "task_exit", "task_failure"])
+        where = f"appliesTo {rng.choice(every)} " if rng.random() < 0.4 else ""
+        rows.append(f"policy R{k} {where}when {trigger}() do {rng.choice(actions)()}")
+    return "\n".join(rows) + "\n"
+
+
+def test_incremental_readiness_matches_full_recompute():
+    # after every event, pending/ready agree with ready_set on the same
+    # state, the status map covers exactly the in-process tasks and the
+    # model validates
+    import random
+
+    rng = random.Random(4)
+    waiting = (Status.PENDING, Status.READY)
+    applied: Counter[str] = Counter()
+    for _ in range(150):
+        model_text, tasks, spare, items = _soup_model(rng)
+        engine = Engine(load_model(model_text), parse_policy_document(_soup_policies(rng, tasks, spare, items)))
+        for _ in range(rng.randint(10, 30)):
+            status = engine.instance.status
+            ready = [t for t, s in status.items() if s is Status.READY]
+            active = [t for t, s in status.items() if s is Status.ACTIVE]
+            if active and rng.random() < 0.5:
+                engine.handle_event(ev("complete" if rng.random() < 0.8 else "fail", rng.choice(active)))
+            elif ready:
+                engine.handle_event(ev("activate", rng.choice(ready)))
+            else:
+                engine.handle_event(ev(rng.choice(["activate", "complete"]), rng.choice(tasks + spare)))
+            m, status = engine.model, engine.instance.status
+            assert set(status) == set(m.in_process_tasks())
+            probe = InstanceState(
+                {t: Status.PENDING if s in waiting else s for t, s in status.items()},
+                set(engine.instance.available_data),
+            )
+            assert {t for t, s in status.items() if s is Status.READY} == ready_set(m, probe)
+            assert validate_model(m) == []
+        applied.update(r.get("action") for r in engine.records if r.kind == "ACTION-APPLIED")
+    for action in ("add_task", "delete_task", "provide_input", "remove_input"):
+        assert applied[action] >= 20
