@@ -17,7 +17,7 @@ from .policy.ast import PolicyDocument
 from .policy.parser import parse_policy_document
 from .policy.validate import THIS, validate_policies
 from .domain import VOCABULARY
-from .engine import EVENT_ARITY, ScenarioEvent, run_scenario
+from .engine import EVENT_ARITY, ScenarioEvent, read_text, run_scenario
 from .errors import Diagnostic, ParseError, VopolError
 from .model import CUSTOMER, RELATIONS, MemberKind, TaskType, VoModel, load_model, validate_model
 from .trace import format_text, format_trace
@@ -83,10 +83,6 @@ def model_symbols(m: VoModel) -> set[str]:
     return symbols
 
 
-def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
-
-
 def _print_diagnostics(diagnostics: list[Diagnostic], path: Path):
     for diag in diagnostics:
         print(diag.render(str(path)), file=sys.stderr)
@@ -100,11 +96,11 @@ def _load_inputs(
     model_path: Path, policy_path: Path
 ) -> tuple[VoModel | None, PolicyDocument | None, int]:
     """Load and validate both inputs, printing diagnostics. Returns the
-    parsed values and the number of validation findings."""
+    parsed values and the number of errors; warnings are only printed."""
     findings = 0
     model = policies = None
     try:
-        model = load_model(_read(model_path))
+        model = load_model(read_text(model_path))
     except ParseError as err:
         _print_diagnostics([_parse_error_diag(err)], model_path)
         findings += 1
@@ -113,19 +109,15 @@ def _load_inputs(
         _print_diagnostics(problems, model_path)
         findings += len(problems)
     try:
-        policies = parse_policy_document(_read(policy_path))
+        policies = parse_policy_document(read_text(policy_path))
     except ParseError as err:
         _print_diagnostics([_parse_error_diag(err)], policy_path)
         findings += 1
     if policies is not None:
         symbols = model_symbols(model) if model is not None else None
-        problems = [
-            d
-            for d in validate_policies(policies, VOCABULARY, symbols)
-            if d.severity == "error"
-        ]
-        _print_diagnostics(problems, policy_path)
-        findings += len(problems)
+        diagnostics = validate_policies(policies, VOCABULARY, symbols)
+        _print_diagnostics(diagnostics, policy_path)
+        findings += sum(d.severity == "error" for d in diagnostics)
     return model, policies, findings
 
 
@@ -152,7 +144,7 @@ def cmd_run(config: RunConfig) -> int:
         if findings or model is None or policies is None:
             return 2
         try:
-            events = parse_scenario(_read(config.scenario_path))
+            events = parse_scenario(read_text(config.scenario_path))
         except ParseError as err:
             _print_diagnostics([_parse_error_diag(err)], config.scenario_path)
             return 2

@@ -62,13 +62,18 @@ def _classify(a: DomainAction, b: DomainAction) -> str | None:
     return None
 
 
-def detect_conflicts(actions: list[tuple[str, DomainAction]]) -> list[Conflict]:
+def detect_conflicts(actions: list[tuple[str, DomainAction]], start: int = 0) -> list[Conflict]:
     """Flag every ordered pair of requests that falls into a conflict
     class. Pure and order-stable: results are sorted by position of the
-    earlier, then the later request."""
+    earlier, then the later request.
+
+    ``start`` limits the report to the pairs whose later request sits at
+    index ``start`` or after; a caller that checks each request as it
+    arrives passes the new request's index and gets only the pairs that
+    request closes. The default reports every pair."""
     out: list[Conflict] = []
     for i in range(len(actions)):
-        for j in range(i + 1, len(actions)):
+        for j in range(max(i + 1, start), len(actions)):
             reason = _classify(actions[i][1], actions[j][1])
             if reason is not None:
                 out.append(Conflict(i, j, actions[i], actions[j], reason))

@@ -212,7 +212,7 @@ def _drop_duty(out: VoModel, ctx: EvalContext, member: str, task: str, capabilit
     if ctx.is_active(task):
         ctx.hold_sink.append(Hold(task, member, capability, amount))
     else:
-        out.ledger.add(member, capability, -amount)
+        out.ledger.release(member, capability, amount)
 
 
 def apply_member_action(ctx: EvalContext, action: DomainAction) -> VoModel:
@@ -289,7 +289,7 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
         # commitment to a running task remains until it finishes
         ctx.hold_sink.append(Hold(task, member, capability, -delta))
     else:
-        out.ledger.add(member, capability, delta)
+        out.ledger.release(member, capability, -delta)
     return out
 
 

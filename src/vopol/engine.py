@@ -2,18 +2,23 @@
 
 The engine consumes scenario events strictly in order, maintains the task
 lifecycle, raises task_entry/task_exit/task_failure triggers, dispatches
-the active policies against them and applies the surviving actions. Every
-observable consequence lands in the trace; identical inputs produce
+the active policies against them and applies the actions they request.
+Every observable consequence lands in the trace; identical inputs produce
 byte-identical traces.
 
-A dispatch runs in phases: (1) evaluate every active policy in order
-against a speculative copy of the model, so later conditions observe
-earlier actions while collecting each attempted action; (2) detect
-conflicts in the collected list and suppress the later half of each
-conflicting pair (first writer wins); (3) apply the survivors in order to
-the authoritative model, recording success or failure per action; (4) for
-task_entry only, run the bootstrap allocator, failing the task when it
-cannot cover the requirements.
+A dispatch evaluates every active policy in order against the live model
+and handles each requested action once, when it is requested: the action
+is resolved and checked against every earlier request of the dispatch,
+suppressed ones included. If it conflicts with one, it is suppressed
+(first writer wins) and never applied; otherwise it is applied at once,
+so later conditions observe it. A suppressed request counts as a failed
+attempt, so ``andthen`` stops and ``orelse`` tries its right side. A
+policy whose evaluation raises is rolled back: its model changes, holds,
+requests and conflicts are dropped. The trace lists the POLICY-FIRED (or
+ERROR) records per policy, then the CONFLICT records by (first, second)
+index, then the ACTION-APPLIED and ACTION-FAILED records in attempt
+order. For task_entry only, the bootstrap allocator runs last and fails
+the task when it cannot cover the requirements.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .policy.ast import ActionCall, Ident, Policy, PolicyDocument, Pred, Trigger
 from .policy.evaluate import evaluate_rule_group
 from .policy.parser import parse_policy_document
 from .policy.validate import validate_policies
-from .conflict import detect_conflicts
+from .conflict import Conflict, detect_conflicts
 from .domain import (
     VOCABULARY,
     DomainAction,
@@ -81,6 +86,14 @@ EVENT_ARITY = {
 }
 
 
+def read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; undecodable bytes raise ``OSError``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise OSError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from None
+
+
 def _adjacency(edges: set[tuple[str, str]]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     """Predecessor and successor lists per task, from one pass over the
     control edges."""
@@ -129,14 +142,11 @@ def init_instance(m: VoModel) -> InstanceState:
     return state
 
 
-@dataclass
-class _Collected:
-    """One attempted action from the evaluation phase."""
-
-    policy: str
-    call: ActionCall
-    action: DomainAction | None
-    error: ModelError | None
+def _action_fields(policy: str, name: str, args: tuple) -> tuple[tuple[str, str], ...]:
+    """The policy, action and args fields of an ACTION-* record: a policy
+    argument shows its value, an open duty amount is left out."""
+    shown = ",".join(str(getattr(a, "value", a)) for a in args if a is not None)
+    return ("policy", policy), ("action", name), ("args", shown)
 
 
 class Engine:
@@ -222,9 +232,7 @@ class Engine:
 
     def _release_holds(self, task: str):
         for hold in self.instance.release_holds(task):
-            # a scenario release event may already have freed held units
-            current = self.model.ledger.get(hold.member, hold.capability)
-            self.model.ledger.add(hold.member, hold.capability, -min(hold.amount, current))
+            self.model.ledger.release(hold.member, hold.capability, hold.amount)
 
     # dispatch -------------------------------------------------------------
 
@@ -233,59 +241,65 @@ class Engine:
         self._emit("TRIGGER", ("trigger", trig.name), ("task", trig.task))
         event_spec = TriggerSpec(trig.name, (Ident(trig.task),))
 
-        # phase 1: evaluate policies against a speculative model, collecting
-        # every attempted action; it starts as the authoritative model, which
-        # predicates only read and apply_action never writes
-        box = [self.model]
-        collected: list[_Collected] = []
+        # every resolved request (suppressed ones included), the conflicts
+        # among them and the ACTION-* records, traced after the policies ran
+        requests: list[tuple[str, DomainAction]] = []
+        conflicts: list[Conflict] = []
+        outcomes: list[tuple[str, tuple[tuple[str, str], ...]]] = []
 
         def predicate(pred: Pred) -> bool:
-            ctx = EvalContext(box[0], self.instance, trig.task)
+            ctx = EvalContext(self.model, self.instance, trig.task)
             return eval_predicate(ctx, pred.name, pred.args)
+
+        def failed(fields: tuple[tuple[str, str], ...], err: ModelError) -> bool:
+            outcomes.append(("ACTION-FAILED", (*fields, ("error", err.code), ("detail", err.message))))
+            return False
 
         def make_attempt(policy_name: str):
             def attempt(call: ActionCall) -> bool:
-                ctx = EvalContext(box[0], self.instance, trig.task)
+                ctx = EvalContext(self.model, self.instance, trig.task)
                 try:
                     action = resolve_action(ctx, call)
                 except ModelError as err:
-                    # without its traceback, whose frames hold ``collected``
-                    collected.append(_Collected(policy_name, call, None, err.with_traceback(None)))
+                    return failed(_action_fields(policy_name, call.name, call.args), err)
+                requests.append((policy_name, action))
+                clashes = detect_conflicts(requests, start=len(requests) - 1)
+                if clashes:
+                    # first writer wins: the later request is never applied
+                    conflicts.extend(clashes)
                     return False
-                collected.append(_Collected(policy_name, call, action, None))
+                action = self._materialize(action)
+                fields = _action_fields(policy_name, action.name, action.args)
                 try:
-                    box[0] = apply_action(ctx, action)
-                except ModelError:
-                    return False
+                    self.model = apply_action(ctx, action)
+                except ModelError as err:
+                    return failed(fields, err)
+                self._touch_applied(action)
+                self.instance.holds.extend(ctx.hold_sink)
+                outcomes.append(("ACTION-APPLIED", fields))
                 return True
 
             return attempt
 
+        logs = (self.instance.holds, requests, conflicts, outcomes)
         for policy in list(self.policies):
-            collect_mark = len(collected)
+            saved = (self.model, self._preds, self._succs)
+            marks = tuple(map(len, logs))
             try:
                 applied = evaluate_rule_group(
                     policy.body, event_spec, trig.task, predicate, make_attempt(policy.name)
                 )
             except ModelError as err:
-                del collected[collect_mark:]
+                # roll the policy back; a task it touched costs one re-check
+                self.model, self._preds, self._succs = saved
+                for log, kept in zip(logs, marks):
+                    del log[kept:]
                 self._emit_error(err, f"policy {policy.name!r}: {err.message}")
                 continue
             for rule_idx in applied:
                 self._emit("POLICY-FIRED", ("policy", policy.name), ("rule", str(rule_idx)))
 
-        # the last speculative version is dead from here on; drop its
-        # containers before phase 3 builds the authoritative versions
-        box.clear()
-
-        # phase 2: conflict detection over the collected list
-        resolved_idx = [i for i, c in enumerate(collected) if c.action is not None]
-        conflicts = detect_conflicts(
-            [(collected[i].policy, collected[i].action) for i in resolved_idx]  # type: ignore[misc]
-        )
-        suppressed = set()
-        for conflict in conflicts:
-            suppressed.add(resolved_idx[conflict.second_index])
+        for conflict in sorted(conflicts, key=lambda c: (c.first_index, c.second_index)):
             self._emit(
                 "CONFLICT",
                 ("class", conflict.reason),
@@ -294,71 +308,23 @@ class Engine:
                 ("second_policy", conflict.second[0]),
                 ("second_action", conflict.second[1].render()),
             )
+        for kind, fields in outcomes:
+            self._emit(kind, *fields)
 
-        # phase 3: apply survivors in order to the authoritative model
-        for i, entry in enumerate(collected):
-            if i in suppressed:
-                continue
-            if entry.error is not None or entry.action is None:
-                err = entry.error
-                self._emit(
-                    "ACTION-FAILED",
-                    ("policy", entry.policy),
-                    ("action", entry.call.name),
-                    ("args", ",".join(str(getattr(a, "value", a)) for a in entry.call.args)),
-                    ("error", err.code if err else "UnknownAction"),
-                    ("detail", err.message if err else "unresolvable action"),
-                )
-                continue
-            action = self._materialize(entry.action)
-            ctx = EvalContext(self.model, self.instance, trig.task)
-            try:
-                new_model = apply_action(ctx, action)
-            except ModelError as err:
-                self._emit(
-                    "ACTION-FAILED",
-                    ("policy", entry.policy),
-                    ("action", action.name),
-                    ("args", ",".join(str(a) for a in action.args if a is not None)),
-                    ("error", err.code),
-                    ("detail", err.message),
-                )
-                continue
-            self.model = new_model
-            self._touch_applied(action)
-            self.instance.holds.extend(ctx.hold_sink)
-            self._emit(
-                "ACTION-APPLIED",
-                ("policy", entry.policy),
-                ("action", action.name),
-                ("args", ",".join(str(a) for a in action.args if a is not None)),
-            )
-
-        # phase 4: bootstrap, task_entry only
+        # bootstrap, task_entry only
         bootstrap_failed = False
         if trig.name == "task_entry":
             ctx = EvalContext(self.model, self.instance, trig.task)
             try:
                 new_model, performed = run_bootstrap(ctx, trig.task)
             except TaskFailure as err:
-                self._emit(
-                    "ACTION-FAILED",
-                    ("policy", BOOTSTRAP_POLICY),
-                    ("action", "bootstrap"),
-                    ("args", trig.task),
-                    ("error", err.code),
-                    ("detail", err.message),
-                )
+                fields = _action_fields(BOOTSTRAP_POLICY, "bootstrap", (trig.task,))
+                self._emit("ACTION-FAILED", *fields, ("error", err.code), ("detail", err.message))
                 bootstrap_failed = True
             else:
                 self.model = new_model
                 for action in performed:
-                    self._emit(
-                        "ACTION-APPLIED",
-                        ("policy", BOOTSTRAP_POLICY),
-                        ("action", action.name),
-                        ("args", ",".join(str(a) for a in action.args if a is not None)),
-                    )
+                    self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
 
         if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
             self.instance.status[trig.task] = Status.FAILED
@@ -486,7 +452,7 @@ class Engine:
         if not path.is_absolute() and self.base_dir is not None:
             path = self.base_dir / path
         try:
-            text = path.read_text(encoding="utf-8")
+            text = read_text(path)
         except OSError as err:
             self._emit("ERROR", ("error", "IOError"), ("detail", str(err)))
             return

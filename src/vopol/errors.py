@@ -147,4 +147,5 @@ class Diagnostic:
     def render(self, path: str = "-") -> str:
         line = self.line if self.line is not None else 0
         col = self.col if self.col is not None else 0
-        return f"{path}:{line}:{col}: [{self.code}] {self.message}"
+        level = "" if self.severity == "error" else f"{self.severity}: "
+        return f"{path}:{line}:{col}: {level}[{self.code}] {self.message}"

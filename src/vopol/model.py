@@ -100,6 +100,11 @@ class CapacityLedger:
         else:
             self.reserved.pop(key, None)
 
+    def release(self, member: str, capability: str, amount: int):
+        """Free ``amount`` units, or all that are left when a scenario
+        ``release`` already freed some of them."""
+        self.add(member, capability, -min(amount, self.get(member, capability)))
+
     def clone(self) -> "CapacityLedger":
         return CapacityLedger(dict(self.reserved))
 
@@ -522,7 +527,7 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
     for (mid, task, cap), amount in sorted(m.duties.items()):
         if task == t:
             del out.duties[(mid, task, cap)]
-            out.ledger.add(mid, cap, -amount)
+            out.ledger.release(mid, cap, amount)
     out.dataflows = {f for f in out.dataflows if f.source != t and f.target != t}
     out.tasks[t] = replace(out.tasks[t], in_process=False)
     return out

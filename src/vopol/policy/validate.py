@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import Diagnostic
-from .ast import Ident, Policy, PolicyDocument, iter_action_calls, iter_predicates, iter_rules
+from .ast import Action, ActionCall, Ident, Policy, PolicyDocument
+from .ast import iter_action_calls, iter_predicates, iter_rules
 
 # Identifier bound to the triggering task inside conditions and actions.
 THIS = "this"
@@ -55,6 +56,20 @@ def _check_arity(
         )
 
 
+def _check_or(action: Action, out: list[Diagnostic]):
+    """Warn once per ``or``: it always runs its left operand, so the right
+    one never runs. The warning sits at the right operand's first call."""
+    if isinstance(action, ActionCall):
+        return
+    _check_or(action.left, out)  # in textual order
+    if action.op == "or":
+        first = next(iter_action_calls(action.right))
+        line, col = first.pos if first.pos else (None, None)
+        message = f"{first.name} never runs: 'or' always takes its left operand"
+        out.append(Diagnostic("UnreachableAlternative", message, line, col, first.name, "warning"))
+    _check_or(action.right, out)
+
+
 def _check_symbols(policy: Policy, symbols: set[str], out: list[Diagnostic]):
     for _, rule in iter_rules(policy.body):
         calls = list(iter_action_calls(rule.action))
@@ -84,7 +99,8 @@ def validate_policies(
     symbols: set[str] | None = None,
 ) -> list[Diagnostic]:
     """Flag unknown names, wrong arities and, when the caller supplies a
-    symbol table, identifier arguments that resolve to nothing."""
+    symbol table, identifier arguments that resolve to nothing; warn about
+    the right operand of every ``or``, which never runs."""
     out: list[Diagnostic] = []
     for policy in doc.policies:
         for _, rule in iter_rules(policy.body):
@@ -95,6 +111,7 @@ def validate_policies(
                     _check_arity("predicate", pred.name, len(pred.args), vocabulary.predicates, pred.pos, out)
             for call in iter_action_calls(rule.action):
                 _check_arity("action", call.name, len(call.args), vocabulary.actions, call.pos, out)
+            _check_or(rule.action, out)
         if symbols is not None:
             _check_symbols(policy, symbols, out)
     return out

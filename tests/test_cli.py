@@ -88,6 +88,39 @@ def test_validate_missing_file(tmp_path):
     assert cmd_validate(tmp_path / "nope.vo", pol) == 2
 
 
+@pytest.mark.parametrize("broken", ["model", "policies"])
+def test_validate_undecodable_input_exits_2(tmp_path, capsys, broken):
+    paths = {"model": tmp_path / "m.vo", "policies": tmp_path / "p.pol"}
+    paths["model"].write_text(VISITUS)
+    paths["policies"].write_text(MOREBEDS)
+    paths[broken].write_bytes(b"\xff\xfe")
+    assert cmd_validate(paths["model"], paths["policies"]) == 2
+    assert f"{paths[broken]}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_run_undecodable_scenario_exits_2(tmp_path):
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_bytes(b"\xff\xfe")
+    result = run_cli(
+        "run",
+        "--model", str(FIXTURES / "visitus.vo"),
+        "--policies", str(FIXTURES / "morebeds.pol"),
+        "--scenario", str(scenario),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "not valid UTF-8" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_validate_prints_warnings_but_counts_only_errors(tmp_path, capsys):
+    model = tmp_path / "m.vo"
+    model.write_text(VISITUS)
+    pol = tmp_path / "p.pol"
+    pol.write_text("policy P\n  do add_member(newHotel) or add_member(Hotel)\n")
+    assert cmd_validate(model, pol) == 0
+    assert f"{pol}:2:30: warning: [UnreachableAlternative]" in capsys.readouterr().err
+
+
 def test_validate_diagnostics_have_positions(tmp_path, capsys):
     model = tmp_path / "m.vo"
     model.write_text(VISITUS)

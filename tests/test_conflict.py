@@ -172,3 +172,9 @@ def test_pairwise_oracle_on_mixed_list():
         if oracle_clash(actions[i], actions[j])
     }
     assert {(c.first_index, c.second_index) for c in found} == expected
+    # with ``start``, exactly the pairs whose later index is >= start, in
+    # the same order as the full report
+    for start in range(len(actions) + 2):
+        tail = detect_conflicts(pairs(*actions), start)
+        assert tail == [c for c in found if c.second_index >= start]
+    assert detect_conflicts(pairs(*actions), 0) == found

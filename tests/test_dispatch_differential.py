@@ -1,0 +1,182 @@
+"""The one-pass dispatch against the frozen two-pass dispatch.
+
+Both engines run the same seeded models, policy documents and event
+streams. They must agree byte for byte up to the first dispatch in which
+the two-pass reference traces a CONFLICT or a policy ERROR: only there
+does it let a suppressed request, or a policy that raised, leave effects
+that later conditions observe. When no such dispatch happens, the whole
+trace, the final model and the final instance state must agree.
+"""
+
+from __future__ import annotations
+
+import random
+
+from astgen import gen_action, gen_condition, gen_group
+from reference.two_pass import TwoPassEngine
+from test_engine import _soup_model, ev
+
+from vopol.domain import TRIGGER_NAMES
+from vopol.engine import Engine
+from vopol.model import canonical_dump, load_model, validate_model
+from vopol.policy.ast import (
+    ActionCall,
+    ActionOp,
+    GroupNode,
+    Ident,
+    NotCond,
+    Number,
+    Policy,
+    PolicyDocument,
+    PolicyRule,
+    Pred,
+    RuleLeaf,
+    TriggerSpec,
+)
+from vopol.state import Status
+from vopol.trace import format_trace
+
+# two members and two candidates on top of the soup model's member P
+PEOPLE = ["P", "Q", "C0", "C1"]
+PEOPLE_ROWS = (
+    "member Q kind=Partner cap a=6\n"
+    "candidate C0 kind=Partner cap a=8\n"
+    "candidate C1 kind=Associate cap a=4\n"
+)
+ACTIONS = [
+    "add_member",
+    "remove_member",
+    "assign_duty",
+    "unassign_duty",
+    "change_type",
+    "add_task",
+    "delete_task",
+    "provide_input",
+    "remove_input",
+]
+
+
+def _reshape_group(node, rule):
+    if isinstance(node, RuleLeaf):
+        return RuleLeaf(rule())
+    return GroupNode(node.op, _reshape_group(node.left, rule), _reshape_group(node.right, rule))
+
+
+def _reshape_condition(node, pred):
+    if isinstance(node, Pred):
+        return pred()
+    if isinstance(node, NotCond):
+        return NotCond(_reshape_condition(node.child, pred))
+    return type(node)(_reshape_condition(node.left, pred), _reshape_condition(node.right, pred))
+
+
+def _reshape_action(node, call):
+    if isinstance(node, ActionCall):
+        return call()
+    return ActionOp(node.op, _reshape_action(node.left, call), _reshape_action(node.right, call))
+
+
+def _policies(rng: random.Random, tasks: list[str], spare: list[str], items: list[str]) -> PolicyDocument:
+    """Operator shapes from ``astgen``, with vocabulary-valid leaves that
+    often touch the same member, duty, task or input."""
+    every = tasks + spare
+
+    def task():
+        return Ident(rng.choice(every + ["this"]))
+
+    def person():
+        return Ident(rng.choice(PEOPLE))
+
+    def pred():
+        roll = rng.random()
+        if roll < 0.3:
+            return Pred("can_run", (task(),))
+        if roll < 0.45:
+            return Pred("active", (task(),))
+        if roll < 0.65:
+            return Pred("has_capacity", (person(), Ident("a"), Number(rng.randint(1, 8))))
+        if roll < 0.8:
+            return Pred("task_type", (task(), Ident("Atomic")))
+        if roll < 0.98:
+            return Pred("has_capability", (person(), Ident("a")))
+        return Pred("has_capacity", (Ident("ghost"), Ident("a"), Number(1)))  # raises
+
+    def call():
+        name = rng.choice(ACTIONS)
+        if name in ("add_member", "remove_member"):
+            args = (person(),)
+        elif name == "assign_duty":
+            amount = (Number(rng.randint(0, 3)),) if rng.random() < 0.5 else ()
+            args = (person(), task(), Ident("a"), *amount)
+        elif name == "unassign_duty":
+            args = (person(), task(), Ident("a"))
+        elif name == "change_type":
+            args = (task(), Ident(rng.choice(["Atomic", "Replicable"])))
+        elif name == "add_task":
+            args = (Ident(rng.choice(spare)), task(), Ident(rng.choice(["after", "parallel"])))
+        elif name == "delete_task":
+            args = (task(),)
+        else:
+            args = (Ident(rng.choice(items)), task())
+        return ActionCall(name, args)
+
+    def rule():
+        location = rng.choice(every) if rng.random() < 0.4 else None
+        triggers = tuple(TriggerSpec(rng.choice(TRIGGER_NAMES)) for _ in range(rng.randint(0, 2)))
+        condition = _reshape_condition(gen_condition(rng), pred) if rng.random() < 0.5 else None
+        return PolicyRule(location, triggers, condition, _reshape_action(gen_action(rng), call))
+
+    return PolicyDocument(
+        tuple(Policy(f"R{k}", _reshape_group(gen_group(rng), rule)) for k in range(rng.randint(1, 4)))
+    )
+
+
+def _divergence_point(records) -> int | None:
+    """Index of the TRIGGER record opening the first dispatch that traces a
+    CONFLICT or a policy ERROR, or None when there is no such dispatch."""
+    trigger = None
+    for i, rec in enumerate(records):
+        if rec.kind == "TRIGGER":
+            trigger = i
+        elif rec.kind == "CONFLICT" or (
+            rec.kind == "ERROR" and (rec.get("detail") or "").startswith("policy ")
+        ):
+            return trigger
+    return None
+
+
+def test_one_pass_matches_two_pass_until_the_first_conflict_or_policy_error():
+    rng = random.Random(2024)
+    conflicted = clean = 0
+    for _ in range(200):
+        model_text, tasks, spare, items = _soup_model(rng)
+        model = load_model(model_text + PEOPLE_ROWS)
+        policies = _policies(rng, tasks, spare, items)
+        ref, new = TwoPassEngine(model, policies), Engine(model, policies)
+        for _ in range(rng.randint(8, 24)):
+            # the events follow the reference's state
+            status = ref.instance.status
+            ready = [t for t, s in status.items() if s is Status.READY]
+            active = [t for t, s in status.items() if s is Status.ACTIVE]
+            roll = rng.random()
+            if roll < 0.1:
+                event = ev(rng.choice(["consume", "release"]), rng.choice(["P", "Q"]), "a", rng.randint(1, 3))
+            elif active and roll < 0.55:
+                event = ev("complete" if rng.random() < 0.8 else "fail", rng.choice(active))
+            elif ready:
+                event = ev("activate", rng.choice(ready))
+            else:
+                event = ev(rng.choice(["activate", "complete"]), rng.choice(tasks + spare))
+            ref.handle_event(event)
+            new.handle_event(event)
+            assert validate_model(new.model) == []
+        cut = _divergence_point(ref.records)
+        if cut is None:
+            assert format_trace(new.records) == format_trace(ref.records)
+            assert canonical_dump(new.model) == canonical_dump(ref.model)
+            assert new.instance == ref.instance
+            clean += 1
+        else:
+            assert format_trace(new.records[:cut]) == format_trace(ref.records[:cut])
+            conflicted += any(r.kind == "CONFLICT" for r in ref.records[cut:])
+    assert conflicted >= 20 and clean >= 50, (conflicted, clean)

@@ -198,6 +198,24 @@ def test_unassign_releases_unless_active():
     assert ctx.hold_sink == [("T", "P", "a", 5)]
 
 
+def test_duty_release_never_frees_more_than_is_reserved():
+    # a scenario release may already have freed the units a duty reserved
+    from vopol.model import adjust_reserved_capacity, remove_task_node
+
+    m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
+    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    m = adjust_reserved_capacity(m, "P", "a", -4)
+    for shrink in (
+        action("assign_duty", "P", "T", "a", 0),
+        action("unassign_duty", "P", "T", "a"),
+        action("remove_member", "P"),
+    ):
+        out = apply_action(ctx_for(m), shrink)
+        assert out.ledger.get("P", "a") == 0 and validate_model(out) == []
+    out = remove_task_node(m, "T")
+    assert out.ledger.get("P", "a") == 0 and validate_model(out) == []
+
+
 # --- change_type -----------------------------------------------------------------
 
 

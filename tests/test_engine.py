@@ -224,6 +224,126 @@ def test_conflicting_actions_suppress_the_later_one():
     assert "C" in final.members
 
 
+def test_suppressed_request_is_invisible_to_later_conditions():
+    # B clashes with A, so it is never applied: C sees A's duty, finds
+    # HotelProv runnable and admits nobody
+    policy_text = (
+        "policy A appliesTo HotelProv when task_entry() do assign_duty(Hotel, HotelProv, beds, 3)\n"
+        "policy B appliesTo HotelProv when task_entry() do unassign_duty(Hotel, HotelProv, beds)\n"
+        "policy C appliesTo HotelProv when task_entry()"
+        " if not can_run(HotelProv) do add_member(newHotel)\n"
+    )
+    events = [ev("activate", "BookFlight"), ev("complete", "BookFlight"), ev("activate", "HotelProv")]
+    final, instance, records = run(VISITUS, policy_text, events)
+    conflicts = [r for r in records if r.kind == "CONFLICT"]
+    assert [(r.get("class"), r.get("first_policy"), r.get("second_policy")) for r in conflicts] == [
+        ("duty-assign-unassign", "A", "B")
+    ]
+    assert not any(r.get("args") == "newHotel" for r in records if r.kind.startswith("ACTION"))
+    assert [r.get("policy") for r in records if r.kind == "POLICY-FIRED"] == ["A", "B"]
+    assert records[-1].get("members") == "Hotel"
+    assert final.duties == {("Hotel", "HotelProv", "beds"): 3}
+
+
+def test_suppressed_request_counts_as_a_failed_attempt():
+    # andthen stops after a suppressed request, orelse tries its right side
+    model_text = (
+        "vo X\ncandidate C kind=Partner cap c=1\ncandidate D kind=Partner cap c=1\n"
+        "candidate E kind=Partner cap c=1\ntask T type=Atomic\n"
+    )
+    policy_text = (
+        "policy P1 appliesTo T when task_entry() do add_member(C)\n"
+        "policy P2 appliesTo T when task_entry() do remove_member(C) andthen add_member(D)\n"
+        "policy P3 appliesTo T when task_entry() do remove_member(C) orelse add_member(E)\n"
+    )
+    final, instance, records = run(model_text, policy_text, [ev("activate", "T")])
+    conflicts = [(r.get("first_policy"), r.get("second_policy")) for r in records if r.kind == "CONFLICT"]
+    assert conflicts == [("P1", "P2"), ("P1", "P3")]
+    outcomes = [(r.kind, r.get("policy"), r.get("args")) for r in records if r.kind.startswith("ACTION")]
+    assert outcomes == [("ACTION-APPLIED", "P1", "C"), ("ACTION-APPLIED", "P3", "E")]
+    assert sorted(final.members) == ["C", "E"]
+
+
+def test_conflict_records_are_ordered_by_first_then_second_request():
+    model_text = (
+        "vo X\ncandidate C kind=Partner cap c=1\ncandidate D kind=Partner cap c=1\n"
+        "task T type=Atomic\n"
+    )
+    policy_text = (
+        "policy P0 appliesTo T when task_entry() do add_member(C)\n"
+        "policy P1 appliesTo T when task_entry() do add_member(D)\n"
+        "policy P2 appliesTo T when task_entry() do remove_member(D)\n"
+        "policy P3 appliesTo T when task_entry() do remove_member(C)\n"
+    )
+    final, instance, records = run(model_text, policy_text, [ev("activate", "T")])
+    conflicts = [(r.get("first_policy"), r.get("second_policy")) for r in records if r.kind == "CONFLICT"]
+    assert conflicts == [("P0", "P3"), ("P1", "P2")]
+    assert sorted(final.members) == ["C", "D"]
+
+
+def test_policy_that_raises_is_rolled_back():
+    # P's duty is applied and its remove_member suppressed before its second
+    # rule raises; Q must see neither, and the conflict is not traced
+    model_text = (
+        "vo X\nmember M kind=Partner cap c=5\ncandidate C kind=Partner cap c=5\n"
+        "task T type=Replicable requires c=2\n"
+    )
+    policy_text = (
+        "policy A appliesTo T when task_entry() do add_member(C)\n"
+        "policy P (appliesTo T when task_entry() do assign_duty(M, T, c, 2) and remove_member(C))"
+        " seq (appliesTo T when task_entry() if has_capacity(ghost, c, 1) do add_member(C))\n"
+        "policy Q appliesTo T when task_entry() if not can_run(T) do assign_duty(C, T, c, 2)\n"
+    )
+    final, instance, records = run(model_text, policy_text, [ev("activate", "T")])
+    assert [r.get("error") for r in records if r.kind == "ERROR"] == ["UnresolvedIdentifier"]
+    assert [r.get("policy") for r in records if r.kind == "POLICY-FIRED"] == ["A", "Q"]
+    assert not any(r.kind == "CONFLICT" for r in records)
+    outcomes = [(r.kind, r.get("policy"), r.get("args")) for r in records if r.kind.startswith("ACTION")]
+    assert outcomes == [("ACTION-APPLIED", "A", "C"), ("ACTION-APPLIED", "Q", "C,T,c,2")]
+    assert final.duties == {("C", "T", "c"): 2}
+    assert validate_model(final) == []
+
+
+def test_rolled_back_policy_leaves_no_hold():
+    # P's unassign of a running task's duty would hold its capacity until
+    # T finishes; rolled back, the duty stays and so does its reservation
+    model_text = (
+        "vo X\nmember M kind=Partner cap c=5\ntask T type=Replicable requires c=2\n"
+        "task U type=Replicable\n"
+    )
+    policy_text = (
+        "policy O appliesTo T when task_entry() do assign_duty(M, T, c, 2)\n"
+        "policy P (appliesTo U when task_entry() do unassign_duty(M, T, c))"
+        " seq (appliesTo U when task_entry() if has_capacity(ghost, c, 1) do add_member(M))\n"
+    )
+    events = [ev("activate", "T"), ev("activate", "U"), ev("complete", "T")]
+    final, instance, records = run(model_text, policy_text, events)
+    assert [r.get("error") for r in records if r.kind == "ERROR"] == ["UnresolvedIdentifier"]
+    assert instance.holds == []
+    assert final.duties == {("M", "T", "c"): 2}
+    assert final.ledger.get("M", "c") == 2
+
+
+def test_rolled_back_graph_change_restores_readiness():
+    # the add_task of a policy that raises is undone, adjacency included:
+    # U keeps waiting for T, and completing T readies it
+    model_text = (
+        "vo X\ntask T type=Replicable\ntask U type=Replicable\n"
+        "task X type=Replicable inprocess=false\nedge T U\n"
+    )
+    policy_text = (
+        "policy P (appliesTo T when task_entry() do add_task(X, T, after))"
+        " seq (appliesTo T when task_entry() if has_capacity(ghost, c, 1) do delete_task(U))\n"
+    )
+    engine = Engine(load_model(model_text), parse_policy_document(policy_text))
+    records = engine.handle_event(ev("activate", "T"))
+    assert not any(r.kind.startswith("ACTION") for r in records)
+    assert engine.model.control_edges == {("T", "U")}
+    assert engine.instance.status == {"T": Status.ACTIVE, "U": Status.PENDING}
+    engine.handle_event(ev("complete", "T"))
+    assert engine.instance.status == {"T": Status.COMPLETED, "U": Status.READY}
+
+
 def test_predicate_error_skips_policy_and_continues():
     model_text = "vo X\ncandidate C kind=Partner cap c=1\ntask T type=Atomic\n"
     policy_text = (
@@ -381,6 +501,28 @@ def test_load_policy_missing_file_is_error_record(tmp_path):
     )
     records = engine.handle_event(ev("load-policy", "nope.pol"))
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["IOError"]
+
+
+def test_load_policy_accepts_a_document_with_warnings(tmp_path):
+    # the never-run right operand of ``or`` is a warning, not an error
+    (tmp_path / "or.pol").write_text("policy Either do add_member(C) or add_member(D)\n")
+    engine = Engine(load_model("vo X\ntask T type=Atomic\n"), NO_POLICIES, base_dir=tmp_path)
+    records = engine.handle_event(ev("load-policy", "or.pol"))
+    assert kinds(records) == ["EVENT"]
+    assert [p.name for p in engine.policies] == ["Inert", "Either"]
+
+
+def test_load_policy_of_undecodable_bytes_is_error_record(tmp_path):
+    (tmp_path / "bad.pol").write_bytes(b"\xff\xfe")
+    engine = Engine(
+        load_model("vo X\ntask T type=Atomic\n"),
+        parse_policy_document(NO_POLICIES_TEXT),
+        base_dir=tmp_path,
+    )
+    records = engine.handle_event(ev("load-policy", "bad.pol"))
+    errors = [r for r in records if r.kind == "ERROR"]
+    assert [r.get("error") for r in errors] == ["IOError"]
+    assert "bad.pol: not valid UTF-8" in errors[0].get("detail")
 
 
 def test_retract_policy_disables_it():

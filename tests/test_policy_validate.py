@@ -22,6 +22,18 @@ def test_morebeds_clean_with_model_symbols():
     assert validate(MOREBEDS, symbols) == []
 
 
+def test_or_warns_at_its_never_run_right_operand():
+    diags = validate(
+        "policy P do add_member(a) or (add_member(b) andthen add_member(c))\n"
+        "policy Q do add_member(a) orelse add_member(b) or add_member(c) or add_member(d)\n"
+    )
+    assert [(d.code, d.severity, d.line, d.col, d.subject) for d in diags] == [
+        ("UnreachableAlternative", "warning", 1, 31, "add_member"),
+        ("UnreachableAlternative", "warning", 2, 51, "add_member"),
+        ("UnreachableAlternative", "warning", 2, 68, "add_member"),
+    ]
+
+
 def test_wrong_arity_flagged():
     diags = validate("policy P do add_member(a, b)")
     assert len(diags) == 1
