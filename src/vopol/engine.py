@@ -94,23 +94,12 @@ def read_text(path: Path) -> str:
         raise OSError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from None
 
 
-def _adjacency(edges: set[tuple[str, str]]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Predecessor and successor lists per task, from one pass over the
-    control edges."""
-    preds: dict[str, list[str]] = {}
-    succs: dict[str, list[str]] = {}
-    for p, s in edges:
-        preds.setdefault(s, []).append(p)
-        succs.setdefault(p, []).append(s)
-    return preds, succs
-
-
-def _eligible(m: VoModel, s: InstanceState, task: str, preds: list[str]) -> bool:
+def _eligible(m: VoModel, s: InstanceState, task: str) -> bool:
     """The readiness rule: every in-process predecessor of ``task`` is
     completed and every input of ``task`` has arrived."""
     if not m.tasks[task].inputs <= s.available_data:
         return False
-    for p in preds:
+    for p in m.predecessors(task):
         if s.status.get(p) is not Status.COMPLETED and m.tasks[p].in_process:
             return False
     return True
@@ -119,11 +108,8 @@ def _eligible(m: VoModel, s: InstanceState, task: str, preds: list[str]) -> bool
 def ready_set(m: VoModel, s: InstanceState) -> set[str]:
     """Pending tasks whose in-process predecessors are all completed and
     whose inputs have arrived."""
-    preds = _adjacency(m.control_edges)[0]
     return {
-        t
-        for t, status in s.status.items()
-        if status is Status.PENDING and _eligible(m, s, t, preds.get(t, []))
+        t for t, status in s.status.items() if status is Status.PENDING and _eligible(m, s, t)
     }
 
 
@@ -159,7 +145,6 @@ class Engine:
         self.records: list[TraceRecord] = []
         self._seq = 0
         self.instance = init_instance(self.model)
-        self._preds, self._succs = _adjacency(self.model.control_edges)
         # data item -> catalogue tasks that declare it as an input
         self._consumers: dict[str, set[str]] = {}
         for task, task_def in self.model.tasks.items():
@@ -204,25 +189,20 @@ class Engine:
                 continue
             current = status.setdefault(task, Status.PENDING)
             if current is Status.PENDING or current is Status.READY:
-                eligible = _eligible(self.model, self.instance, task, self._preds.get(task, []))
+                eligible = _eligible(self.model, self.instance, task)
                 status[task] = Status.READY if eligible else Status.PENDING
         self._touched.clear()
 
-    def _touch_applied(self, action: DomainAction):
+    def _touch_applied(self, action: DomainAction, applied_to: VoModel):
         """Note the tasks whose readiness an applied action may change:
         the task a graph change adds or deletes with its successors, or
         the task whose inputs changed. ``self.model`` is already the new
-        version; the adjacency maps still describe the old one."""
-        if action.name == "delete_task":
+        version; ``applied_to`` is the one the action was applied to."""
+        if action.name in ("add_task", "delete_task"):
             task = str(action.args[0])
+            graph = self.model if action.name == "add_task" else applied_to
             self._touched.add(task)
-            self._touched.update(self._succs.get(task, []))
-            self._preds, self._succs = _adjacency(self.model.control_edges)
-        elif action.name == "add_task":
-            task = str(action.args[0])
-            self._preds, self._succs = _adjacency(self.model.control_edges)
-            self._touched.add(task)
-            self._touched.update(self._succs.get(task, []))
+            self._touched.update(graph.successors(task))
         elif action.name in ("provide_input", "remove_input"):
             item, task = str(action.args[0]), str(action.args[1])
             self._touched.add(task)
@@ -274,7 +254,7 @@ class Engine:
                     self.model = apply_action(ctx, action)
                 except ModelError as err:
                     return failed(fields, err)
-                self._touch_applied(action)
+                self._touch_applied(action, ctx.model)
                 self.instance.holds.extend(ctx.hold_sink)
                 outcomes.append(("ACTION-APPLIED", fields))
                 return True
@@ -283,7 +263,7 @@ class Engine:
 
         logs = (self.instance.holds, requests, conflicts, outcomes)
         for policy in list(self.policies):
-            saved = (self.model, self._preds, self._succs)
+            saved = self.model
             marks = tuple(map(len, logs))
             try:
                 applied = evaluate_rule_group(
@@ -291,7 +271,7 @@ class Engine:
                 )
             except ModelError as err:
                 # roll the policy back; a task it touched costs one re-check
-                self.model, self._preds, self._succs = saved
+                self.model = saved
                 for log, kept in zip(logs, marks):
                     del log[kept:]
                 self._emit_error(err, f"policy {policy.name!r}: {err.message}")
@@ -407,7 +387,7 @@ class Engine:
         self.instance.available_data |= arrived
         for item in arrived:
             self._touched.update(self._consumers.get(item, ()))
-        self._touched.update(self._succs.get(task, []))
+        self._touched.update(self.model.successors(task))
         self._refresh_readiness()
         self.dispatch_trigger(DomainTrigger("task_exit", task))
 

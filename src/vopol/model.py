@@ -115,12 +115,15 @@ class VoModel:
     members: dict[str, Member] = field(default_factory=dict)
     registry: dict[str, Member] = field(default_factory=dict)
     tasks: dict[str, TaskDef] = field(default_factory=dict)
-    control_edges: set[tuple[str, str]] = field(default_factory=set)
     dataflows: set[DataFlow] = field(default_factory=set)
     vbe_resources: set[str] = field(default_factory=set)
     params: dict[str, int] = field(default_factory=dict)
     duties: dict[tuple[str, str, str], int] = field(default_factory=dict)
     ledger: CapacityLedger = field(default_factory=CapacityLedger)
+    # the control graph, written only by _link/_unlink: values are replaced,
+    # never mutated, and no entry is empty, so equal maps mean the same graph
+    _preds: dict[str, frozenset[str]] = field(default_factory=dict)
+    _succs: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def clone(self) -> "VoModel":
         """A new version with its own containers; the records in them are
@@ -130,12 +133,13 @@ class VoModel:
             members=dict(self.members),
             registry=dict(self.registry),
             tasks=dict(self.tasks),
-            control_edges=set(self.control_edges),
             dataflows=set(self.dataflows),
             vbe_resources=set(self.vbe_resources),
             params=dict(self.params),
             duties=dict(self.duties),
             ledger=self.ledger.clone(),
+            _preds=dict(self._preds),
+            _succs=dict(self._succs),
         )
 
     # lookups ----------------------------------------------------------
@@ -153,11 +157,16 @@ class VoModel:
     def in_process_tasks(self) -> list[str]:
         return sorted(t for t, d in self.tasks.items() if d.in_process)
 
-    def predecessors(self, task: str) -> set[str]:
-        return {p for p, s in self.control_edges if s == task}
+    @property
+    def control_edges(self) -> frozenset[tuple[str, str]]:
+        """The (predecessor, successor) pairs of the control graph; read-only."""
+        return frozenset((p, s) for p, succs in self._succs.items() for s in succs)
 
-    def successors(self, task: str) -> set[str]:
-        return {s for p, s in self.control_edges if p == task}
+    def predecessors(self, task: str) -> frozenset[str]:
+        return self._preds.get(task, frozenset())
+
+    def successors(self, task: str) -> frozenset[str]:
+        return self._succs.get(task, frozenset())
 
     def iter_duties(self) -> list[Duty]:
         return _sorted_duties(self.duties.items())
@@ -167,6 +176,22 @@ class VoModel:
 
     def duties_of(self, member_id: str) -> list[Duty]:
         return _sorted_duties(kv for kv in self.duties.items() if kv[0][0] == member_id)
+
+
+def _link(m: VoModel, edges: Iterable[tuple[str, str]]):
+    """Add the control ``edges`` to ``m``, which must own its maps."""
+    for p, s in edges:
+        m._preds[s] = m._preds.get(s, frozenset()) | {p}
+        m._succs[p] = m._succs.get(p, frozenset()) | {s}
+
+
+def _unlink(m: VoModel, edges: Iterable[tuple[str, str]]):
+    """Remove the control ``edges``, each present once, from ``m``."""
+    for p, s in edges:
+        for table, key, other in ((m._preds, s, p), (m._succs, p, s)):
+            table[key] -= {other}
+            if not table[key]:
+                del table[key]
 
 
 def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Duty]:
@@ -329,7 +354,7 @@ def load_model(text: str) -> VoModel:
         for tid in (src, dst):
             if tid not in model.tasks:
                 raise DanglingRefError(f"edge references undefined task {tid!r}", line_no, 1)
-        model.control_edges.add((src, dst))
+    _link(model, ((src, dst) for _, src, dst in pending_edges))
     flow_inputs: dict[str, set[str]] = {}
     for line_no, item, source, target in pending_flows:
         if source != CUSTOMER and source not in model.tasks:
@@ -349,17 +374,13 @@ def load_model(text: str) -> VoModel:
 # ---------------------------------------------------------------------------
 
 
-def _acyclic(tasks: list[str], edges: set[tuple[str, str]]) -> bool:
+def _acyclic(m: VoModel, tasks: list[str]) -> bool:
     """Kahn's algorithm: true iff every task can be taken off in
-    topological order. Every edge must join two of ``tasks``."""
-    succ: dict[str, list[str]] = {}
-    indeg = dict.fromkeys(tasks, 0)
-    for p, s in edges:
-        succ.setdefault(p, []).append(s)
-        indeg[s] += 1
+    topological order. Every edge of ``m`` must join two of ``tasks``."""
+    indeg = {t: len(m.predecessors(t)) for t in tasks}
     queue = [t for t, d in indeg.items() if d == 0]
     for node in queue:  # the queue grows while it is read
-        for s in succ.get(node, ()):
+        for s in m.successors(node):
             indeg[s] -= 1
             if indeg[s] == 0:
                 queue.append(s)
@@ -394,7 +415,7 @@ def validate_model(m: VoModel) -> list[Diagnostic]:
     # (or forward) from any task must stop, and it can only stop at an
     # entry (or exit) task, so no separate reachability check is needed.
     edges_ok = not any(d.code in ("DanglingEdge", "EdgeOutsideProcess") for d in out)
-    if edges_ok and not _acyclic(in_process, m.control_edges):
+    if edges_ok and not _acyclic(m, in_process):
         bad("CycleError", "control graph contains a cycle", m.name)
 
     for flow in sorted(m.dataflows, key=lambda f: (f.item, f.source, f.target)):
@@ -481,14 +502,12 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> VoModel:
         raise AlreadyInProcessError(f"task {t1!r} is already in the process", t1)
     _need_task(m, t2, in_process=True)
     out = m.clone()
+    succ = m.successors(t2)
     if relation == "after":
-        succ = out.successors(t2)
-        out.control_edges -= {(t2, s) for s in succ}
-        out.control_edges |= {(t1, s) for s in succ}
-        out.control_edges.add((t2, t1))
+        _unlink(out, [(t2, s) for s in succ])
+        _link(out, [(t1, s) for s in succ] + [(t2, t1)])
     else:
-        out.control_edges |= {(p, t1) for p in out.predecessors(t2)}
-        out.control_edges |= {(t1, s) for s in out.successors(t2)}
+        _link(out, [(p, t1) for p in m.predecessors(t2)] + [(t1, s) for s in succ])
     out.tasks[t1] = replace(out.tasks[t1], in_process=True)
     return out
 
@@ -506,28 +525,24 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
     """
     _need_task(m, t, in_process=True)
     out = m.clone()
-    preds = out.predecessors(t)
-    succs = out.successors(t)
-    out.control_edges -= {(p, t) for p in preds} | {(t, s) for s in succs}
-    succ_of: dict[str, list[str]] = {}
-    for p, s in out.control_edges:
-        succ_of.setdefault(p, []).append(s)
+    preds = m.predecessors(t)
+    succs = m.successors(t)
+    _unlink(out, {(p, t) for p in preds} | {(t, s) for s in succs})
     bridges = set()
     for p in preds:
         reach = {p}
         frontier = [p]
         while frontier:
-            for s in succ_of.get(frontier.pop(), ()):
+            for s in out.successors(frontier.pop()):
                 if s not in reach:
                     reach.add(s)
                     frontier.append(s)
         reach.discard(p)  # on cyclic input a task that is both pred and succ gets p -> p
         bridges |= {(p, s) for s in succs if s not in reach}
-    out.control_edges |= bridges
-    for (mid, task, cap), amount in sorted(m.duties.items()):
-        if task == t:
-            del out.duties[(mid, task, cap)]
-            out.ledger.release(mid, cap, amount)
+    _link(out, bridges)
+    for duty in m.duties_on(t):
+        del out.duties[(duty.member, t, duty.capability)]
+        out.ledger.release(duty.member, duty.capability, duty.amount)
     out.dataflows = {f for f in out.dataflows if f.source != t and f.target != t}
     out.tasks[t] = replace(out.tasks[t], in_process=False)
     return out

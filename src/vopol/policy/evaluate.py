@@ -12,7 +12,6 @@ randomized mode, so identical inputs always evaluate identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .ast import (
@@ -63,24 +62,9 @@ def eval_condition(cond: Condition, predicate_eval: PredicateEval) -> bool:
     raise TypeError(f"not a condition node: {cond!r}")
 
 
-@dataclass
-class ActionOutcome:
-    """Result of executing one action tree.
-
-    ``attempts`` lists every leaf that was attempted, in execution order,
-    paired with its success flag; a leaf is attempted at most once.
-    """
-
-    succeeded: bool
-    attempts: list[tuple[ActionCall, bool]] = field(default_factory=list)
-
-    @property
-    def failed_calls(self) -> list[ActionCall]:
-        return [call for call, ok in self.attempts if not ok]
-
-
-def linearize_actions(tree: Action, attempt: ActionAttempt) -> ActionOutcome:
-    """Execute a composite action through ``attempt``.
+def linearize_actions(tree: Action, attempt: ActionAttempt) -> bool:
+    """Execute a composite action through ``attempt``; true iff it
+    succeeded. Each leaf is attempted at most once.
 
     Operator semantics (left operand always goes first):
 
@@ -89,26 +73,19 @@ def linearize_actions(tree: Action, attempt: ActionAttempt) -> ActionOutcome:
     - ``or``: exactly one alternative runs, deterministically the left.
     - ``orelse``: right runs only if left failed; succeeds if either did.
     """
-    attempts: list[tuple[ActionCall, bool]] = []
-    return ActionOutcome(_run(tree, attempt, attempts), attempts)
-
-
-def _run(node: Action, attempt: ActionAttempt, attempts: list[tuple[ActionCall, bool]]) -> bool:
-    if isinstance(node, ActionCall):
-        ok = bool(attempt(node))
-        attempts.append((node, ok))
-        return ok
-    if node.op == "andthen":
-        return _run(node.left, attempt, attempts) and _run(node.right, attempt, attempts)
-    if node.op == "and":
-        left_ok = _run(node.left, attempt, attempts)
-        right_ok = _run(node.right, attempt, attempts)
+    if isinstance(tree, ActionCall):
+        return bool(attempt(tree))
+    if tree.op == "andthen":
+        return linearize_actions(tree.left, attempt) and linearize_actions(tree.right, attempt)
+    if tree.op == "and":
+        left_ok = linearize_actions(tree.left, attempt)
+        right_ok = linearize_actions(tree.right, attempt)
         return left_ok and right_ok
-    if node.op == "or":
-        return _run(node.left, attempt, attempts)
-    if node.op == "orelse":
-        return _run(node.left, attempt, attempts) or _run(node.right, attempt, attempts)
-    raise TypeError(f"unknown action operator: {node.op!r}")
+    if tree.op == "or":
+        return linearize_actions(tree.left, attempt)
+    if tree.op == "orelse":
+        return linearize_actions(tree.left, attempt) or linearize_actions(tree.right, attempt)
+    raise TypeError(f"unknown action operator: {tree.op!r}")
 
 
 def evaluate_rule_group(

@@ -79,6 +79,8 @@ def _split_fields(line: str, line_no: int) -> list[str]:
         key_end = line.find("=", i)
         if key_end < 0:
             raise ParseError("record field without '='", line_no, i + 1)
+        if key_end == i or " " in line[i:key_end]:
+            raise ParseError("record field key is empty or contains a space", line_no, i + 1)
         j = key_end + 1
         if j < n and line[j] == '"':
             j += 1

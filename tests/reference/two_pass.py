@@ -136,7 +136,7 @@ class TwoPassEngine(Engine):
                 )
                 continue
             self.model = new_model
-            self._touch_applied(action)
+            self._touch_applied(action, ctx.model)
             self.instance.holds.extend(ctx.hold_sink)
             self._emit(
                 "ACTION-APPLIED",

@@ -154,8 +154,7 @@ def test_ledger_over_reservation_flagged():
 
 
 def test_edge_to_catalogue_task_flagged():
-    m = load_model("vo X\ntask A type=Atomic\ntask B type=Atomic inprocess=false\n")
-    m.control_edges.add(("A", "B"))
+    m = load_model("vo X\ntask A type=Atomic\ntask B type=Atomic inprocess=false\nedge A B\n")
     codes = [d.code for d in validate_model(m)]
     assert "EdgeOutsideProcess" in codes
 
@@ -265,6 +264,7 @@ def test_insert_then_remove_restores_edges():
         before = set(m.control_edges)
         out = remove_task_node(insert_task_node(m, "X", "B", relation), "X")
         assert out.control_edges == before, relation
+        assert out == m, relation  # no empty adjacency entry is left behind
 
 
 def test_remove_skips_bridges_already_ordered_by_remaining_paths():
@@ -278,6 +278,43 @@ def test_remove_skips_bridges_already_ordered_by_remaining_paths():
     out = remove_task_node(m, "B")
     assert out.control_edges == {("A", "C"), ("C", "D")}
     assert validate_model(out) == []
+
+
+def test_adjacency_matches_edges_under_random_rewiring():
+    # chains of inserts and removals keep the adjacency equal to a scan of
+    # the edge set, never write the input version, and keep the edges read-only
+    rng = random.Random(5)
+    tasks = "ABCDEFGH"
+    for _ in range(40):
+        rows = ["vo R"] + [
+            f"task {t} type=Atomic inprocess={'true' if i < 4 else 'false'}"
+            for i, t in enumerate(tasks)
+        ]
+        rows += ["edge A B", "edge A C", "edge B D", "edge C D"]
+        m = load_model("\n".join(rows))
+        for _ in range(12):
+            before = canonical_dump(m)
+            spare = sorted(t for t, d in m.tasks.items() if not d.in_process)
+            wired = m.in_process_tasks()
+            if not wired:
+                break
+            if spare and rng.random() < 0.5:
+                out = insert_task_node(
+                    m, rng.choice(spare), rng.choice(wired), rng.choice(["after", "parallel"])
+                )
+            else:
+                out = remove_task_node(m, rng.choice(wired))
+            assert canonical_dump(m) == before
+            edges = out.control_edges
+            for t in tasks:
+                assert out.predecessors(t) == {p for p, s in edges if s == t}
+                assert out.successors(t) == {s for p, s in edges if p == t}
+            with pytest.raises(AttributeError):
+                out.control_edges.add(("A", "H"))
+            with pytest.raises(AttributeError):
+                out.control_edges = frozenset()
+            assert validate_model(out) == []
+            m = out
 
 
 # --- dataflow edges -----------------------------------------------------------

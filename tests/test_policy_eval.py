@@ -88,44 +88,38 @@ def action_of(text: str):
 
 def test_andthen_short_circuits_on_failure():
     execu = Executor(failing={"a"})
-    outcome = linearize_actions(action_of("a() andthen b()"), execu)
-    assert not outcome.succeeded
+    assert not linearize_actions(action_of("a() andthen b()"), execu)
     assert execu.calls == ["a"]
-    assert [c.name for c in outcome.failed_calls] == ["a"]
+    assert [c for c in execu.calls if c in execu.failing] == ["a"]
 
 
 def test_and_attempts_both_but_fails():
     execu = Executor(failing={"a"})
-    outcome = linearize_actions(action_of("a() and b()"), execu)
-    assert not outcome.succeeded
+    assert not linearize_actions(action_of("a() and b()"), execu)
     assert execu.calls == ["a", "b"]
 
 
 def test_or_runs_exactly_the_left():
     execu = Executor()
-    outcome = linearize_actions(action_of("a() or b()"), execu)
-    assert outcome.succeeded
+    assert linearize_actions(action_of("a() or b()"), execu)
     assert execu.calls == ["a"]
 
 
 def test_or_does_not_fall_back():
     execu = Executor(failing={"a"})
-    outcome = linearize_actions(action_of("a() or b()"), execu)
-    assert not outcome.succeeded
+    assert not linearize_actions(action_of("a() or b()"), execu)
     assert execu.calls == ["a"]
 
 
 def test_orelse_falls_back_on_failure():
     execu = Executor(failing={"a"})
-    outcome = linearize_actions(action_of("a() orelse b()"), execu)
-    assert outcome.succeeded
+    assert linearize_actions(action_of("a() orelse b()"), execu)
     assert execu.calls == ["a", "b"]
 
 
 def test_orelse_skips_fallback_on_success():
     execu = Executor()
-    outcome = linearize_actions(action_of("a() orelse b()"), execu)
-    assert outcome.succeeded
+    assert linearize_actions(action_of("a() orelse b()"), execu)
     assert execu.calls == ["a"]
 
 

@@ -57,6 +57,10 @@ def test_parse_rejects_garbage():
         parse_record("seq=1 kind=NOPE x=y")
     with pytest.raises(ParseError):
         parse_record("seq=one kind=EVENT")
+    with pytest.raises(ParseError):
+        parse_record("seq=1 kind=STATE tasks data=x")
+    with pytest.raises(ParseError):
+        parse_record("seq=1 kind=STATE =x")
 
 
 def test_text_format_readable():
