@@ -205,14 +205,24 @@ def remaining_shortfall(m: VoModel, task: str, capability: str) -> int:
     return max(0, required - _coverage(m, task, capability))
 
 
-def _drop_duty(out: VoModel, ctx: EvalContext, member: str, task: str, capability: str, amount: int):
-    """Remove one duty; its reservation is either released now or, when
-    the task is running, held until that instance finishes."""
-    del out.duties[(member, task, capability)]
-    if ctx.is_active(task):
-        ctx.hold_sink.append(Hold(task, member, capability, amount))
+def _set_duty(out: VoModel, ctx: EvalContext, member: str, task: str, capability: str, amount: int | None):
+    """Write one duty (None drops it) and move its units: added units are
+    reserved, freed ones are held until a running task finishes or else
+    released."""
+    key = (member, task, capability)
+    old = out.duties.get(key, 0)
+    if amount is None:
+        del out.duties[key]
+        amount = 0
     else:
-        out.ledger.release(member, capability, amount)
+        out.duties[key] = amount
+    if amount >= old:
+        out.ledger.add(member, capability, amount - old)
+    elif ctx.is_active(task):
+        # commitment to a running task remains until it finishes
+        ctx.hold_sink.append(Hold(task, member, capability, old - amount))
+    else:
+        out.ledger.release(member, capability, old - amount)
 
 
 def apply_member_action(ctx: EvalContext, action: DomainAction) -> VoModel:
@@ -231,7 +241,7 @@ def apply_member_action(ctx: EvalContext, action: DomainAction) -> VoModel:
         raise NotAMemberError(f"{who!r} is not a member", who)
     out = m.clone()
     for duty in m.duties_of(who):
-        _drop_duty(out, ctx, duty.member, duty.task, duty.capability, duty.amount)
+        _set_duty(out, ctx, who, duty.task, duty.capability, None)
     out.registry[who] = out.members.pop(who)
     return out
 
@@ -247,11 +257,10 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
         raise UnknownTaskError(f"unknown task {task!r}", task)
 
     if action.name == "unassign_duty":
-        amount = m.duties.get((member, task, capability))
-        if amount is None:
+        if (member, task, capability) not in m.duties:
             raise UnknownDutyError(f"no duty ({member}, {task}, {capability}) to unassign", member)
         out = m.clone()
-        _drop_duty(out, ctx, member, task, capability, amount)
+        _set_duty(out, ctx, member, task, capability, None)
         return out
 
     if member not in m.members:
@@ -274,22 +283,14 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
     if amount < 0:
         raise InvalidArgumentError("duty amount must be non-negative", member)
     old = m.duties.get((member, task, capability), 0)
-    delta = amount - old
     free = free_capacity(m, member, capability) or 0
-    if delta > free:
+    if amount - old > free:
         raise CapacityExceededError(
             f"assigning {amount} of ({member}, {capability}) exceeds free capacity {free} + held {old}",
             member,
         )
     out = m.clone()
-    out.duties[(member, task, capability)] = amount
-    if delta >= 0:
-        out.ledger.add(member, capability, delta)
-    elif ctx.is_active(task):
-        # commitment to a running task remains until it finishes
-        ctx.hold_sink.append(Hold(task, member, capability, -delta))
-    else:
-        out.ledger.release(member, capability, -delta)
+    _set_duty(out, ctx, member, task, capability, amount)
     return out
 
 
@@ -412,10 +413,10 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _member_order(m: VoModel, ids: list[str], capability: str, competition: bool) -> list[str]:
+def _member_order(m: VoModel, capability: str, competition: bool) -> list[str]:
     if not competition:
-        return sorted(ids)
-    return sorted(ids, key=lambda mid: (m.anyone(mid).cost.get(capability, _NO_BID), mid))
+        return sorted(m.members)
+    return sorted(m.members, key=lambda mid: (m.members[mid].cost.get(capability, _NO_BID), mid))
 
 
 def _candidate_order(m: VoModel, capability: str, competition: bool) -> list[str]:
@@ -433,9 +434,11 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
     """Default start-of-task allocation: top up under-covered capabilities
     from current members first, then by admitting registry candidates.
 
-    Returns the (possibly unchanged) model and the actions performed, or
-    raises :class:`TaskFailure` with nothing applied when the requirements
-    cannot be covered. Atomic tasks only ever draw on a single member.
+    Every step is an ordinary ``add_member`` (candidates only) and
+    ``assign_duty`` applied under the usual checks, so an atomic task only
+    ever draws on a single member. Returns the (possibly unchanged) model
+    and the actions performed, or raises :class:`TaskFailure` with nothing
+    applied when the requirements cannot be covered.
     """
     m = ctx.model
     if task not in m.tasks:
@@ -444,49 +447,33 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
         return m, []
     task_def = m.tasks[task]
     competition = task_def.sharing == COMPETITION
-    scratch = m.clone()
     performed: list[DomainAction] = []
-
-    def allowed(mid: str) -> bool:
-        if scratch.tasks[task].ttype is not TaskType.ATOMIC:
-            return True
-        holders = {d.member for d in scratch.duties_on(task)}
-        return not holders or holders == {mid}
-
-    def take_from(mid: str, capability: str, shortfall: int) -> int:
-        free = free_capacity(scratch, mid, capability)
-        if not free or free <= 0:
-            return 0
-        take = min(free, shortfall)
-        new_amount = scratch.duties.get((mid, task, capability), 0) + take
-        scratch.duties[(mid, task, capability)] = new_amount
-        scratch.ledger.add(mid, capability, take)
-        performed.append(DomainAction("assign_duty", (mid, task, capability, new_amount)))
-        return take
-
     for capability in sorted(task_def.required):
-        shortfall = remaining_shortfall(scratch, task, capability)
-        for mid in _member_order(scratch, list(scratch.members), capability, competition):
-            if shortfall == 0:
-                break
-            if allowed(mid):
-                shortfall -= take_from(mid, capability, shortfall)
-        # the registry is sorted only when current members left a gap
-        candidates = _candidate_order(scratch, capability, competition) if shortfall else []
-        for mid in candidates:
-            if shortfall == 0:
-                break
-            if not allowed(mid):
-                continue
-            free = free_capacity(scratch, mid, capability)
-            if not free or free <= 0:
-                continue
-            scratch.members[mid] = scratch.registry.pop(mid)
-            performed.append(DomainAction("add_member", (mid,)))
-            shortfall -= take_from(mid, capability, shortfall)
+        shortfall = remaining_shortfall(m, task, capability)
+        # the registry is ranked only when current members left a gap
+        for rank in (_member_order, _candidate_order):
+            for mid in rank(m, capability, competition) if shortfall else ():
+                if shortfall == 0:
+                    break
+                free = free_capacity(m, mid, capability)
+                if not free or free <= 0:
+                    continue
+                take = min(free, shortfall)
+                held = m.duties.get((mid, task, capability), 0)
+                steps = [DomainAction("add_member", (mid,))] if mid in m.registry else []
+                steps.append(DomainAction("assign_duty", (mid, task, capability, held + take)))
+                version = m
+                try:
+                    for step in steps:
+                        version = apply_action(replace(ctx, model=version), step)
+                except AtomicityViolationError:
+                    continue  # a candidate's admission is dropped with its duty
+                m = version
+                performed += steps
+                shortfall -= take
         if shortfall > 0:
             raise TaskFailure(
                 f"task {task!r} needs {shortfall} more of {capability!r} and no suitable member can cover it",
                 task,
             )
-    return scratch, performed
+    return m, performed

@@ -607,9 +607,7 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
             f"reserving {delta} of ({member}, {capability}) would exceed declared {declared}", member
         )
     out = m.clone()
-    out.ledger.reserved.pop((member, capability), None)
-    if new:
-        out.ledger.reserved[(member, capability)] = new
+    out.ledger.add(member, capability, delta)
     return out
 
 

@@ -3,7 +3,10 @@
 One record per line: ``seq=<n> kind=<KIND> k1=v1 k2=v2 ...``. Keys follow
 a fixed, documented order per kind, values are quoted only when they
 contain characters outside the safe set, and identical runs produce
-byte-identical streams, which is what golden tests pin.
+byte-identical streams, which is what golden tests pin. Inside quotes a
+backslash and a double quote are escaped with a backslash, and each line
+break character (those ``str.splitlines`` splits at) is written as
+``\\uXXXX``.
 
 Key order by kind:
 
@@ -37,6 +40,8 @@ KINDS = (
 )
 
 _SAFE_VALUE = re.compile(r"[A-Za-z0-9_.:,;@()\[\]{}|/+*'<>!?~^$%&-]+\Z")
+_LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+_HEX4 = re.compile(r"[0-9a-f]{4}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class TraceRecord:
 def _quote(value: str) -> str:
     if _SAFE_VALUE.match(value):
         return value
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').translate(_LINE_BREAKS)
     return f'"{escaped}"'
 
 
@@ -89,8 +94,12 @@ def _split_fields(line: str, line_no: int) -> list[str]:
                 if line[j] == "\\":
                     if j + 1 >= n:
                         raise ParseError("bad escape in record value", line_no, j + 1)
-                    chars.append(line[j + 1])
-                    j += 2
+                    if line[j + 1] == "u" and _HEX4.match(line, j + 2):
+                        chars.append(chr(int(line[j + 2 : j + 6], 16)))
+                        j += 6
+                    else:
+                        chars.append(line[j + 1])
+                        j += 2
                 else:
                     chars.append(line[j])
                     j += 1

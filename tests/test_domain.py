@@ -491,6 +491,17 @@ def test_bootstrap_atomic_fails_when_single_member_cannot_cover():
         run_bootstrap(ctx_for(m), "T")
 
 
+def test_bootstrap_atomic_holder_is_the_first_member_with_free_units():
+    # C alone could cover T, but M takes what it has first and so becomes
+    # the sole holder that every later offer must match
+    m = load_model(
+        "vo X\nmember M kind=Partner cap a=1\ncandidate C kind=Partner cap a=9\n"
+        "task T type=Atomic requires a=3\n"
+    )
+    with pytest.raises(TaskFailure, match="needs 2 more of 'a'"):
+        run_bootstrap(ctx_for(m), "T")
+
+
 def test_bootstrap_soundness_after_success():
     m = load_model(
         "vo X\nmember M kind=Partner cap a=3 cap b=1\ncandidate C kind=Associate cap b=9\n"

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import VISITUS
+
+from vopol.engine import Engine, ScenarioEvent
 from vopol.errors import ParseError
+from vopol.model import load_model
+from vopol.policy.parser import parse_policy_document
 from vopol.trace import (
     TraceRecord,
     format_record,
@@ -34,11 +39,30 @@ def test_empty_value_is_quoted_empty():
 
 @pytest.mark.parametrize(
     "value",
-    ["", "plain", "a b c", 'quo"te', "back\\slash", "a=b", "mixed \"x\\y\" z", "комната"],
+    [
+        "", "plain", "a b c", 'quo"te', "back\\slash", "a=b", "mixed \"x\\y\" z", "комната",
+        # every line break str.splitlines knows, and text that looks like its escape
+        "a\nb", "a\rb", "a\r\nb", "a\vb", "a\fb", "a\x1cb\x1dc\x1ed", "a\x85b", "a\u2028b",
+        "a\u2029b", "\n", "a\\u000ab", "\\u2028",
+    ],
 )
 def test_round_trip_of_tricky_values(value):
     original = rec(7, "ERROR", ("error", "E"), ("detail", value))
     assert parse_record(format_record(original)) == original
+    assert parse_trace(format_trace([original, original])) == [original, original]
+
+
+def test_engine_trace_with_line_breaks_round_trips():
+    policies = parse_policy_document(
+        'policy P\n  appliesTo HotelProv\n  when task_entry()\n  do add_member("a\u2028b")\n'
+    )
+    engine = Engine(load_model(VISITUS), policies)
+    events = [("activate", "a\nb"), ("activate", "BookFlight"), ("complete", "BookFlight"), ("activate", "HotelProv")]
+    for kind, task in events:
+        engine.handle_event(ScenarioEvent(kind, (task,)))
+    assert [r.kind for r in engine.records].count("ERROR") == 1
+    assert any(r.get("args") == "a\u2028b" for r in engine.records)
+    assert parse_trace(format_trace(engine.records)) == engine.records
 
 
 def test_trace_round_trip():
