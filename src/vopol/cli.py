@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .policy.ast import PolicyDocument
@@ -21,15 +20,6 @@ from .engine import EVENT_ARITY, ScenarioEvent, read_text, run_scenario
 from .errors import Diagnostic, ParseError, VopolError
 from .model import CUSTOMER, RELATIONS, MemberKind, TaskType, VoModel, load_model, validate_model
 from .trace import format_text, format_trace
-
-
-@dataclass
-class RunConfig:
-    model_path: Path
-    policy_path: Path
-    scenario_path: Path
-    trace_out: Path | None = None  # None writes to stdout
-    format: str = "records"
 
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
@@ -121,11 +111,18 @@ def _load_inputs(
     return model, policies, findings
 
 
-def cmd_validate(model_path: Path, policy_path: Path) -> int:
-    for path in (model_path, policy_path):
+def _missing(*paths: Path) -> bool:
+    """Report the first path that is not a file; True if there is one."""
+    for path in paths:
         if not path.is_file():
             print(f"{path}: no such file", file=sys.stderr)
-            return 2
+            return True
+    return False
+
+
+def cmd_validate(model_path: Path, policy_path: Path) -> int:
+    if _missing(model_path, policy_path):
+        return 2
     try:
         _, _, findings = _load_inputs(model_path, policy_path)
     except OSError as err:
@@ -134,34 +131,38 @@ def cmd_validate(model_path: Path, policy_path: Path) -> int:
     return 0 if findings == 0 else 1
 
 
-def cmd_run(config: RunConfig) -> int:
-    for path in (config.model_path, config.policy_path, config.scenario_path):
-        if not path.is_file():
-            print(f"{path}: no such file", file=sys.stderr)
-            return 2
+def cmd_run(
+    model_path: Path,
+    policy_path: Path,
+    scenario_path: Path,
+    trace_out: Path | None = None,
+    fmt: str = "records",
+) -> int:
+    """Run the scenario and write its trace to ``trace_out`` (stdout when
+    None) in the ``records`` or ``text`` format."""
+    if _missing(model_path, policy_path, scenario_path):
+        return 2
     try:
-        model, policies, findings = _load_inputs(config.model_path, config.policy_path)
+        model, policies, findings = _load_inputs(model_path, policy_path)
         if findings or model is None or policies is None:
             return 2
         try:
-            events = parse_scenario(read_text(config.scenario_path))
+            events = parse_scenario(read_text(scenario_path))
         except ParseError as err:
-            _print_diagnostics([_parse_error_diag(err)], config.scenario_path)
+            _print_diagnostics([_parse_error_diag(err)], scenario_path)
             return 2
-        _, _, records = run_scenario(
-            model, policies, events, base_dir=config.scenario_path.parent
-        )
+        _, _, records = run_scenario(model, policies, events, base_dir=scenario_path.parent)
     except OSError as err:
         print(str(err), file=sys.stderr)
         return 2
     except VopolError as err:
         print(err.message, file=sys.stderr)
         return 2
-    rendered = format_trace(records) if config.format == "records" else format_text(records)
-    if config.trace_out is None:
+    rendered = format_trace(records) if fmt == "records" else format_text(records)
+    if trace_out is None:
         sys.stdout.write(rendered)
     else:
-        config.trace_out.write_text(rendered, encoding="utf-8")
+        trace_out.write_text(rendered, encoding="utf-8")
     return 0
 
 
@@ -189,14 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.model, args.policies)
-    config = RunConfig(
-        model_path=args.model,
-        policy_path=args.policies,
-        scenario_path=args.scenario,
-        trace_out=args.out,
-        format=args.format,
-    )
-    return cmd_run(config)
+    return cmd_run(args.model, args.policies, args.scenario, args.out, args.format)
 
 
 if __name__ == "__main__":

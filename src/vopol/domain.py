@@ -13,6 +13,7 @@ model untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .policy.ast import ActionCall, Arg, Ident, Number, Text
 from .policy.validate import THIS, Vocabulary
@@ -61,6 +62,17 @@ VOCABULARY = Vocabulary(
     },
 )
 
+# the argument positions that name the tasks an action targets
+_TARGETS = {
+    "add_task": (0, 1),
+    "delete_task": (0,),
+    "change_type": (0,),
+    "provide_input": (1,),
+    "remove_input": (1,),
+    "assign_duty": (1,),
+    "unassign_duty": (1,),
+}
+
 _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9  # members without a bid sort after any real offer
 
@@ -84,6 +96,25 @@ class DomainAction:
     def render(self) -> str:
         shown = ["?" if a is None else str(a) for a in self.args]
         return f"{self.name}({','.join(shown)})"
+
+    @cached_property
+    def writes(self) -> dict[tuple[str, object], object]:
+        """What the request writes, as (conflict class, key) -> value. Two
+        requests of one dispatch conflict when they write the same key with
+        different values; an unknown action writes nothing."""
+        name, args = self.name, self.args
+        out: dict[tuple[str, object], object] = {}
+        if name in ("add_member", "remove_member"):
+            out["member-add-remove", args[0]] = name
+        elif name in ("assign_duty", "unassign_duty"):
+            out["duty-assign-unassign", args[:3]] = name
+        elif name in ("provide_input", "remove_input"):
+            out["input-add-remove", args] = name
+        elif name == "change_type":
+            out["task-type-divergence", args[0]] = args[1]
+        for position in _TARGETS.get(name, ()):
+            out["task-delete-target", str(args[position])] = name == "delete_task"
+        return out
 
 
 @dataclass
@@ -143,8 +174,8 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
     """Normalize a syntactic action call into a :class:`DomainAction`.
 
     Fills the defaults the short forms leave out: an omitted duty task
-    defaults to the triggering task, an omitted duty amount stays None and
-    is sized at application time.
+    defaults to the triggering task, an omitted duty amount or type
+    sharing stays None (the amount is sized by :func:`materialize`).
     """
     name = call.name
     if name not in VOCABULARY.actions:
@@ -154,36 +185,16 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
         want = str(lo) if lo == hi else f"{lo}..{hi}"
         raise InvalidArgumentError(f"{name} takes {want} argument(s), got {len(call.args)}", name)
 
-    def names(upto: int | None = None) -> list[str]:
-        picked = call.args if upto is None else call.args[:upto]
-        return [_name_arg(ctx, a, f"{name} argument") for a in picked]
-
-    if name == "assign_duty":
-        if len(call.args) == 2:
-            member, capability = names()
-            task, amount = ctx.this_task, None
-            if task is None:
-                raise UnresolvedIdentifierError("assign_duty without a task needs a triggering task", name)
-        elif len(call.args) == 3:
-            member, task, capability = names()
-            amount = None
-        else:
-            member, task, capability = names(3)
-            amount = _amount_arg(ctx, call.args[3], "assign_duty amount")
-        return DomainAction(name, (member, task, capability, amount))
-    if name == "unassign_duty":
-        if len(call.args) == 2:
-            member, capability = names()
-            task = ctx.this_task
-            if task is None:
-                raise UnresolvedIdentifierError("unassign_duty without a task needs a triggering task", name)
-        else:
-            member, task, capability = names()
-        return DomainAction(name, (member, task, capability))
-    if name == "change_type" and len(call.args) == 2:
-        first, second = names()
-        return DomainAction(name, (first, second, None))
-    return DomainAction(name, tuple(names()))
+    # every argument but assign_duty's amount (the fourth) is a name
+    args: list[str | int | None] = [_name_arg(ctx, a, f"{name} argument") for a in call.args[:3]]
+    if name in ("assign_duty", "unassign_duty") and len(args) == 2:
+        if ctx.this_task is None:
+            raise UnresolvedIdentifierError(f"{name} without a task needs a triggering task", name)
+        args.insert(1, ctx.this_task)
+    if len(call.args) == 4:
+        args.append(_amount_arg(ctx, call.args[3], f"{name} amount"))
+    # an omitted amount or sharing stays open
+    return DomainAction(name, (*args, *[None] * (hi - len(args))))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +234,18 @@ def _set_duty(out: VoModel, ctx: EvalContext, member: str, task: str, capability
         ctx.hold_sink.append(Hold(task, member, capability, old - amount))
     else:
         out.ledger.release(member, capability, old - amount)
+
+
+def materialize(m: VoModel, action: DomainAction) -> DomainAction:
+    """Fill the application-time default: a duty amount left open becomes
+    the task's current shortfall on ``m``."""
+    if action.name == "assign_duty" and action.args[3] is None:
+        member, task, capability, _ = action.args
+        assert isinstance(task, str) and isinstance(capability, str)
+        if task in m.tasks:
+            amount = remaining_shortfall(m, task, capability)
+            return DomainAction(action.name, (member, task, capability, amount))
+    return action
 
 
 def apply_member_action(ctx: EvalContext, action: DomainAction) -> VoModel:
@@ -276,9 +299,7 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
             raise AtomicityViolationError(
                 f"atomic task {task!r} is already assigned to {sorted(others)[0]!r}", task
             )
-    amount = action.args[3]
-    if amount is None:
-        amount = remaining_shortfall(m, task, capability)
+    amount = materialize(m, action).args[3]
     assert isinstance(amount, int)
     if amount < 0:
         raise InvalidArgumentError("duty amount must be non-negative", member)

@@ -39,7 +39,7 @@ from .domain import (
     apply_action,
     can_run,
     eval_predicate,
-    remaining_shortfall,
+    materialize,
     resolve_action,
     run_bootstrap,
 )
@@ -211,8 +211,13 @@ class Engine:
                 self._consumers.setdefault(item, set()).add(task)
 
     def _release_holds(self, task: str):
-        for hold in self.instance.release_holds(task):
-            self.model.ledger.release(hold.member, hold.capability, hold.amount)
+        """Free the units held for ``task`` in a new model version, so a
+        version handed out earlier keeps its ledger."""
+        holds = self.instance.release_holds(task)
+        if holds:
+            self.model = self.model.clone()
+            for hold in holds:
+                self.model.ledger.release(hold.member, hold.capability, hold.amount)
 
     # dispatch -------------------------------------------------------------
 
@@ -248,7 +253,7 @@ class Engine:
                     # first writer wins: the later request is never applied
                     conflicts.extend(clashes)
                     return False
-                action = self._materialize(action)
+                action = materialize(ctx.model, action)
                 fields = _action_fields(policy_name, action.name, action.args)
                 try:
                     self.model = apply_action(ctx, action)
@@ -316,17 +321,6 @@ class Engine:
         if bootstrap_failed:
             self.dispatch_trigger(DomainTrigger("task_failure", trig.task))
         return self.records[mark:]
-
-    def _materialize(self, action: DomainAction) -> DomainAction:
-        """Fill application-time defaults (a duty amount left open becomes
-        the task's current shortfall)."""
-        if action.name == "assign_duty" and action.args[3] is None:
-            member, task, capability, _ = action.args
-            assert isinstance(task, str) and isinstance(capability, str)
-            if task in self.model.tasks:
-                amount = remaining_shortfall(self.model, task, capability)
-                return DomainAction(action.name, (member, task, capability, amount))
-        return action
 
     # events ---------------------------------------------------------------
 

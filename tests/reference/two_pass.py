@@ -20,6 +20,7 @@ from vopol.domain import (
     EvalContext,
     apply_action,
     eval_predicate,
+    materialize,
     resolve_action,
     run_bootstrap,
 )
@@ -121,7 +122,7 @@ class TwoPassEngine(Engine):
                     ("detail", err.message if err else "unresolvable action"),
                 )
                 continue
-            action = self._materialize(entry.action)
+            action = materialize(self.model, entry.action)
             ctx = EvalContext(self.model, self.instance, trig.task)
             try:
                 new_model = apply_action(ctx, action)

@@ -9,7 +9,7 @@ from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_sc
 from vopol.errors import InvalidModelError
 from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
-from vopol.state import InstanceState, Status
+from vopol.state import Hold, InstanceState, Status
 from vopol.trace import format_trace
 
 from conftest import MOREBEDS, VISITUS
@@ -422,6 +422,24 @@ def test_unassigned_duty_reservation_released_on_failure():
     engine.handle_event(ev("fail", "T"))
     assert engine.model.ledger.get("P", "a") == 0
     assert engine.instance.holds == []
+
+
+@pytest.mark.parametrize("finish", ["complete", "fail"])
+def test_releasing_holds_leaves_earlier_model_versions_alone(finish):
+    # U's entry policy takes T's duty away while T runs, so T's units stay
+    # held until T finishes; finishing T must not rewrite a kept version
+    model_text = HOLD_MODEL + "task U type=Replicable requires a=1\n"
+    policy_text = "policy Drop appliesTo U when task_entry() do unassign_duty(P, T, a)\n"
+    engine = Engine(load_model(model_text), parse_policy_document(policy_text))
+    engine.handle_event(ev("activate", "T"))
+    engine.handle_event(ev("activate", "U"))
+    assert engine.instance.holds == [Hold("T", "P", "a", 2)]
+    kept = engine.model
+    before = canonical_dump(kept)
+    assert kept.ledger.get("P", "a") == 3
+    engine.handle_event(ev(finish, "T"))
+    assert engine.model.ledger.get("P", "a") == 1
+    assert canonical_dump(kept) == before
 
 
 def test_failed_resolution_leaves_no_cyclic_garbage():
