@@ -43,6 +43,8 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                 amount = int(args[2])
             except ValueError:
                 raise ParseError(f"amount must be an integer, got {args[2]!r}", line_no, 1) from None
+            if amount < 0:
+                raise ParseError(f"amount must not be negative, got {args[2]!r}", line_no, 1)
             events.append(ScenarioEvent(kind, (args[0], args[1], amount)))
         else:
             events.append(ScenarioEvent(kind, tuple(args)))

@@ -6,9 +6,11 @@ the active policies against them and applies the actions they request.
 Every observable consequence lands in the trace; identical inputs produce
 byte-identical traces.
 
-A dispatch evaluates every active policy in order against the live model
-and handles each requested action once, when it is requested: the action
-is resolved and checked against every earlier request of the dispatch,
+A dispatch evaluates, in order, every active policy that has a rule whose
+trigger name and location match the trigger; no other policy can fire,
+request an action or raise. It runs them against the live model and
+handles each requested action once, when it is requested: the action is
+resolved and checked against every earlier request of the dispatch,
 suppressed ones included. If it conflicts with one, it is suppressed
 (first writer wins) and never applied; otherwise it is applied at once,
 so later conditions observe it. A suppressed request counts as a failed
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .policy.ast import ActionCall, Ident, Policy, PolicyDocument, Pred, TriggerSpec
+from .policy.ast import ActionCall, Ident, Policy, PolicyDocument, Pred, TriggerSpec, iter_rules
 from .policy.evaluate import evaluate_rule_group
 from .policy.parser import parse_policy_document
 from .policy.validate import validate_policies
@@ -128,6 +130,19 @@ def init_instance(m: VoModel) -> InstanceState:
     return state
 
 
+def _trigger_index(policies: tuple[Policy, ...]) -> dict[tuple[str | None, str | None], list[int]]:
+    """The positions of the policies with a rule filed under each (trigger
+    name, location), in ascending order. A rule without triggers is filed
+    under the name ``None``, a rule without a location under the location
+    ``None``."""
+    index: dict[tuple[str | None, str | None], list[int]] = {}
+    for position, policy in enumerate(policies):
+        for _, rule in iter_rules(policy.body):
+            for name in [t.name for t in rule.triggers] or [None]:
+                index.setdefault((name, rule.location), []).append(position)
+    return index
+
+
 def _action_fields(policy: str, name: str, args: tuple) -> tuple[tuple[str, str], ...]:
     """The policy, action and args fields of an ACTION-* record: a policy
     argument shows its value, an open duty amount is left out."""
@@ -140,7 +155,7 @@ class Engine:
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
         self.model = model.clone()
-        self.policies: list[Policy] = list(policies.policies)
+        self._activate(tuple(policies.policies))
         self.base_dir = base_dir
         self.records: list[TraceRecord] = []
         self._seq = 0
@@ -153,6 +168,26 @@ class Engine:
         # tasks whose readiness may have changed since the last refresh
         self._touched: set[str] = set()
         self._emit_state()
+
+    @property
+    def policies(self) -> tuple[Policy, ...]:
+        """The active policies in evaluation order; only ``load-policy``
+        and ``retract-policy`` events change them."""
+        return self._policies
+
+    def _activate(self, policies: tuple[Policy, ...]):
+        """Make ``policies`` the active ones and index them."""
+        self._policies = policies
+        self._index = _trigger_index(policies)
+
+    def _candidates(self, trig: DomainTrigger) -> list[Policy]:
+        """The active policies with a rule whose trigger name and location
+        match ``trig``, in evaluation order: the only ones that can fire."""
+        index = self._index
+        positions: list[int] = []
+        for key in ((trig.name, trig.task), (trig.name, None), (None, trig.task), (None, None)):
+            positions += index.get(key, ())
+        return [self._policies[i] for i in sorted(set(positions))]
 
     # trace helpers ------------------------------------------------------
 
@@ -267,7 +302,7 @@ class Engine:
             return attempt
 
         logs = (self.instance.holds, requests, conflicts, outcomes)
-        for policy in list(self.policies):
+        for policy in self._candidates(trig):
             saved = self.model
             marks = tuple(map(len, logs))
             try:
@@ -407,6 +442,9 @@ class Engine:
         except (TypeError, ValueError):
             self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
             return
+        if amount < 0:
+            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {raw!r}", ev.kind))
+            return
         self._emit(
             "EVENT",
             ("event", ev.kind),
@@ -444,26 +482,28 @@ class Engine:
             )
             return
         # dynamic update: a reloaded name keeps its evaluation position
-        by_name = {p.name: i for i, p in enumerate(self.policies)}
+        policies = list(self._policies)
+        by_name = {p.name: i for i, p in enumerate(policies)}
         for policy in doc.policies:
             if policy.name in by_name:
-                self.policies[by_name[policy.name]] = policy
+                policies[by_name[policy.name]] = policy
             else:
-                by_name[policy.name] = len(self.policies)
-                self.policies.append(policy)
+                by_name[policy.name] = len(policies)
+                policies.append(policy)
+        self._activate(tuple(policies))
 
     def _ev_retract_policy(self, ev: ScenarioEvent):
         name = str(ev.args[0])
         self._emit("EVENT", ("event", "retract-policy"), ("policy", name))
-        remaining = [p for p in self.policies if p.name != name]
-        if len(remaining) == len(self.policies):
+        remaining = tuple(p for p in self._policies if p.name != name)
+        if len(remaining) == len(self._policies):
             self._emit(
                 "ERROR",
                 ("error", "UnknownPolicy"),
                 ("detail", f"no active policy named {name!r}"),
             )
             return
-        self.policies = remaining
+        self._activate(remaining)
 
 
 def run_scenario(

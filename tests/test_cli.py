@@ -46,6 +46,7 @@ def test_parse_arity_and_integer_errors():
         ("activate", "1:1: activate takes 1 argument(s), got 0"),
         ("release Hotel beds", "1:1: release takes 3 argument(s), got 2"),
         ("consume Hotel beds lots", "1:1: amount must be an integer, got 'lots'"),
+        ("release Hotel beds -3", "1:1: amount must not be negative, got '-3'"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_scenario(text)

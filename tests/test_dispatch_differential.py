@@ -1,11 +1,18 @@
-"""The one-pass dispatch against the frozen two-pass dispatch.
+"""The engine's dispatch against two frozen references.
 
-Both engines run the same seeded models, policy documents and event
-streams. They must agree byte for byte up to the first dispatch in which
-the two-pass reference traces a CONFLICT or a policy ERROR: only there
-does it let a suppressed request, or a policy that raised, leave effects
-that later conditions observe. When no such dispatch happens, the whole
-trace, the final model and the final instance state must agree.
+The one-pass dispatch runs the same seeded models, policy documents and
+event streams as the two-pass reference. They must agree byte for byte
+up to the first dispatch in which the two-pass reference traces a
+CONFLICT or a policy ERROR: only there does it let a suppressed request,
+or a policy that raised, leave effects that later conditions observe.
+When no such dispatch happens, the whole trace, the final model and the
+final instance state must agree.
+
+The trigger index runs against the full-walk reference, which evaluates
+every active policy on every trigger. Their streams also load generated
+policy documents, reload active names and retract policies; the whole
+trace, the final model and the final instance state must agree on every
+run, conflicts and policy errors included.
 """
 
 from __future__ import annotations
@@ -13,9 +20,11 @@ from __future__ import annotations
 import random
 
 from astgen import gen_action, gen_condition, gen_group
+from reference.full_walk import FullWalkEngine
 from reference.two_pass import TwoPassEngine
 from test_engine import _soup_model, ev
 
+import vopol.engine
 from vopol.domain import TRIGGER_NAMES
 from vopol.engine import Engine
 from vopol.model import canonical_dump, load_model, validate_model
@@ -33,6 +42,7 @@ from vopol.policy.ast import (
     RuleLeaf,
     TriggerSpec,
 )
+from vopol.policy.render import render_policy_document
 from vopol.state import Status
 from vopol.trace import format_trace
 
@@ -76,9 +86,13 @@ def _reshape_action(node, call):
     return ActionOp(node.op, _reshape_action(node.left, call), _reshape_action(node.right, call))
 
 
-def _policies(rng: random.Random, tasks: list[str], spare: list[str], items: list[str]) -> PolicyDocument:
+def _policies(
+    rng: random.Random, tasks: list[str], spare: list[str], items: list[str], names: list[str] | None = None
+) -> PolicyDocument:
     """Operator shapes from ``astgen``, with vocabulary-valid leaves that
-    often touch the same member, duty, task or input."""
+    often touch the same member, duty, task or input. The rules are
+    located or not, and have no, one or two triggers. The policies are
+    named ``names``, by default R0, R1, ... (one to four of them)."""
     every = tasks + spare
 
     def task():
@@ -126,9 +140,9 @@ def _policies(rng: random.Random, tasks: list[str], spare: list[str], items: lis
         condition = _reshape_condition(gen_condition(rng), pred) if rng.random() < 0.5 else None
         return PolicyRule(location, triggers, condition, _reshape_action(gen_action(rng), call))
 
-    return PolicyDocument(
-        tuple(Policy(f"R{k}", _reshape_group(gen_group(rng), rule)) for k in range(rng.randint(1, 4)))
-    )
+    if names is None:
+        names = [f"R{k}" for k in range(rng.randint(1, 4))]
+    return PolicyDocument(tuple(Policy(name, _reshape_group(gen_group(rng), rule)) for name in names))
 
 
 def _divergence_point(records) -> int | None:
@@ -180,3 +194,71 @@ def test_one_pass_matches_two_pass_until_the_first_conflict_or_policy_error():
             assert format_trace(new.records[:cut]) == format_trace(ref.records[:cut])
             conflicted += any(r.kind == "CONFLICT" for r in ref.records[cut:])
     assert conflicted >= 20 and clean >= 50, (conflicted, clean)
+
+
+def test_indexed_dispatch_matches_the_full_walk(tmp_path, monkeypatch):
+    evaluate = vopol.engine.evaluate_rule_group
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(vopol.engine, "evaluate_rule_group", counted)
+    rng = random.Random(2025)
+    skipped = loads = reloads = retracts = unknown = conflicted = files = 0
+    for _ in range(200):
+        model_text, tasks, spare, items = _soup_model(rng)
+        model = load_model(model_text + PEOPLE_ROWS)
+        # up to a dozen policies: with a few, even a merge left in set order
+        # would come out sorted
+        policies = _policies(rng, tasks, spare, items, [f"R{k}" for k in range(rng.randint(1, 12))])
+        ref, new = FullWalkEngine(model, policies, tmp_path), Engine(model, policies, tmp_path)
+        skips = 0
+        for _ in range(rng.randint(8, 24)):
+            # the events follow the reference's state
+            status = ref.instance.status
+            ready = [t for t, s in status.items() if s is Status.READY]
+            active = [t for t, s in status.items() if s is Status.ACTIVE]
+            active_names = [p.name for p in ref.policies]
+            roll = rng.random()
+            if roll < 0.08:
+                event = ev(rng.choice(["consume", "release"]), rng.choice(["P", "Q"]), "a", rng.randint(1, 3))
+            elif roll < 0.18:
+                # the first policy takes a new name or an active one, with new rules
+                files += 1
+                names = [rng.choice(active_names + [f"L{files}"])]
+                if rng.random() < 0.3:
+                    names.append(f"M{files}")
+                path = tmp_path / f"p{files}.pol"
+                path.write_text(render_policy_document(_policies(rng, tasks, spare, items, names)), encoding="utf-8")
+                event = ev("load-policy", path.name)
+                loads += 1
+                reloads += names[0] in active_names
+            elif roll < 0.24:
+                name = rng.choice(active_names) if active_names and rng.random() < 0.7 else "ghost"
+                event = ev("retract-policy", name)
+                retracts += name in active_names
+                unknown += name not in active_names
+            elif active and roll < 0.6:
+                event = ev("complete" if rng.random() < 0.8 else "fail", rng.choice(active))
+            elif ready:
+                event = ev("activate", rng.choice(ready))
+            else:
+                event = ev(rng.choice(["activate", "complete"]), rng.choice(tasks + spare))
+            start = calls
+            ref.handle_event(event)
+            middle = calls
+            new.handle_event(event)
+            skips += (middle - start) - (calls - middle)
+        assert format_trace(new.records) == format_trace(ref.records)
+        assert canonical_dump(new.model) == canonical_dump(ref.model)
+        assert new.instance == ref.instance
+        assert new.policies == ref.policies
+        assert not any(r.get("error") == "InvalidPolicy" for r in new.records)
+        skipped += skips > 0
+        conflicted += any(r.kind == "CONFLICT" for r in new.records)
+    counts = (skipped, loads, reloads, retracts, unknown, conflicted)
+    assert skipped >= 160 and conflicted >= 80, counts
+    assert loads >= 300 and reloads >= 250 and retracts >= 120 and unknown >= 60, counts

@@ -158,8 +158,19 @@ def test_unknown_scenario_event_is_error_record():
         ev("consume", "Hotel", "beds"),
         ev("load-policy"),
         ev("consume", "Hotel", "beds", "x"),
+        ev("consume", "Hotel", "beds", -2),
+        ev("release", "Hotel", "beds", -3),
+        ev("consume", "Hotel", "beds", -9),
     ],
-    ids=["activate-no-task", "consume-two-args", "load-policy-no-path", "consume-non-integer"],
+    ids=[
+        "activate-no-task",
+        "consume-two-args",
+        "load-policy-no-path",
+        "consume-non-integer",
+        "consume-negative",
+        "release-negative",
+        "consume-negative-beyond-reserved",
+    ],
 )
 def test_malformed_event_is_invalid_argument_record(event):
     engine = Engine(load_model(VISITUS), NO_POLICIES)
@@ -541,6 +552,16 @@ def test_load_policy_of_undecodable_bytes_is_error_record(tmp_path):
     errors = [r for r in records if r.kind == "ERROR"]
     assert [r.get("error") for r in errors] == ["IOError"]
     assert "bad.pol: not valid UTF-8" in errors[0].get("detail")
+
+
+def test_policies_are_a_read_only_tuple(tmp_path):
+    (tmp_path / "more.pol").write_text("policy More do add_member(C)\n")
+    engine = Engine(load_model("vo X\ntask T type=Atomic\n"), NO_POLICIES, base_dir=tmp_path)
+    with pytest.raises(AttributeError):
+        engine.policies = ()
+    engine.handle_event(ev("load-policy", "more.pol"))
+    engine.handle_event(ev("retract-policy", "Inert"))
+    assert engine.policies == parse_policy_document("policy More do add_member(C)\n").policies
 
 
 def test_retract_policy_disables_it():
