@@ -203,10 +203,9 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
 
 
 def _coverage(m: VoModel, task: str, capability: str) -> int:
+    duties = m.duties
     return sum(
-        amount
-        for (mid, tid, cap), amount in m.duties.items()
-        if tid == task and cap == capability and mid in m.members
+        duties[key] for key in duties.on_task(task) if key[2] == capability and key[0] in m.members
     )
 
 
@@ -380,11 +379,11 @@ def can_run(m: VoModel, task: str) -> bool:
     if task_def is None:
         raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
     covered: dict[str, int] = {}
-    for (mid, tid, cap), amount in m.duties.items():
-        if tid == task:
-            if mid not in m.members:
-                return False
-            covered[cap] = covered.get(cap, 0) + amount
+    for key in m.duties.on_task(task):
+        mid, _, cap = key
+        if mid not in m.members:
+            return False
+        covered[cap] = covered.get(cap, 0) + m.duties[key]
     return all(covered.get(cap, 0) >= need for cap, need in task_def.required.items())
 
 
@@ -434,21 +433,54 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _member_order(m: VoModel, capability: str, competition: bool) -> list[str]:
-    if not competition:
-        return sorted(m.members)
-    return sorted(m.members, key=lambda mid: (m.members[mid].cost.get(capability, _NO_BID), mid))
+class _Ranking:
+    """Everyone the bootstrap can draw on, ranked once per (capability,
+    competition) and shared by model versions.
+
+    No action writes a :class:`Member` record: ``add_member`` and
+    ``remove_member`` only move one between ``members`` and ``registry``.
+    So one ranking of the whole population serves every version derived
+    through actions; a walk filters it by current membership. A version
+    whose population differs (a library caller wrote ``members`` or
+    ``registry`` directly) gets a new ranking, see :func:`_ranking`.
+    """
+
+    def __init__(self, m: VoModel):
+        self.people = {**m.registry, **m.members}
+        self._orders: dict[tuple[str, bool], tuple[list[tuple[str, int]], ...]] = {}
+
+    def fits(self, m: VoModel) -> bool:
+        """Every member and candidate of ``m`` is ranked here with its record."""
+        people = self.people.items()
+        return m.members.items() <= people and m.registry.items() <= people
+
+    def orders(self, capability: str, competition: bool) -> tuple[list[tuple[str, int]], ...]:
+        """(id, declared amount) of everyone who declares ``capability``,
+        in member order and in candidate order: by bid (under competition)
+        then id, and by kind rank, bid (under competition), then id."""
+        key = (capability, competition)
+        if key not in self._orders:
+            bids = {
+                mid: (who.cost.get(capability, _NO_BID) if competition else 0, mid)
+                for mid, who in self.people.items()
+                if capability in who.capabilities
+            }
+            as_member = sorted(bids, key=bids.__getitem__)
+            as_candidate = sorted(bids, key=lambda mid: (_KIND_RANK[self.people[mid].kind.value], bids[mid]))
+            self._orders[key] = tuple(
+                [(mid, self.people[mid].capabilities[capability]) for mid in order]
+                for order in (as_member, as_candidate)
+            )
+        return self._orders[key]
 
 
-def _candidate_order(m: VoModel, capability: str, competition: bool) -> list[str]:
-    def key(mid: str):
-        who = m.registry[mid]
-        rank = _KIND_RANK[who.kind.value]
-        if competition:
-            return (rank, who.cost.get(capability, _NO_BID), mid)
-        return (rank, mid)
-
-    return sorted(m.registry, key=key)
+def _ranking(m: VoModel) -> _Ranking:
+    """The ranking ``m`` shares with the versions it derives from, rebuilt
+    when ``m``'s population no longer fits it."""
+    ranking = m._ranking
+    if ranking is None or not ranking.fits(m):
+        ranking = m._ranking = _Ranking(m)
+    return ranking
 
 
 def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainAction]]:
@@ -467,17 +499,23 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
     if can_run(m, task):
         return m, []
     task_def = m.tasks[task]
+    ranking = _ranking(m)
     competition = task_def.sharing == COMPETITION
     performed: list[DomainAction] = []
     for capability in sorted(task_def.required):
         shortfall = remaining_shortfall(m, task, capability)
-        # the registry is ranked only when current members left a gap
-        for rank in (_member_order, _candidate_order):
-            for mid in rank(m, capability, competition) if shortfall else ():
+        orders = ranking.orders(capability, competition) if shortfall else ()
+        # members first, then candidates, each filtered by the membership
+        # of the version the walk starts on
+        for as_candidate, order in enumerate(orders):
+            pool = m.registry if as_candidate else m.members
+            for mid, declared in order:
                 if shortfall == 0:
                     break
-                free = free_capacity(m, mid, capability)
-                if not free or free <= 0:
+                if mid not in pool:
+                    continue
+                free = declared - m.ledger.get(mid, capability)
+                if free <= 0:
                     continue
                 take = min(free, shortfall)
                 held = m.duties.get((mid, task, capability), 0)

@@ -52,16 +52,14 @@ from .errors import (
     ModelError,
     ParseError,
     TaskFailure,
+    UnderflowError,
     VopolError,
 )
 from .model import CUSTOMER, VoModel, adjust_reserved_capacity, validate_model
-from .state import InstanceState, Status
+from .state import InstanceState, Status, StatusMap
 from .trace import TraceRecord
 
 BOOTSTRAP_POLICY = "@bootstrap"
-
-# the STATE text of each status, looked up once per task per record
-_STATUS_TEXT = {status: status.value for status in Status}
 
 
 @dataclass(frozen=True)
@@ -199,10 +197,11 @@ class Engine:
 
     def _emit_state(self):
         status = self.instance.status
-        tasks = ",".join(f"{t}:{_STATUS_TEXT[status[t]]}" for t in sorted(status))
+        if type(status) is not StatusMap:  # a new instance, or a map a caller put in
+            status = self.instance.status = StatusMap(status)
         data = ",".join(sorted(self.instance.available_data))
         members = ",".join(sorted(self.model.members))
-        self._emit("STATE", ("tasks", tasks), ("data", data), ("members", members))
+        self._emit("STATE", ("tasks", status.text()), ("data", data), ("members", members))
 
     def _emit_error(self, err: VopolError, detail: str | None = None):
         self._emit("ERROR", ("error", err.code), ("detail", detail or err.message))
@@ -437,9 +436,14 @@ class Engine:
 
     def _adjust_capacity(self, ev: ScenarioEvent, sign: int):
         member, capability, raw = str(ev.args[0]), str(ev.args[1]), ev.args[2]
-        try:
-            amount = int(raw)
-        except (TypeError, ValueError):
+        amount = None
+        # int() would truncate a float and take a bool for 0 or 1
+        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+            try:
+                amount = int(raw)
+            except ValueError:
+                pass
+        if amount is None:
             self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
             return
         if amount < 0:
@@ -453,9 +457,33 @@ class Engine:
             ("amount", str(amount)),
         )
         try:
-            self.model = adjust_reserved_capacity(self.model, member, capability, sign * amount)
+            adjusted = adjust_reserved_capacity(self.model, member, capability, sign * amount)
         except ModelError as err:
             self._emit_error(err)
+            return
+        if sign < 0:
+            reserved = self.model.ledger.get(member, capability)
+            unclaimed = max(0, reserved - self._claimed(member, capability))
+            if amount > unclaimed:
+                self._emit_error(
+                    UnderflowError(
+                        f"releasing {amount} of ({member}, {capability}) would free units that duties "
+                        f"or holds claim: {unclaimed} of {reserved} reserved are unclaimed",
+                        member,
+                    )
+                )
+                return
+        self.model = adjusted
+
+    def _claimed(self, member: str, capability: str) -> int:
+        """The units of ``member``'s ``capability`` that its duties and the
+        holds for running tasks keep reserved."""
+        duties = self.model.duties
+        claimed = sum(duties[key] for key in duties.of_member(member) if key[2] == capability)
+        for hold in self.instance.holds:
+            if hold.member == member and hold.capability == capability:
+                claimed += hold.amount
+        return claimed
 
     def _ev_load_policy(self, ev: ScenarioEvent):
         rel = str(ev.args[0])

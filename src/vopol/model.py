@@ -82,6 +82,113 @@ class Duty:
     amount: int
 
 
+_NO_KEYS: frozenset = frozenset()
+
+
+class DutyTable(dict):
+    """The duty table, (member, task, capability) -> amount, with its keys
+    also filed by task and by member.
+
+    Readers see a plain ``dict``. Every mutating dict method keeps the two
+    indexes right: a key that is not a (member, task, capability) triple
+    is refused with the table unchanged. The indexes map a task or a
+    member to a frozenset of keys that is replaced, never mutated, like
+    the control graph's adjacency. :meth:`copy` shares the two index maps,
+    and a table copies them before it first adds or drops a key; a new
+    amount for a present key leaves them alone.
+    """
+
+    __slots__ = ("_by_task", "_by_member", "_shared")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__()
+        self._by_task: dict[str, frozenset[tuple[str, str, str]]] = {}
+        self._by_member: dict[str, frozenset[tuple[str, str, str]]] = {}
+        self._shared = False
+        self.update(*args, **kwargs)
+
+    def on_task(self, task: str) -> frozenset[tuple[str, str, str]]:
+        return self._by_task.get(task, _NO_KEYS)
+
+    def of_member(self, member: str) -> frozenset[tuple[str, str, str]]:
+        return self._by_member.get(member, _NO_KEYS)
+
+    def _own(self):
+        """Copy the index maps if another table may share them."""
+        if self._shared:
+            self._by_task = dict(self._by_task)
+            self._by_member = dict(self._by_member)
+            self._shared = False
+
+    def _file(self, key: tuple[str, str, str]):
+        if type(key) is not tuple or len(key) != 3:
+            raise TypeError(f"a duty key is a (member, task, capability) tuple, got {key!r}")
+        member, task, _ = key
+        self._own()
+        self._by_task[task] = self._by_task.get(task, _NO_KEYS) | {key}
+        self._by_member[member] = self._by_member.get(member, _NO_KEYS) | {key}
+
+    def _unfile(self, key: tuple[str, str, str]):
+        member, task, _ = key
+        self._own()
+        for index, at in ((self._by_task, task), (self._by_member, member)):
+            index[at] -= {key}
+            if not index[at]:
+                del index[at]
+
+    def __setitem__(self, key: tuple[str, str, str], amount: int):
+        if key not in self:
+            self._file(key)
+        super().__setitem__(key, amount)
+
+    def __delitem__(self, key: tuple[str, str, str]):
+        super().__delitem__(key)
+        self._unfile(key)
+
+    def pop(self, key, *default):
+        if key in self:
+            amount = self[key]
+            del self[key]
+            return amount
+        if default:
+            return default[0]
+        raise KeyError(key)
+
+    def popitem(self):
+        key, amount = super().popitem()
+        self._unfile(key)
+        return key, amount
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]
+
+    def update(self, *args, **kwargs):
+        for key, amount in dict(*args, **kwargs).items():
+            self[key] = amount
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def clear(self):
+        super().clear()
+        self._by_task, self._by_member, self._shared = {}, {}, False
+
+    def copy(self) -> "DutyTable":
+        new = DutyTable.__new__(DutyTable)
+        dict.update(new, self)
+        new._by_task, new._by_member = self._by_task, self._by_member
+        new._shared = self._shared = True
+        return new
+
+    __copy__ = copy
+
+    def __reduce__(self):
+        return DutyTable, (dict(self),)
+
+
 @dataclass
 class CapacityLedger:
     """Reserved units per (member, capability); never exceeds the declared
@@ -118,12 +225,19 @@ class VoModel:
     dataflows: set[DataFlow] = field(default_factory=set)
     vbe_resources: set[str] = field(default_factory=set)
     params: dict[str, int] = field(default_factory=dict)
-    duties: dict[tuple[str, str, str], int] = field(default_factory=dict)
+    duties: DutyTable = field(default_factory=DutyTable)
     ledger: CapacityLedger = field(default_factory=CapacityLedger)
     # the control graph, written only by _link/_unlink: values are replaced,
     # never mutated, and no entry is empty, so equal maps mean the same graph
     _preds: dict[str, frozenset[str]] = field(default_factory=dict)
     _succs: dict[str, frozenset[str]] = field(default_factory=dict)
+    # the bootstrap's ranking of members and candidates (vopol.domain); a
+    # cache that versions share, since no action writes a Member record
+    _ranking: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if type(self.duties) is not DutyTable:
+            self.duties = DutyTable(self.duties)
 
     def clone(self) -> "VoModel":
         """A new version with its own containers; the records in them are
@@ -136,10 +250,11 @@ class VoModel:
             dataflows=set(self.dataflows),
             vbe_resources=set(self.vbe_resources),
             params=dict(self.params),
-            duties=dict(self.duties),
+            duties=self.duties.copy(),
             ledger=self.ledger.clone(),
             _preds=dict(self._preds),
             _succs=dict(self._succs),
+            _ranking=self._ranking,
         )
 
     # lookups ----------------------------------------------------------
@@ -172,10 +287,10 @@ class VoModel:
         return _sorted_duties(self.duties.items())
 
     def duties_on(self, task: str) -> list[Duty]:
-        return _sorted_duties(kv for kv in self.duties.items() if kv[0][1] == task)
+        return _sorted_duties((k, self.duties[k]) for k in self.duties.on_task(task))
 
     def duties_of(self, member_id: str) -> list[Duty]:
-        return _sorted_duties(kv for kv in self.duties.items() if kv[0][0] == member_id)
+        return _sorted_duties((k, self.duties[k]) for k in self.duties.of_member(member_id))
 
 
 def _link(m: VoModel, edges: Iterable[tuple[str, str]]):

@@ -15,6 +15,70 @@ class Status(str, Enum):
     FAILED = "Failed"
 
 
+# the STATE text of each status
+_STATUS_TEXT = {status: status.value for status in Status}
+
+
+def _resorting(name: str):
+    """The ``dict`` method ``name``, made to drop the fragments first."""
+    method = getattr(dict, name)
+
+    def resort(self, *args, **kwargs):
+        self._fragments = None
+        return method(self, *args, **kwargs)
+
+    resort.__name__ = name
+    return resort
+
+
+class StatusMap(dict):
+    """A task -> :class:`Status` map that also keeps each task's
+    ``name:Status`` fragment of the STATE record, in task order.
+
+    Readers see a plain ``dict``. Writing the status of a task already in
+    the map rewrites its one fragment; any other change (a task joining or
+    leaving) re-sorts the fragments at the next :meth:`text`.
+    """
+
+    __slots__ = ("_fragments", "_slot")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fragments: list[str] | None = None
+        self._slot: dict[str, int] = {}
+
+    def text(self) -> str:
+        """The fragments of every task, by task name, joined by commas."""
+        if self._fragments is None:
+            order = sorted(self)
+            self._slot = {task: i for i, task in enumerate(order)}
+            self._fragments = [f"{task}:{_STATUS_TEXT[self[task]]}" for task in order]
+        return ",".join(self._fragments)
+
+    def __setitem__(self, task: str, status: Status):
+        fragments = self._fragments
+        if fragments is not None and task in self._slot:
+            fragments[self._slot[task]] = f"{task}:{_STATUS_TEXT[status]}"
+        else:
+            self._fragments = None
+        super().__setitem__(task, status)
+
+    def setdefault(self, task: str, default: Status):
+        if task not in self:
+            self[task] = default
+        return self[task]
+
+    __delitem__ = _resorting("__delitem__")
+    pop = _resorting("pop")
+    popitem = _resorting("popitem")
+    clear = _resorting("clear")
+    update = _resorting("update")
+    __ior__ = _resorting("__ior__")
+
+    def __reduce__(self):
+        return StatusMap, (dict(self),)
+
+
 class Hold(NamedTuple):
     """Capacity that stays reserved for an active task even though its
     duty (or duty holder) is gone; released when the task finishes."""

@@ -7,11 +7,19 @@ among them), pre-reserved units and, sometimes, an instance in which the
 task is already active. For every model they must agree on the resulting
 model and the actions performed, or fail with the same message, and leave
 the input untouched.
+
+The allocator ranks the population once and shares the ranking across
+model versions, so they are also run on successive versions of one
+model: each bootstrap's result is the next one's input, with
+memberships moved by actions in between and, once, a candidate written
+straight into the registry.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from reference import bootstrap as reference
 from test_domain import ctx_for
@@ -19,7 +27,7 @@ from test_domain import ctx_for
 from vopol import domain
 from vopol.domain import DomainAction, apply_action, run_bootstrap
 from vopol.errors import AtomicityViolationError, ModelError, TaskFailure
-from vopol.model import adjust_reserved_capacity, canonical_dump, load_model, validate_model
+from vopol.model import Member, MemberKind, adjust_reserved_capacity, canonical_dump, load_model, validate_model
 
 KINDS = ["Partner", "Associate", "ExtEntity"]
 CAPS = ["a", "b", "c"]
@@ -110,3 +118,40 @@ def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):
         sole_holders += m.tasks["T"].ttype.value == "Atomic" and bool(m.duties_on("T"))
     assert admissions >= 60 and failures >= 60 and sole_holders >= 20, (admissions, failures, sole_holders)
     assert len(atomic_skips) >= 40, len(atomic_skips)
+
+
+def test_successive_versions_share_one_ranking_until_the_registry_is_written():
+    rng = random.Random(11)
+    shared = rebuilt = admitted_late = 0
+    for _ in range(80):
+        people = [f"M{i}" for i in range(rng.randint(1, 4))] + [f"C{i}" for i in range(rng.randint(2, 5))]
+        text = "vo D\n" + "".join(_person(rng, "member" if p[0] == "M" else "candidate", p) for p in people)
+        tasks = [f"W{i}" for i in range(6)]
+        m = load_model(text + "".join(_task(rng, t) for t in tasks))
+        write_at = rng.randrange(1, len(tasks))
+        for step, task in enumerate(tasks):
+            # memberships move between bootstraps through ordinary actions
+            for _ in range(rng.randint(0, 2)):
+                who = rng.choice(people)
+                move = DomainAction("add_member" if who in m.registry else "remove_member", (who,))
+                m = _try(m, lambda m: apply_action(ctx_for(m), move))
+            before = m._ranking
+            if step == write_at:
+                # the cheapest Partner there is, which a stale ranking would miss
+                m.registry["B0"] = Member("B0", MemberKind.PARTNER, dict.fromkeys(CAPS, 9), dict.fromkeys(CAPS, 0))
+            try:
+                expected = reference.run_bootstrap(ctx_for(m), task)
+            except TaskFailure as err:
+                with pytest.raises(TaskFailure) as caught:
+                    run_bootstrap(ctx_for(m), task)
+                assert caught.value.message == err.message
+            else:
+                out, performed = run_bootstrap(ctx_for(m), task)
+                assert (canonical_dump(out), performed) == (canonical_dump(expected[0]), expected[1])
+                assert validate_model(out) == []
+                admitted_late += step >= write_at and DomainAction("add_member", ("B0",)) in performed
+                m = out
+            if before is not None:
+                shared += step != write_at and m._ranking is before
+                rebuilt += step == write_at and m._ranking is not before
+    assert shared >= 250 and rebuilt >= 70 and admitted_late >= 40, (shared, rebuilt, admitted_late)

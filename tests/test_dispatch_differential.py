@@ -13,6 +13,11 @@ every active policy on every trigger. Their streams also load generated
 policy documents, reload active names and retract policies; the whole
 trace, the final model and the final instance state must agree on every
 run, conflicts and policy errors included.
+
+The references are ``Engine`` subclasses and share its STATE rendering,
+so the rendering is checked on its own: after every event of both tests,
+each engine's last STATE record lists the tasks as a fresh sorted join
+of its status map would, whatever joined or left the process.
 """
 
 from __future__ import annotations
@@ -145,6 +150,14 @@ def _policies(
     return PolicyDocument(tuple(Policy(name, _reshape_group(gen_group(rng), rule)) for name in names))
 
 
+def _state_is_fresh(engine: Engine) -> bool:
+    """The last STATE record's ``tasks`` is the sorted join of the status
+    map; every event that changes a status ends with a STATE record."""
+    state = next(r for r in reversed(engine.records) if r.kind == "STATE")
+    status = engine.instance.status
+    return state.get("tasks") == ",".join(f"{t}:{status[t].value}" for t in sorted(status))
+
+
 def _divergence_point(records) -> int | None:
     """Index of the TRIGGER record opening the first dispatch that traces a
     CONFLICT or a policy ERROR, or None when there is no such dispatch."""
@@ -161,7 +174,7 @@ def _divergence_point(records) -> int | None:
 
 def test_one_pass_matches_two_pass_until_the_first_conflict_or_policy_error():
     rng = random.Random(2024)
-    conflicted = clean = 0
+    conflicted = clean = reshaped = 0
     for _ in range(200):
         model_text, tasks, spare, items = _soup_model(rng)
         model = load_model(model_text + PEOPLE_ROWS)
@@ -184,6 +197,8 @@ def test_one_pass_matches_two_pass_until_the_first_conflict_or_policy_error():
             ref.handle_event(event)
             new.handle_event(event)
             assert validate_model(new.model) == []
+            assert _state_is_fresh(ref) and _state_is_fresh(new)
+        reshaped += set(new.instance.status) != set(model.in_process_tasks())
         cut = _divergence_point(ref.records)
         if cut is None:
             assert format_trace(new.records) == format_trace(ref.records)
@@ -193,7 +208,7 @@ def test_one_pass_matches_two_pass_until_the_first_conflict_or_policy_error():
         else:
             assert format_trace(new.records[:cut]) == format_trace(ref.records[:cut])
             conflicted += any(r.kind == "CONFLICT" for r in ref.records[cut:])
-    assert conflicted >= 20 and clean >= 50, (conflicted, clean)
+    assert conflicted >= 20 and clean >= 50 and reshaped >= 60, (conflicted, clean, reshaped)
 
 
 def test_indexed_dispatch_matches_the_full_walk(tmp_path, monkeypatch):
@@ -252,6 +267,7 @@ def test_indexed_dispatch_matches_the_full_walk(tmp_path, monkeypatch):
             middle = calls
             new.handle_event(event)
             skips += (middle - start) - (calls - middle)
+            assert _state_is_fresh(ref) and _state_is_fresh(new)
         assert format_trace(new.records) == format_trace(ref.records)
         assert canonical_dump(new.model) == canonical_dump(ref.model)
         assert new.instance == ref.instance

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_sc
 from vopol.errors import InvalidModelError
 from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
-from vopol.state import Hold, InstanceState, Status
+from vopol.state import Hold, InstanceState, Status, StatusMap
 from vopol.trace import format_trace
 
 from conftest import MOREBEDS, VISITUS
@@ -138,6 +139,52 @@ def test_consume_and_release_adjust_ledger():
     assert kinds(records) == ["STATE", "EVENT", "EVENT"]
 
 
+def test_release_of_units_a_duty_claims_is_underflow():
+    model_text = "vo X\nmember Q kind=Partner cap a=6\ntask U type=Replicable requires a=6\n"
+    engine = Engine(load_model(model_text), parse_policy_document(
+        "policy P appliesTo U when task_entry() do assign_duty(Q, U, a, 6)\n"
+    ))
+    engine.handle_event(ev("activate", "U"))
+    assert engine.model.duties == {("Q", "U", "a"): 6}
+    records = engine.handle_event(ev("release", "Q", "a", 1))
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [
+        ("EVENT", "release"),
+        ("ERROR", "Underflow"),
+    ]
+    assert records[1].get("detail") == (
+        "releasing 1 of (Q, a) would free units that duties or holds claim: 0 of 6 reserved are unclaimed"
+    )
+    assert engine.model.ledger.get("Q", "a") == 6
+
+
+def test_release_frees_only_units_no_duty_or_hold_claims():
+    model_text = (
+        "vo X\nmember Q kind=Partner cap a=8\n"
+        "task U type=Replicable requires a=6\ntask V type=Replicable\n"
+    )
+    policies = (
+        "policy P appliesTo U when task_entry() do assign_duty(Q, U, a, 6)\n"
+        "policy Drop appliesTo V when task_entry() do unassign_duty(Q, U, a)\n"
+    )
+    engine = Engine(load_model(model_text), parse_policy_document(policies))
+    engine.handle_event(ev("activate", "U"))
+    engine.handle_event(ev("activate", "V"))  # U runs on: its 6 units are held
+    assert engine.model.duties == {}
+    assert engine.instance.holds == [Hold("U", "Q", "a", 6)]
+
+    def errors(event):
+        return [r.get("error") for r in engine.handle_event(event) if r.kind == "ERROR"]
+
+    assert errors(ev("release", "Q", "a", 1)) == ["Underflow"]
+    assert errors(ev("consume", "Q", "a", 2)) == []
+    assert errors(ev("release", "Q", "a", 3)) == ["Underflow"]
+    assert errors(ev("release", "Q", "a", 2)) == []
+    assert engine.model.ledger.get("Q", "a") == 6
+    engine.handle_event(ev("complete", "U"))
+    assert engine.model.ledger.get("Q", "a") == 0
+    assert validate_model(engine.model) == []
+
+
 def test_consume_beyond_declared_is_error_record():
     final, instance, records = run(
         VISITUS, "policy P appliesTo X do add_member(y)\n", [ev("consume", "Hotel", "beds", 11)]
@@ -161,6 +208,8 @@ def test_unknown_scenario_event_is_error_record():
         ev("consume", "Hotel", "beds", -2),
         ev("release", "Hotel", "beds", -3),
         ev("consume", "Hotel", "beds", -9),
+        ev("consume", "Hotel", "beds", 2.7),
+        ev("consume", "Hotel", "beds", True),
     ],
     ids=[
         "activate-no-task",
@@ -170,6 +219,8 @@ def test_unknown_scenario_event_is_error_record():
         "consume-negative",
         "release-negative",
         "consume-negative-beyond-reserved",
+        "consume-float",
+        "consume-bool",
     ],
 )
 def test_malformed_event_is_invalid_argument_record(event):
@@ -182,6 +233,35 @@ def test_malformed_event_is_invalid_argument_record(event):
     ]
     assert engine.model.ledger.reserved == {}
     assert format_trace(engine.records).startswith(before)
+
+
+def test_status_map_keeps_its_state_text_under_every_write():
+    status = StatusMap({"B": Status.READY, "A": Status.PENDING})
+    assert status.text() == "A:Pending,B:Ready"
+    steps = [
+        lambda: status.__setitem__("A", Status.ACTIVE),
+        lambda: status.__setitem__("C", Status.PENDING),
+        lambda: status.setdefault("C", Status.READY),
+        lambda: status.pop("B"),
+        lambda: status.update({"D": Status.READY, "A": Status.COMPLETED}),
+        lambda: status.__delitem__("C"),
+        lambda: status.popitem(),
+        lambda: status.__ior__({"E": Status.FAILED}),
+        lambda: status.clear(),
+    ]
+    for step in steps:
+        step()
+        assert status.text() == ",".join(f"{t}:{status[t].value}" for t in sorted(status))
+        twin = pickle.loads(pickle.dumps(status))
+        assert type(twin) is StatusMap and twin == status and twin.text() == status.text()
+
+
+def test_engine_states_a_status_map_a_caller_put_in():
+    engine = Engine(load_model(VISITUS), NO_POLICIES)
+    engine.instance.status = {"BookFlight": Status.ACTIVE, "HotelProv": Status.PENDING}
+    engine.dispatch_trigger(DomainTrigger("task_exit", "BookFlight"))
+    assert engine.records[-1].get("tasks") == "BookFlight:Active,HotelProv:Pending"
+    assert type(engine.instance.status) is StatusMap
 
 
 # --- dispatch ----------------------------------------------------------------------

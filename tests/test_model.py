@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vopol.errors import (
     AlreadyInProcessError,
@@ -18,6 +22,8 @@ from vopol.errors import (
 from vopol.model import (
     CUSTOMER,
     DataFlow,
+    Duty,
+    DutyTable,
     MemberKind,
     VoModel,
     adjust_reserved_capacity,
@@ -166,6 +172,98 @@ def test_duty_referencing_candidate_flagged():
     m.duties[("P", "T", "c")] = 1
     codes = [d.code for d in validate_model(m)]
     assert "DanglingDuty" in codes
+
+
+# --- the duty table's indexes ---------------------------------------------------
+
+DUTY_MEMBERS = ["P", "Q", "R"]
+DUTY_TASKS = ["T", "U"]
+duty_keys = st.tuples(st.sampled_from(DUTY_MEMBERS), st.sampled_from(DUTY_TASKS), st.sampled_from(["a", "b"]))
+amounts = st.integers(min_value=0, max_value=9)
+duty_steps = st.one_of(
+    st.tuples(st.just("setitem"), duty_keys, amounts),
+    st.tuples(st.just("delitem"), duty_keys),
+    st.tuples(st.just("pop"), duty_keys),
+    st.tuples(st.just("pop-default"), duty_keys, amounts),
+    st.tuples(st.just("popitem")),
+    st.tuples(st.just("setdefault"), duty_keys, amounts),
+    st.tuples(st.just("update"), st.dictionaries(duty_keys, amounts, max_size=3)),
+    st.tuples(st.just("update-pairs"), st.lists(st.tuples(duty_keys, amounts), max_size=3)),
+    st.tuples(st.just("ior"), st.dictionaries(duty_keys, amounts, max_size=3)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("clone")),
+)
+
+
+def _apply_duty_step(table, step):
+    """Run one step on a duty table or a plain dict; the outcome or the
+    type of the error it raised."""
+    name, *args = step
+    try:
+        if name == "setitem":
+            table[args[0]] = args[1]
+        elif name == "delitem":
+            del table[args[0]]
+        elif name == "pop":
+            return table.pop(args[0])
+        elif name == "pop-default":
+            return table.pop(args[0], args[1])
+        elif name == "popitem":
+            return table.popitem()
+        elif name == "setdefault":
+            return table.setdefault(args[0], args[1])
+        elif name in ("update", "update-pairs"):
+            table.update(args[0])
+        elif name == "ior":
+            table |= args[0]
+        elif name == "clear":
+            table.clear()
+    except KeyError:
+        return KeyError
+    return None
+
+
+def _scan(duties: dict, keep) -> list[Duty]:
+    return [Duty(*key, amount) for key, amount in sorted(duties.items()) if keep(key)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=7), duty_steps), max_size=30))
+def test_duty_indexes_match_a_full_scan_in_every_version(steps):
+    versions = [(VoModel(name="X"), {})]  # each version with a plain dict mirror
+    for pick, step in steps:
+        # mostly the newest version; sometimes one it was copied from
+        model, mirror = versions[-1 if pick > 3 else pick % len(versions)]
+        if step[0] == "clone":
+            versions.append((model.clone(), dict(mirror)))
+        else:
+            assert _apply_duty_step(model.duties, step) == _apply_duty_step(mirror, step)
+        for model, mirror in versions:  # a step changes only the version it ran on
+            assert type(model.duties) is DutyTable and model.duties == mirror
+            for task in DUTY_TASKS:
+                assert model.duties_on(task) == _scan(mirror, lambda key: key[1] == task)
+            for member in DUTY_MEMBERS:
+                assert model.duties_of(member) == _scan(mirror, lambda key: key[0] == member)
+
+
+def test_duty_table_refuses_a_key_that_is_not_a_triple():
+    m = VoModel(name="X", duties={("P", "T", "a"): 1})
+    assert type(m.duties) is DutyTable and m.duties_on("T") == [Duty("P", "T", "a", 1)]
+    for key in ["PTa", ("P", "T"), ["P", "T", "a"]]:
+        with pytest.raises(TypeError):
+            m.duties[key] = 2
+    with pytest.raises(TypeError):
+        m.duties.update(PTa=2)
+    assert m.duties == {("P", "T", "a"): 1} and m.duties_of("P") == [Duty("P", "T", "a", 1)]
+
+
+def test_duty_table_copies_and_pickles_with_its_indexes():
+    table = DutyTable({("P", "T", "a"): 1, ("Q", "T", "b"): 2})
+    for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert type(twin) is DutyTable and twin == table
+        twin[("P", "U", "a")] = 3
+        assert twin.on_task("U") == {("P", "U", "a")} and table.on_task("U") == frozenset()
+        assert twin.of_member("P") == {("P", "T", "a"), ("P", "U", "a")}
 
 
 # --- insert/remove -----------------------------------------------------------
