@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -19,61 +20,71 @@ class Status(str, Enum):
 _STATUS_TEXT = {status: status.value for status in Status}
 
 
-def _resorting(name: str):
-    """The ``dict`` method ``name``, made to drop the fragments first."""
-    method = getattr(dict, name)
-
-    def resort(self, *args, **kwargs):
-        self._fragments = None
-        return method(self, *args, **kwargs)
-
-    resort.__name__ = name
-    return resort
-
-
 class StatusMap(dict):
     """A task -> :class:`Status` map that also keeps each task's
     ``name:Status`` fragment of the STATE record, in task order.
 
-    Readers see a plain ``dict``. Writing the status of a task already in
-    the map rewrites its one fragment; any other change (a task joining or
-    leaving) re-sorts the fragments at the next :meth:`text`.
+    Readers see a plain ``dict``. Every mutating dict method keeps the
+    fragments right: a write rewrites or inserts the one fragment of its
+    task, found by bisection over the sorted task names, and a removal
+    drops it.
     """
 
-    __slots__ = ("_fragments", "_slot")
+    __slots__ = ("_tasks", "_fragments")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._fragments: list[str] | None = None
-        self._slot: dict[str, int] = {}
+        self._tasks = sorted(self)
+        self._fragments = [f"{task}:{_STATUS_TEXT[self[task]]}" for task in self._tasks]
 
     def text(self) -> str:
         """The fragments of every task, by task name, joined by commas."""
-        if self._fragments is None:
-            order = sorted(self)
-            self._slot = {task: i for i, task in enumerate(order)}
-            self._fragments = [f"{task}:{_STATUS_TEXT[self[task]]}" for task in order]
         return ",".join(self._fragments)
 
     def __setitem__(self, task: str, status: Status):
-        fragments = self._fragments
-        if fragments is not None and task in self._slot:
-            fragments[self._slot[task]] = f"{task}:{_STATUS_TEXT[status]}"
+        fragment = f"{task}:{_STATUS_TEXT[status]}"
+        i = bisect_left(self._tasks, task)
+        if task in self:
+            self._fragments[i] = fragment
         else:
-            self._fragments = None
+            self._tasks.insert(i, task)
+            self._fragments.insert(i, fragment)
         super().__setitem__(task, status)
+
+    def _drop(self, task: str):
+        i = bisect_left(self._tasks, task)
+        del self._tasks[i], self._fragments[i]
+
+    def __delitem__(self, task: str):
+        super().__delitem__(task)
+        self._drop(task)
+
+    def pop(self, task: str, *default):
+        if task in self:
+            self._drop(task)
+        return super().pop(task, *default)
+
+    def popitem(self):
+        task, status = super().popitem()
+        self._drop(task)
+        return task, status
 
     def setdefault(self, task: str, default: Status):
         if task not in self:
             self[task] = default
         return self[task]
 
-    __delitem__ = _resorting("__delitem__")
-    pop = _resorting("pop")
-    popitem = _resorting("popitem")
-    clear = _resorting("clear")
-    update = _resorting("update")
-    __ior__ = _resorting("__ior__")
+    def update(self, *args, **kwargs):
+        for task, status in dict(*args, **kwargs).items():
+            self[task] = status
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def clear(self):
+        super().clear()
+        self._tasks, self._fragments = [], []
 
     def __reduce__(self):
         return StatusMap, (dict(self),)

@@ -243,6 +243,7 @@ def test_status_map_keeps_its_state_text_under_every_write():
         lambda: status.__setitem__("C", Status.PENDING),
         lambda: status.setdefault("C", Status.READY),
         lambda: status.pop("B"),
+        lambda: status.pop("Z", None),  # the engine pops touched tasks that may be absent
         lambda: status.update({"D": Status.READY, "A": Status.COMPLETED}),
         lambda: status.__delitem__("C"),
         lambda: status.popitem(),
