@@ -33,7 +33,16 @@ from .errors import (
     UnknownTaskError,
     UnresolvedIdentifierError,
 )
-from .model import TaskType, VoModel, free_capacity, insert_task_node, remove_task_node, set_dataflow_edge
+from .model import (
+    TaskType,
+    VoModel,
+    _drop_duty,
+    _put_duty,
+    free_capacity,
+    insert_task_node,
+    remove_task_node,
+    set_dataflow_edge,
+)
 from .state import Hold, InstanceState
 
 TRIGGER_NAMES = ("task_entry", "task_exit", "task_failure")
@@ -203,9 +212,9 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
 
 
 def _coverage(m: VoModel, task: str, capability: str) -> int:
-    duties = m.duties
+    duties = m._duties
     return sum(
-        duties[key] for key in duties.on_task(task) if key[2] == capability and key[0] in m.members
+        duties[key] for key in m._duties_on.get(task, ()) if key[2] == capability and key[0] in m.members
     )
 
 
@@ -222,10 +231,10 @@ def _set_duty(out: VoModel, ctx: EvalContext, member: str, task: str, capability
     key = (member, task, capability)
     old = out.duties.get(key, 0)
     if amount is None:
-        del out.duties[key]
+        _drop_duty(out, key)
         amount = 0
     else:
-        out.duties[key] = amount
+        _put_duty(out, key, amount)
     if amount >= old:
         out.ledger.add(member, capability, amount - old)
     elif ctx.is_active(task):
@@ -379,11 +388,11 @@ def can_run(m: VoModel, task: str) -> bool:
     if task_def is None:
         raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
     covered: dict[str, int] = {}
-    for key in m.duties.on_task(task):
+    for key in m._duties_on.get(task, ()):
         mid, _, cap = key
         if mid not in m.members:
             return False
-        covered[cap] = covered.get(cap, 0) + m.duties[key]
+        covered[cap] = covered.get(cap, 0) + m._duties[key]
     return all(covered.get(cap, 0) >= need for cap, need in task_def.required.items())
 
 

@@ -478,8 +478,8 @@ class Engine:
     def _claimed(self, member: str, capability: str) -> int:
         """The units of ``member``'s ``capability`` that its duties and the
         holds for running tasks keep reserved."""
-        duties = self.model.duties
-        claimed = sum(duties[key] for key in duties.of_member(member) if key[2] == capability)
+        duties = self.model._duties
+        claimed = sum(duties[key] for key in self.model._duties_of.get(member, ()) if key[2] == capability)
         for hold in self.instance.holds:
             if hold.member == member and hold.capability == capability:
                 claimed += hold.amount

@@ -10,13 +10,19 @@ and leave the caller's model untouched.
 Model versions share their records: :class:`Member` and :class:`TaskDef`
 are frozen, so a change puts a new record (``dataclasses.replace``) into
 the new version's containers (dicts, sets, ledger), which it owns alone.
+
+``VoModel.duties`` is a read-only mapping, (member, task, capability) ->
+amount: only the actions and the primitives here write duties, through
+``_put_duty``/``_drop_duty``, which keep its keys filed by task and by
+member, as ``_link``/``_unlink`` keep the control graph.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import (
     AlreadyInProcessError,
@@ -82,113 +88,6 @@ class Duty:
     amount: int
 
 
-_NO_KEYS: frozenset = frozenset()
-
-
-class DutyTable(dict):
-    """The duty table, (member, task, capability) -> amount, with its keys
-    also filed by task and by member.
-
-    Readers see a plain ``dict``. Every mutating dict method keeps the two
-    indexes right: a key that is not a (member, task, capability) triple
-    is refused with the table unchanged. The indexes map a task or a
-    member to a frozenset of keys that is replaced, never mutated, like
-    the control graph's adjacency. :meth:`copy` shares the two index maps,
-    and a table copies them before it first adds or drops a key; a new
-    amount for a present key leaves them alone.
-    """
-
-    __slots__ = ("_by_task", "_by_member", "_shared")
-
-    def __init__(self, *args, **kwargs):
-        super().__init__()
-        self._by_task: dict[str, frozenset[tuple[str, str, str]]] = {}
-        self._by_member: dict[str, frozenset[tuple[str, str, str]]] = {}
-        self._shared = False
-        self.update(*args, **kwargs)
-
-    def on_task(self, task: str) -> frozenset[tuple[str, str, str]]:
-        return self._by_task.get(task, _NO_KEYS)
-
-    def of_member(self, member: str) -> frozenset[tuple[str, str, str]]:
-        return self._by_member.get(member, _NO_KEYS)
-
-    def _own(self):
-        """Copy the index maps if another table may share them."""
-        if self._shared:
-            self._by_task = dict(self._by_task)
-            self._by_member = dict(self._by_member)
-            self._shared = False
-
-    def _file(self, key: tuple[str, str, str]):
-        if type(key) is not tuple or len(key) != 3:
-            raise TypeError(f"a duty key is a (member, task, capability) tuple, got {key!r}")
-        member, task, _ = key
-        self._own()
-        self._by_task[task] = self._by_task.get(task, _NO_KEYS) | {key}
-        self._by_member[member] = self._by_member.get(member, _NO_KEYS) | {key}
-
-    def _unfile(self, key: tuple[str, str, str]):
-        member, task, _ = key
-        self._own()
-        for index, at in ((self._by_task, task), (self._by_member, member)):
-            index[at] -= {key}
-            if not index[at]:
-                del index[at]
-
-    def __setitem__(self, key: tuple[str, str, str], amount: int):
-        if key not in self:
-            self._file(key)
-        super().__setitem__(key, amount)
-
-    def __delitem__(self, key: tuple[str, str, str]):
-        super().__delitem__(key)
-        self._unfile(key)
-
-    def pop(self, key, *default):
-        if key in self:
-            amount = self[key]
-            del self[key]
-            return amount
-        if default:
-            return default[0]
-        raise KeyError(key)
-
-    def popitem(self):
-        key, amount = super().popitem()
-        self._unfile(key)
-        return key, amount
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self[key] = default
-        return self[key]
-
-    def update(self, *args, **kwargs):
-        for key, amount in dict(*args, **kwargs).items():
-            self[key] = amount
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def clear(self):
-        super().clear()
-        self._by_task, self._by_member, self._shared = {}, {}, False
-
-    def copy(self) -> "DutyTable":
-        new = DutyTable.__new__(DutyTable)
-        dict.update(new, self)
-        new._by_task, new._by_member = self._by_task, self._by_member
-        new._shared = self._shared = True
-        return new
-
-    __copy__ = copy
-
-    def __reduce__(self):
-        return DutyTable, (dict(self),)
-
-
 @dataclass
 class CapacityLedger:
     """Reserved units per (member, capability); never exceeds the declared
@@ -208,8 +107,10 @@ class CapacityLedger:
             self.reserved.pop(key, None)
 
     def release(self, member: str, capability: str, amount: int):
-        """Free ``amount`` units, or all that are left when a scenario
-        ``release`` already freed some of them."""
+        """Free ``amount`` units, or all that are left when a library call
+        to :func:`adjust_reserved_capacity` with a negative delta already
+        freed some of them (a scenario ``release`` cannot free units that a
+        duty claims)."""
         self.add(member, capability, -min(amount, self.get(member, capability)))
 
     def clone(self) -> "CapacityLedger":
@@ -225,8 +126,13 @@ class VoModel:
     dataflows: set[DataFlow] = field(default_factory=set)
     vbe_resources: set[str] = field(default_factory=set)
     params: dict[str, int] = field(default_factory=dict)
-    duties: DutyTable = field(default_factory=DutyTable)
     ledger: CapacityLedger = field(default_factory=CapacityLedger)
+    # the duty table and its keys by task and by member, written only by
+    # _put_duty/_drop_duty: bucket values are replaced, never mutated, and
+    # no bucket is empty
+    _duties: dict[tuple[str, str, str], int] = field(default_factory=dict)
+    _duties_on: dict[str, frozenset[tuple[str, str, str]]] = field(default_factory=dict)
+    _duties_of: dict[str, frozenset[tuple[str, str, str]]] = field(default_factory=dict)
     # the control graph, written only by _link/_unlink: values are replaced,
     # never mutated, and no entry is empty, so equal maps mean the same graph
     _preds: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -234,10 +140,6 @@ class VoModel:
     # the bootstrap's ranking of members and candidates (vopol.domain); a
     # cache that versions share, since no action writes a Member record
     _ranking: object = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if type(self.duties) is not DutyTable:
-            self.duties = DutyTable(self.duties)
 
     def clone(self) -> "VoModel":
         """A new version with its own containers; the records in them are
@@ -250,8 +152,10 @@ class VoModel:
             dataflows=set(self.dataflows),
             vbe_resources=set(self.vbe_resources),
             params=dict(self.params),
-            duties=self.duties.copy(),
             ledger=self.ledger.clone(),
+            _duties=dict(self._duties),
+            _duties_on=dict(self._duties_on),
+            _duties_of=dict(self._duties_of),
             _preds=dict(self._preds),
             _succs=dict(self._succs),
             _ranking=self._ranking,
@@ -283,14 +187,19 @@ class VoModel:
     def successors(self, task: str) -> frozenset[str]:
         return self._succs.get(task, frozenset())
 
+    @property
+    def duties(self) -> Mapping[tuple[str, str, str], int]:
+        """(member, task, capability) -> amount; read-only."""
+        return MappingProxyType(self._duties)
+
     def iter_duties(self) -> list[Duty]:
-        return _sorted_duties(self.duties.items())
+        return _sorted_duties(self._duties.items())
 
     def duties_on(self, task: str) -> list[Duty]:
-        return _sorted_duties((k, self.duties[k]) for k in self.duties.on_task(task))
+        return _sorted_duties((k, self._duties[k]) for k in self._duties_on.get(task, ()))
 
     def duties_of(self, member_id: str) -> list[Duty]:
-        return _sorted_duties((k, self.duties[k]) for k in self.duties.of_member(member_id))
+        return _sorted_duties((k, self._duties[k]) for k in self._duties_of.get(member_id, ()))
 
 
 def _link(m: VoModel, edges: Iterable[tuple[str, str]]):
@@ -307,6 +216,25 @@ def _unlink(m: VoModel, edges: Iterable[tuple[str, str]]):
             table[key] -= {other}
             if not table[key]:
                 del table[key]
+
+
+def _put_duty(m: VoModel, key: tuple[str, str, str], amount: int):
+    """Set the duty ``key`` of ``m``, which must own its maps, to ``amount``."""
+    if key not in m._duties:
+        member, task, _ = key
+        m._duties_on[task] = m._duties_on.get(task, frozenset()) | {key}
+        m._duties_of[member] = m._duties_of.get(member, frozenset()) | {key}
+    m._duties[key] = amount
+
+
+def _drop_duty(m: VoModel, key: tuple[str, str, str]):
+    """Remove the duty ``key``, which must be present, from ``m``."""
+    del m._duties[key]
+    member, task, _ = key
+    for table, at in ((m._duties_on, task), (m._duties_of, member)):
+        table[at] -= {key}
+        if not table[at]:
+            del table[at]
 
 
 def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Duty]:
@@ -656,7 +584,7 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
         bridges |= {(p, s) for s in succs if s not in reach}
     _link(out, bridges)
     for duty in m.duties_on(t):
-        del out.duties[(duty.member, t, duty.capability)]
+        _drop_duty(out, (duty.member, t, duty.capability))
         out.ledger.release(duty.member, duty.capability, duty.amount)
     out.dataflows = {f for f in out.dataflows if f.source != t and f.target != t}
     out.tasks[t] = replace(out.tasks[t], in_process=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from vopol.domain import COMPETITION, DomainAction, EvalContext, can_run, remaining_shortfall
 from vopol.errors import TaskFailure, UnknownTaskError
-from vopol.model import TaskType, VoModel, free_capacity
+from vopol.model import TaskType, VoModel, _put_duty, free_capacity
 
 _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9
@@ -57,7 +57,7 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
             return 0
         take = min(free, shortfall)
         new_amount = scratch.duties.get((mid, task, capability), 0) + take
-        scratch.duties[(mid, task, capability)] = new_amount
+        _put_duty(scratch, (mid, task, capability), new_amount)
         scratch.ledger.add(mid, capability, take)
         performed.append(DomainAction("assign_duty", (mid, task, capability, new_amount)))
         return take

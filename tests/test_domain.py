@@ -199,7 +199,8 @@ def test_unassign_releases_unless_active():
 
 
 def test_duty_release_never_frees_more_than_is_reserved():
-    # a scenario release may already have freed the units a duty reserved
+    # a library call to adjust_reserved_capacity may already have freed the
+    # units a duty reserved; a scenario release cannot (it traces Underflow)
     from vopol.model import adjust_reserved_capacity, remove_task_node
 
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")

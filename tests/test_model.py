@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vopol.model
 from vopol.errors import (
     AlreadyInProcessError,
     CapabilityMissingError,
@@ -23,9 +26,10 @@ from vopol.model import (
     CUSTOMER,
     DataFlow,
     Duty,
-    DutyTable,
     MemberKind,
     VoModel,
+    _drop_duty,
+    _put_duty,
     adjust_reserved_capacity,
     canonical_dump,
     free_capacity,
@@ -144,8 +148,8 @@ def test_atomic_two_member_duties_flagged():
         "vo X\nmember P kind=Partner cap c=5\nmember Q kind=Partner cap c=5\n"
         "task T type=Atomic requires c=4\n"
     )
-    m.duties[("P", "T", "c")] = 2
-    m.duties[("Q", "T", "c")] = 2
+    _put_duty(m, ("P", "T", "c"), 2)
+    _put_duty(m, ("Q", "T", "c"), 2)
     m.ledger.reserved[("P", "c")] = 2
     m.ledger.reserved[("Q", "c")] = 2
     codes = [d.code for d in validate_model(m)]
@@ -169,7 +173,7 @@ def test_duty_referencing_candidate_flagged():
     m = load_model(
         "vo X\ncandidate P kind=Partner cap c=5\ntask T type=Atomic requires c=1\n"
     )
-    m.duties[("P", "T", "c")] = 1
+    _put_duty(m, ("P", "T", "c"), 1)
     codes = [d.code for d in validate_model(m)]
     assert "DanglingDuty" in codes
 
@@ -179,48 +183,11 @@ def test_duty_referencing_candidate_flagged():
 DUTY_MEMBERS = ["P", "Q", "R"]
 DUTY_TASKS = ["T", "U"]
 duty_keys = st.tuples(st.sampled_from(DUTY_MEMBERS), st.sampled_from(DUTY_TASKS), st.sampled_from(["a", "b"]))
-amounts = st.integers(min_value=0, max_value=9)
 duty_steps = st.one_of(
-    st.tuples(st.just("setitem"), duty_keys, amounts),
-    st.tuples(st.just("delitem"), duty_keys),
-    st.tuples(st.just("pop"), duty_keys),
-    st.tuples(st.just("pop-default"), duty_keys, amounts),
-    st.tuples(st.just("popitem")),
-    st.tuples(st.just("setdefault"), duty_keys, amounts),
-    st.tuples(st.just("update"), st.dictionaries(duty_keys, amounts, max_size=3)),
-    st.tuples(st.just("update-pairs"), st.lists(st.tuples(duty_keys, amounts), max_size=3)),
-    st.tuples(st.just("ior"), st.dictionaries(duty_keys, amounts, max_size=3)),
-    st.tuples(st.just("clear")),
+    st.tuples(st.just("put"), duty_keys, st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("drop"), duty_keys),
     st.tuples(st.just("clone")),
 )
-
-
-def _apply_duty_step(table, step):
-    """Run one step on a duty table or a plain dict; the outcome or the
-    type of the error it raised."""
-    name, *args = step
-    try:
-        if name == "setitem":
-            table[args[0]] = args[1]
-        elif name == "delitem":
-            del table[args[0]]
-        elif name == "pop":
-            return table.pop(args[0])
-        elif name == "pop-default":
-            return table.pop(args[0], args[1])
-        elif name == "popitem":
-            return table.popitem()
-        elif name == "setdefault":
-            return table.setdefault(args[0], args[1])
-        elif name in ("update", "update-pairs"):
-            table.update(args[0])
-        elif name == "ior":
-            table |= args[0]
-        elif name == "clear":
-            table.clear()
-    except KeyError:
-        return KeyError
-    return None
 
 
 def _scan(duties: dict, keep) -> list[Duty]:
@@ -236,34 +203,75 @@ def test_duty_indexes_match_a_full_scan_in_every_version(steps):
         model, mirror = versions[-1 if pick > 3 else pick % len(versions)]
         if step[0] == "clone":
             versions.append((model.clone(), dict(mirror)))
-        else:
-            assert _apply_duty_step(model.duties, step) == _apply_duty_step(mirror, step)
+        elif step[0] == "put":
+            _put_duty(model, step[1], step[2])
+            mirror[step[1]] = step[2]
+        elif step[1] in mirror:
+            _drop_duty(model, step[1])
+            del mirror[step[1]]
         for model, mirror in versions:  # a step changes only the version it ran on
-            assert type(model.duties) is DutyTable and model.duties == mirror
+            assert model.duties == mirror
             for task in DUTY_TASKS:
                 assert model.duties_on(task) == _scan(mirror, lambda key: key[1] == task)
             for member in DUTY_MEMBERS:
                 assert model.duties_of(member) == _scan(mirror, lambda key: key[0] == member)
+            assert all(model._duties_on.values()) and all(model._duties_of.values())
 
 
-def test_duty_table_refuses_a_key_that_is_not_a_triple():
-    m = VoModel(name="X", duties={("P", "T", "a"): 1})
-    assert type(m.duties) is DutyTable and m.duties_on("T") == [Duty("P", "T", "a", 1)]
-    for key in ["PTa", ("P", "T"), ["P", "T", "a"]]:
-        with pytest.raises(TypeError):
-            m.duties[key] = 2
+def test_duties_are_read_only_and_a_model_copies_and_pickles_with_its_indexes():
+    m = VoModel(name="X")
+    _put_duty(m, ("P", "T", "a"), 1)
+    _put_duty(m, ("Q", "T", "b"), 2)
     with pytest.raises(TypeError):
-        m.duties.update(PTa=2)
-    assert m.duties == {("P", "T", "a"): 1} and m.duties_of("P") == [Duty("P", "T", "a", 1)]
+        m.duties[("P", "T", "a")] = 2
+    with pytest.raises(AttributeError):
+        m.duties.pop(("P", "T", "a"))
+    assert m.duties == {("P", "T", "a"): 1, ("Q", "T", "b"): 2}
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m
+        _put_duty(twin, ("P", "U", "a"), 3)
+        _drop_duty(twin, ("Q", "T", "b"))
+        assert twin.duties_on("U") == [Duty("P", "U", "a", 3)] and m.duties_on("U") == []
+        assert twin.duties_of("P") == [Duty("P", "T", "a", 1), Duty("P", "U", "a", 3)]
+        assert twin.duties_of("Q") == [] and m.duties_of("Q") == [Duty("Q", "T", "b", 2)]
+        assert m.duties == {("P", "T", "a"): 1, ("Q", "T", "b"): 2}
 
 
-def test_duty_table_copies_and_pickles_with_its_indexes():
-    table = DutyTable({("P", "T", "a"): 1, ("Q", "T", "b"): 2})
-    for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
-        assert type(twin) is DutyTable and twin == table
-        twin[("P", "U", "a")] = 3
-        assert twin.on_task("U") == {("P", "U", "a")} and table.on_task("U") == frozenset()
-        assert twin.of_member("P") == {("P", "T", "a"), ("P", "U", "a")}
+INDEXES = {"_duties", "_duties_on", "_duties_of", "_preds", "_succs"}
+MUTATORS = {
+    "add", "clear", "difference_update", "discard", "intersection_update", "pop", "popitem",
+    "remove", "setdefault", "symmetric_difference_update", "update",
+}
+
+
+def _names_an_index(target) -> bool:
+    """``x._duties``, ``x._duties[k]`` or a tuple target holding one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_names_an_index(t) for t in target.elts)
+    if isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr in INDEXES
+
+
+def _writes_an_index(node) -> bool:
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        return any(_names_an_index(t) for t in node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return _names_an_index(node.target)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in MUTATORS and _names_an_index(node.func.value)
+    return False
+
+
+def test_only_model_writes_the_duty_and_control_graph_indexes():
+    package = Path(vopol.model.__file__).parent
+    writes = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if _writes_an_index(node)]
+        if lines:
+            writes[str(path.relative_to(package))] = lines
+    assert set(writes) == {"model.py"}, writes  # model.py's writers also show the scan finds writes
 
 
 # --- insert/remove -----------------------------------------------------------
@@ -346,7 +354,7 @@ def test_remove_drops_duties_and_flows():
         "task A type=Atomic\ntask T type=Replicable requires c=2\nedge A T\n"
         "dataflow i from=customer to=T\ndataflow j from=T to=A\n"
     )
-    m.duties[("P", "T", "c")] = 2
+    _put_duty(m, ("P", "T", "c"), 2)
     m.ledger.reserved[("P", "c")] = 2
     out = remove_task_node(m, "T")
     assert out.duties == {}
