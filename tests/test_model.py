@@ -218,15 +218,24 @@ def test_duty_indexes_match_a_full_scan_in_every_version(steps):
             assert all(model._duties_on.values()) and all(model._duties_of.values())
 
 
-def test_duties_are_read_only_and_a_model_copies_and_pickles_with_its_indexes():
+def test_duty_table_refuses_a_key_that_is_not_a_triple():
+    m = VoModel(name="X")
+    _put_duty(m, ("P", "T", "a"), 1)
+    for key in ["PTa", ("P", "T"), ["P", "T", "a"], ("P", "T", "a")]:  # model.duties is read-only
+        with pytest.raises(TypeError):
+            m.duties[key] = 2
+    with pytest.raises(AttributeError):
+        m.duties.pop(("P", "T", "a"))
+    with pytest.raises(AttributeError):
+        m.duties.update(PTa=2)
+    assert m.duties == {("P", "T", "a"): 1} and m.duties_of("P") == [Duty("P", "T", "a", 1)]
+    assert m.duties_on("T") == [Duty("P", "T", "a", 1)]
+
+
+def test_duty_table_copies_and_pickles_with_its_indexes():
     m = VoModel(name="X")
     _put_duty(m, ("P", "T", "a"), 1)
     _put_duty(m, ("Q", "T", "b"), 2)
-    with pytest.raises(TypeError):
-        m.duties[("P", "T", "a")] = 2
-    with pytest.raises(AttributeError):
-        m.duties.pop(("P", "T", "a"))
-    assert m.duties == {("P", "T", "a"): 1, ("Q", "T", "b"): 2}
     for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m
         _put_duty(twin, ("P", "U", "a"), 3)
