@@ -97,10 +97,20 @@ class DomainAction:
     """A resolved reconfiguration request: action name plus literal
     arguments. ``assign_duty`` normalizes to (member, task, capability,
     amount-or-None); a None amount means "the task's remaining shortfall,
-    decided at application time"."""
+    decided at application time". A vocabulary action carries exactly its
+    upper arity of arguments, open ones as None, as :func:`resolve_action`
+    pads them; an unknown name takes any arguments."""
 
     name: str
     args: tuple[str | int | None, ...]
+
+    def __post_init__(self):
+        arity = VOCABULARY.actions.get(self.name)
+        if arity is not None and len(self.args) != arity[1]:
+            raise InvalidArgumentError(
+                f"{self.name} needs {arity[1]} argument(s), open ones as None, got {len(self.args)}",
+                self.name,
+            )
 
     def render(self) -> str:
         shown = ["?" if a is None else str(a) for a in self.args]

@@ -55,20 +55,21 @@ def gen_args(rng: random.Random) -> tuple:
     return tuple(gen_arg(rng) for _ in range(rng.randint(0, 3)))
 
 
-def gen_condition(rng: random.Random, depth: int = 0):
+# a ``leaf`` factory, where given, makes each leaf in place of a random one
+def gen_condition(rng: random.Random, depth: int = 0, leaf=None):
     if depth >= 3 or rng.random() < 0.45:
-        return Pred(gen_ident(rng), gen_args(rng))
+        return leaf() if leaf else Pred(gen_ident(rng), gen_args(rng))
     roll = rng.random()
     if roll < 0.3:
-        return NotCond(gen_condition(rng, depth + 1))
+        return NotCond(gen_condition(rng, depth + 1, leaf))
     node = AndCond if roll < 0.65 else OrCond
-    return node(gen_condition(rng, depth + 1), gen_condition(rng, depth + 1))
+    return node(gen_condition(rng, depth + 1, leaf), gen_condition(rng, depth + 1, leaf))
 
 
-def gen_action(rng: random.Random, depth: int = 0):
+def gen_action(rng: random.Random, depth: int = 0, leaf=None):
     if depth >= 3 or rng.random() < 0.45:
-        return ActionCall(gen_ident(rng), gen_args(rng))
-    return ActionOp(rng.choice(ACTION_OPS), gen_action(rng, depth + 1), gen_action(rng, depth + 1))
+        return leaf() if leaf else ActionCall(gen_ident(rng), gen_args(rng))
+    return ActionOp(rng.choice(ACTION_OPS), gen_action(rng, depth + 1, leaf), gen_action(rng, depth + 1, leaf))
 
 
 def gen_rule(rng: random.Random) -> PolicyRule:
@@ -80,10 +81,10 @@ def gen_rule(rng: random.Random) -> PolicyRule:
     return PolicyRule(location, triggers, condition, gen_action(rng))
 
 
-def gen_group(rng: random.Random, depth: int = 0):
+def gen_group(rng: random.Random, depth: int = 0, leaf=None):
     if depth >= 2 or rng.random() < 0.5:
-        return RuleLeaf(gen_rule(rng))
-    return GroupNode(rng.choice(GROUP_OPS), gen_group(rng, depth + 1), gen_group(rng, depth + 1))
+        return RuleLeaf(leaf() if leaf else gen_rule(rng))
+    return GroupNode(rng.choice(GROUP_OPS), gen_group(rng, depth + 1, leaf), gen_group(rng, depth + 1, leaf))
 
 
 def gen_document(rng: random.Random) -> PolicyDocument:

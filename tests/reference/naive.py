@@ -1,0 +1,293 @@
+"""The naive engine, the one differential oracle for every optimised path.
+
+``NaiveEngine`` is an ``Engine`` that takes the slow, obviously right
+form of each hook the engine optimises:
+
+- ``_activate`` and ``_candidates``: no index, every active policy in
+  order (the engine reads a trigger index);
+- ``_refresh_readiness``: a full sweep through ``ready_set`` over the
+  in-process tasks (the engine re-checks the tasks an event touched);
+- ``_emit_state``: a fresh sorted join over a plain ``dict`` (the engine
+  keeps each task's fragment of the STATE record between events);
+- ``dispatch_trigger``: one-pass semantics, with a request suppressed when
+  the hand-written pair rules find it clashing with any earlier request
+  (the engine compares what each request writes), the hand-written
+  bootstrap allocator that walks the whole population and scans every duty
+  (the engine applies ordinary actions over a shared ranking and reads
+  duty buckets), and a snapshot taken before each policy to roll it back
+  (the engine truncates its logs).
+
+A new index or cache adds its naive form here rather than a new frozen
+copy of the code it replaces.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+from vopol.conflict import Conflict
+from vopol.domain import (
+    COMPETITION,
+    DomainAction,
+    DomainTrigger,
+    EvalContext,
+    apply_action,
+    eval_predicate,
+    materialize,
+    resolve_action,
+)
+from vopol.engine import BOOTSTRAP_POLICY, Engine, _action_fields, ready_set
+from vopol.errors import ModelError, TaskFailure, UnknownTaskError
+from vopol.model import TaskType, VoModel, _put_duty, free_capacity
+from vopol.policy.ast import ActionCall, Ident, Policy, Pred, TriggerSpec
+from vopol.policy.evaluate import evaluate_rule_group
+from vopol.state import Status
+from vopol.trace import TraceRecord
+
+# conflicts ----------------------------------------------------------------
+
+
+def _target_tasks(action: DomainAction) -> set[str]:
+    name, args = action.name, action.args
+    if name in ("delete_task", "change_type"):
+        return {str(args[0])}
+    if name == "add_task":
+        return {str(args[0]), str(args[1])}
+    if name in ("provide_input", "remove_input", "assign_duty", "unassign_duty"):
+        return {str(args[1])}
+    return set()
+
+
+def _classify(a: DomainAction, b: DomainAction) -> str | None:
+    """The conflict class of two requests, or None when they are compatible."""
+    if a.name == b.name and a.args == b.args:
+        return None  # duplicate request, the later one simply fails to apply
+    pair = {a.name, b.name}
+    if pair == {"add_member", "remove_member"} and a.args[0] == b.args[0]:
+        return "member-add-remove"
+    # (member, task, capability); amounts never matter for clashing
+    if pair == {"assign_duty", "unassign_duty"} and a.args[:3] == b.args[:3]:
+        return "duty-assign-unassign"
+    if pair == {"provide_input", "remove_input"} and a.args == b.args:
+        return "input-add-remove"
+    if a.name == b.name == "change_type" and a.args[0] == b.args[0] and a.args[1] != b.args[1]:
+        return "task-type-divergence"
+    if "delete_task" in pair:
+        doomed, other = (a, b) if a.name == "delete_task" else (b, a)
+        if str(doomed.args[0]) in _target_tasks(other):
+            return "task-delete-target"
+    return None
+
+
+def detect_conflicts(actions: list[tuple[str, DomainAction]], start: int = 0) -> list[Conflict]:
+    """Every clashing pair whose later request sits at ``start`` or after,
+    by (earlier, later) position."""
+    out: list[Conflict] = []
+    for i in range(len(actions)):
+        for j in range(max(i + 1, start), len(actions)):
+            reason = _classify(actions[i][1], actions[j][1])
+            if reason is not None:
+                out.append(Conflict(i, j, actions[i], actions[j], reason))
+    return out
+
+
+# bootstrap ----------------------------------------------------------------
+
+_KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
+_NO_BID = 10**9
+
+
+def _duties_on(m: VoModel, task: str) -> dict[tuple[str, str, str], int]:
+    return {key: amount for key, amount in m.duties.items() if key[1] == task}
+
+
+def _shortfall(m: VoModel, task: str, capability: str) -> int:
+    covered = sum(
+        amount
+        for (mid, _, cap), amount in _duties_on(m, task).items()
+        if cap == capability and mid in m.members
+    )
+    return max(0, m.tasks[task].required.get(capability, 0) - covered)
+
+
+def _member_order(m: VoModel, capability: str, competition: bool) -> list[str]:
+    if not competition:
+        return sorted(m.members)
+    return sorted(m.members, key=lambda mid: (m.members[mid].cost.get(capability, _NO_BID), mid))
+
+
+def _candidate_order(m: VoModel, capability: str, competition: bool) -> list[str]:
+    def key(mid: str):
+        who = m.registry[mid]
+        rank = _KIND_RANK[who.kind.value]
+        if competition:
+            return (rank, who.cost.get(capability, _NO_BID), mid)
+        return (rank, mid)
+
+    return sorted(m.registry, key=key)
+
+
+def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainAction]]:
+    """Top up each under-covered capability of ``task`` from the members,
+    then from the candidates, on a scratch copy; an atomic task draws on
+    one member only."""
+    m = ctx.model
+    if task not in m.tasks:
+        raise UnknownTaskError(f"unknown task {task!r}", task)
+    task_def = m.tasks[task]
+    competition = task_def.sharing == COMPETITION
+    scratch = m.clone()
+    performed: list[DomainAction] = []
+
+    def allowed(mid: str) -> bool:
+        if scratch.tasks[task].ttype is not TaskType.ATOMIC:
+            return True
+        holders = {key[0] for key in _duties_on(scratch, task)}
+        return not holders or holders == {mid}
+
+    def take_from(mid: str, capability: str, shortfall: int) -> int:
+        free = free_capacity(scratch, mid, capability)
+        if not free or free <= 0:
+            return 0
+        take = min(free, shortfall)
+        new_amount = scratch.duties.get((mid, task, capability), 0) + take
+        _put_duty(scratch, (mid, task, capability), new_amount)
+        scratch.ledger.add(mid, capability, take)
+        performed.append(DomainAction("assign_duty", (mid, task, capability, new_amount)))
+        return take
+
+    for capability in sorted(task_def.required):
+        shortfall = _shortfall(scratch, task, capability)
+        for mid in _member_order(scratch, capability, competition):
+            if shortfall == 0:
+                break
+            if allowed(mid):
+                shortfall -= take_from(mid, capability, shortfall)
+        candidates = _candidate_order(scratch, capability, competition) if shortfall else []
+        for mid in candidates:
+            if shortfall == 0:
+                break
+            free = free_capacity(scratch, mid, capability)
+            if not allowed(mid) or not free or free <= 0:
+                continue
+            scratch.members[mid] = scratch.registry.pop(mid)
+            performed.append(DomainAction("add_member", (mid,)))
+            shortfall -= take_from(mid, capability, shortfall)
+        if shortfall > 0:
+            raise TaskFailure(
+                f"task {task!r} needs {shortfall} more of {capability!r} and no suitable member can cover it",
+                task,
+            )
+    return scratch, performed
+
+
+# engine -------------------------------------------------------------------
+
+
+class NaiveEngine(Engine):
+    """An ``Engine`` that takes the naive form of every optimised hook."""
+
+    def _activate(self, policies: tuple[Policy, ...]):
+        self._policies = policies
+
+    def _candidates(self, trig: DomainTrigger) -> list[Policy]:
+        return list(self.policies)
+
+    def _refresh_readiness(self):
+        status, in_process = self.instance.status, self.model.in_process_tasks()
+        for task in set(status) - set(in_process):
+            del status[task]
+        for task in in_process:
+            if status.setdefault(task, Status.PENDING) is Status.READY:
+                status[task] = Status.PENDING
+        for task in ready_set(self.model, self.instance):
+            status[task] = Status.READY
+
+    def _emit_state(self):
+        status = self.instance.status
+        tasks = ",".join(f"{task}:{status[task].value}" for task in sorted(status))
+        data = ",".join(sorted(self.instance.available_data))
+        members = ",".join(sorted(self.model.members))
+        self._emit("STATE", ("tasks", tasks), ("data", data), ("members", members))
+
+    def dispatch_trigger(self, trig: DomainTrigger) -> list[TraceRecord]:
+        mark = len(self.records)
+        self._emit("TRIGGER", ("trigger", trig.name), ("task", trig.task))
+        event_spec = TriggerSpec(trig.name, (Ident(trig.task),))
+        # every resolved request, suppressed ones included, and the
+        # ACTION-* records in attempt order
+        requests: list[tuple[str, DomainAction]] = []
+        outcomes: list[tuple[str, tuple[tuple[str, str], ...]]] = []
+
+        def predicate(pred: Pred) -> bool:
+            return eval_predicate(EvalContext(self.model, self.instance, trig.task), pred.name, pred.args)
+
+        def failed(fields: tuple[tuple[str, str], ...], err: ModelError) -> bool:
+            outcomes.append(("ACTION-FAILED", (*fields, ("error", err.code), ("detail", err.message))))
+            return False
+
+        def attempt(policy: str, call: ActionCall) -> bool:
+            ctx = EvalContext(self.model, self.instance, trig.task)
+            try:
+                action = resolve_action(ctx, call)
+            except ModelError as err:
+                return failed(_action_fields(policy, call.name, call.args), err)
+            requests.append((policy, action))
+            if any(c.second_index == len(requests) - 1 for c in detect_conflicts(requests)):
+                return False  # first writer wins
+            action = materialize(ctx.model, action)
+            fields = _action_fields(policy, action.name, action.args)
+            try:
+                self.model = apply_action(ctx, action)
+            except ModelError as err:
+                return failed(fields, err)
+            self.instance.holds.extend(ctx.hold_sink)
+            outcomes.append(("ACTION-APPLIED", fields))
+            return True
+
+        for policy in self._candidates(trig):
+            snapshot = (self.model, list(self.instance.holds), list(requests), list(outcomes))
+            try:
+                applied = evaluate_rule_group(
+                    policy.body, event_spec, trig.task, predicate, partial(attempt, policy.name)
+                )
+            except ModelError as err:
+                self.model, self.instance.holds, requests[:], outcomes[:] = snapshot
+                self._emit_error(err, f"policy {policy.name!r}: {err.message}")
+                continue
+            for rule_idx in applied:
+                self._emit("POLICY-FIRED", ("policy", policy.name), ("rule", str(rule_idx)))
+
+        # every clashing pair suppressed its later request, so each is traced
+        for conflict in detect_conflicts(requests):
+            self._emit(
+                "CONFLICT",
+                ("class", conflict.reason),
+                ("first_policy", conflict.first[0]),
+                ("first_action", conflict.first[1].render()),
+                ("second_policy", conflict.second[0]),
+                ("second_action", conflict.second[1].render()),
+            )
+        for kind, fields in outcomes:
+            self._emit(kind, *fields)
+
+        bootstrap_failed = False
+        if trig.name == "task_entry":
+            try:
+                self.model, performed = run_bootstrap(EvalContext(self.model, self.instance, trig.task), trig.task)
+            except TaskFailure as err:
+                fields = _action_fields(BOOTSTRAP_POLICY, "bootstrap", (trig.task,))
+                self._emit("ACTION-FAILED", *fields, ("error", err.code), ("detail", err.message))
+                bootstrap_failed = True
+            else:
+                for action in performed:
+                    self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
+
+        if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
+            self.instance.status[trig.task] = Status.FAILED
+            self._release_holds(trig.task)
+        self._refresh_readiness()
+        self._emit_state()
+        if bootstrap_failed:
+            self.dispatch_trigger(DomainTrigger("task_failure", trig.task))
+        return self.records[mark:]

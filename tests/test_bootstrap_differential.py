@@ -1,4 +1,5 @@
-"""The bootstrap allocator against its frozen hand-written reference.
+"""The bootstrap allocator against the hand-written one of the naive
+engine (``reference/naive.py``).
 
 Both run on the same seeded models: members and candidates of every kind,
 with and without bids, competition and plain tasks of every type needing
@@ -21,7 +22,7 @@ import random
 
 import pytest
 
-from reference import bootstrap as reference
+from reference import naive
 from test_domain import ctx_for
 
 from vopol import domain
@@ -108,7 +109,7 @@ def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):
         m = _model(rng)
         active = ("T",) if rng.random() < 0.25 else ()
         before = canonical_dump(m)
-        expected = _outcome(reference.run_bootstrap, m, active)
+        expected = _outcome(naive.run_bootstrap, m, active)
         got = _outcome(run_bootstrap, m, active)
         assert got == expected
         assert got[1] == []  # the bootstrap only ever raises duties
@@ -140,7 +141,7 @@ def test_successive_versions_share_one_ranking_until_the_registry_is_written():
                 # the cheapest Partner there is, which a stale ranking would miss
                 m.registry["B0"] = Member("B0", MemberKind.PARTNER, dict.fromkeys(CAPS, 9), dict.fromkeys(CAPS, 0))
             try:
-                expected = reference.run_bootstrap(ctx_for(m), task)
+                expected = naive.run_bootstrap(ctx_for(m), task)
             except TaskFailure as err:
                 with pytest.raises(TaskFailure) as caught:
                     run_bootstrap(ctx_for(m), task)

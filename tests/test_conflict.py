@@ -124,36 +124,6 @@ def test_results_are_order_stable():
 
 
 def test_pairwise_oracle_on_mixed_list():
-    # brute-force oracle: a pair clashes iff it matches one of the classes
-    def oracle_clash(a, b):
-        if a.name == b.name and a.args == b.args:
-            return False
-        names = {a.name, b.name}
-        if names == {"add_member", "remove_member"}:
-            return a.args[0] == b.args[0]
-        if names == {"assign_duty", "unassign_duty"}:
-            return a.args[:3] == b.args[:3]
-        if names == {"provide_input", "remove_input"}:
-            return a.args == b.args
-        if a.name == b.name == "change_type":
-            return a.args[0] == b.args[0] and a.args[1] != b.args[1]
-        if "delete_task" in names:
-            doomed = a if a.name == "delete_task" else b
-            other = b if a.name == "delete_task" else a
-            targets = {
-                "delete_task": [0],
-                "change_type": [0],
-                "add_task": [0, 1],
-                "provide_input": [1],
-                "remove_input": [1],
-                "assign_duty": [1],
-                "unassign_duty": [1],
-                "add_member": [],
-                "remove_member": [],
-            }[other.name]
-            return any(other.args[i] == doomed.args[0] for i in targets)
-        return False
-
     actions = [
         act("change_type", "T", "Replicable", None),
         act("delete_task", "T"),
@@ -165,13 +135,14 @@ def test_pairwise_oracle_on_mixed_list():
         act("delete_task", "U"),
     ]
     found = detect_conflicts(pairs(*actions))
-    expected = {
-        (i, j)
-        for i in range(len(actions))
-        for j in range(i + 1, len(actions))
-        if oracle_clash(actions[i], actions[j])
-    }
-    assert {(c.first_index, c.second_index) for c in found} == expected
+    assert [(c.first_index, c.second_index, c.reason) for c in found] == [
+        (0, 1, "task-delete-target"),
+        (1, 2, "task-delete-target"),
+        (3, 4, "member-add-remove"),
+        (5, 6, "input-add-remove"),
+        (5, 7, "task-delete-target"),
+        (6, 7, "task-delete-target"),
+    ]
     # with ``start``, exactly the pairs whose later index is >= start, in
     # the same order as the full report
     for start in range(len(actions) + 2):

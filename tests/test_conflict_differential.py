@@ -1,5 +1,5 @@
-"""Conflicts derived from what each request writes, against the frozen
-hand-written pair rules.
+"""Conflicts derived from what each request writes, against the
+hand-written pair rules of the naive engine (``reference/naive.py``).
 
 The universe holds every action of the vocabulary over two names, which
 serve as members, tasks, capabilities and items alike (so keys of
@@ -15,7 +15,7 @@ import itertools
 import random
 from collections import Counter
 
-from reference import conflict as reference
+from reference import naive
 
 from vopol.conflict import detect_conflicts
 from vopol.domain import DomainAction
@@ -60,7 +60,7 @@ def test_every_ordered_pair_matches_the_hand_written_rules():
     for a, b in itertools.product(universe, repeat=2):
         listed = [("P", a), ("Q", b)]
         found = _found(detect_conflicts, listed)
-        assert found == _found(reference.detect_conflicts, listed), (a, b)
+        assert found == _found(naive.detect_conflicts, listed), (a, b)
         if a in UNKNOWN or b in UNKNOWN:
             assert found == []
         reasons.update([found[0][2] if found else None])
@@ -81,7 +81,7 @@ def test_random_request_lists_match_the_hand_written_rules_from_any_start():
         actions = [(f"P{i}", rng.choice(universe)) for i in range(rng.randint(0, 12))]
         for start in (0, rng.randint(0, len(actions) + 1)):
             found = detect_conflicts(actions, start)
-            assert found == reference.detect_conflicts(actions, start)
+            assert found == naive.detect_conflicts(actions, start)
             checked += len(found)
     assert checked > 500
 

@@ -1,103 +1,87 @@
-"""The engine's dispatch against two frozen references.
+"""The engine against the naive engine of ``reference/naive.py``.
 
-The one-pass dispatch runs the same seeded models, policy documents and
-event streams as the two-pass reference. They must agree byte for byte
-up to the first dispatch in which the two-pass reference traces a
-CONFLICT or a policy ERROR: only there does it let a suppressed request,
-or a policy that raised, leave effects that later conditions observe.
-When no such dispatch happens, the whole trace, the final model and the
-final instance state must agree.
-
-The trigger index runs against the full-walk reference, which evaluates
-every active policy on every trigger. Their streams also load generated
-policy documents, reload active names and retract policies; the whole
-trace, the final model and the final instance state must agree on every
-run, conflicts and policy errors included.
-
-The references are ``Engine`` subclasses and share its STATE rendering,
-so the rendering is checked on its own: after every event of both tests,
-each engine's last STATE record lists the tasks as a fresh sorted join
-of its status map would, whatever joined or left the process.
+Both run the same seeded models, policy documents and event streams. The
+streams activate, complete and fail tasks, consume and release units,
+load generated policy documents (new names and reloads of active ones)
+and retract active and unknown policies. After every event the two
+engines must agree on the event's records, the model, the instance and
+the active policies, conflicts, policy errors and bootstrap failures
+included. So the trigger index, the readiness refresh of touched tasks,
+the kept STATE fragments, the conflicts derived from what requests write,
+the bootstrap through ordinary actions over a shared ranking and the
+rollback by truncation each match their naive form.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from astgen import gen_action, gen_condition, gen_group
-from reference.full_walk import FullWalkEngine
-from reference.two_pass import TwoPassEngine
-from test_engine import _soup_model, ev
+from reference import naive
+from test_engine import ev
 
 import vopol.engine
-from vopol.domain import TRIGGER_NAMES
-from vopol.engine import Engine
+from vopol.domain import TRIGGER_NAMES, VOCABULARY
+from vopol.engine import BOOTSTRAP_POLICY, Engine
 from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.ast import (
     ActionCall,
-    ActionOp,
-    GroupNode,
     Ident,
-    NotCond,
     Number,
     Policy,
     PolicyDocument,
     PolicyRule,
     Pred,
-    RuleLeaf,
     TriggerSpec,
 )
 from vopol.policy.render import render_policy_document
 from vopol.state import Status
 from vopol.trace import format_trace
 
-# two members and two candidates on top of the soup model's member P
 PEOPLE = ["P", "Q", "C0", "C1"]
-PEOPLE_ROWS = (
-    "member Q kind=Partner cap a=6\n"
-    "candidate C0 kind=Partner cap a=8\n"
-    "candidate C1 kind=Associate cap a=4\n"
-)
-ACTIONS = [
-    "add_member",
-    "remove_member",
-    "assign_duty",
-    "unassign_duty",
-    "change_type",
-    "add_task",
-    "delete_task",
-    "provide_input",
-    "remove_input",
-]
 
 
-def _reshape_group(node, rule):
-    if isinstance(node, RuleLeaf):
-        return RuleLeaf(rule())
-    return GroupNode(node.op, _reshape_group(node.left, rule), _reshape_group(node.right, rule))
+def _soup_model(rng: random.Random) -> tuple[str, list[str], list[str], list[str]]:
+    """A random DAG with catalogue tasks, customer- and task-sourced data
+    flows and input clauses that no flow feeds. Two members and two
+    candidates share capability ``a``; requirements often exceed what the
+    members have free, so the bootstrap admits candidates and fails."""
+    n = rng.randint(4, 8)
+    tasks = [f"T{i}" for i in range(n)]
+    spare = [f"C{i}" for i in range(rng.randint(2, 3))]
+    items = ["brief", "plan", "memo", "ghost"]
+    clauses = {t: set() for t in tasks + spare}
+    rows = [
+        "vo Diff",
+        f"member P kind=Partner cap a={rng.randint(1, 8)}",
+        "member Q kind=Partner cap a=6",
+        "candidate C0 kind=Partner cap a=8",
+        "candidate C1 kind=Associate cap a=4",
+    ]
+    edges = {(tasks[i], tasks[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    flows = [("brief", "customer", tasks[0])]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(n - 1)
+        flows.append((rng.choice(items[1:3]), tasks[i], rng.choice(tasks[i + 1:])))
+    for t in tasks + spare:
+        if rng.random() < 0.3:
+            clauses[t].add(rng.choice(items))  # often no flow behind it
+    for t in tasks + spare:
+        need = f" requires a={rng.randint(1, 16)}" if rng.random() < 0.5 else ""
+        inputs = "".join(f" input {item}" for item in sorted(clauses[t]))
+        where = " inprocess=false" if t in spare else ""
+        rows.append(f"task {t} type=Replicable{need}{inputs}{where}")
+    rows += [f"edge {p} {s}" for p, s in sorted(edges)]
+    rows += [f"dataflow {item} from={src} to={dst}" for item, src, dst in flows]
+    return "\n".join(rows) + "\n", tasks, spare, items
 
 
-def _reshape_condition(node, pred):
-    if isinstance(node, Pred):
-        return pred()
-    if isinstance(node, NotCond):
-        return NotCond(_reshape_condition(node.child, pred))
-    return type(node)(_reshape_condition(node.left, pred), _reshape_condition(node.right, pred))
-
-
-def _reshape_action(node, call):
-    if isinstance(node, ActionCall):
-        return call()
-    return ActionOp(node.op, _reshape_action(node.left, call), _reshape_action(node.right, call))
-
-
-def _policies(
-    rng: random.Random, tasks: list[str], spare: list[str], items: list[str], names: list[str] | None = None
-) -> PolicyDocument:
-    """Operator shapes from ``astgen``, with vocabulary-valid leaves that
-    often touch the same member, duty, task or input. The rules are
-    located or not, and have no, one or two triggers. The policies are
-    named ``names``, by default R0, R1, ... (one to four of them)."""
+def _policies(rng: random.Random, tasks: list[str], spare: list[str], items: list[str], names: list[str]):
+    """Policies named ``names``, with operator shapes from ``astgen`` and
+    vocabulary-valid leaves that often touch the same member, duty, task
+    or input. The rules are located or not, and have no, one or two
+    triggers."""
     every = tasks + spare
 
     def task():
@@ -121,7 +105,7 @@ def _policies(
         return Pred("has_capacity", (Ident("ghost"), Ident("a"), Number(1)))  # raises
 
     def call():
-        name = rng.choice(ACTIONS)
+        name = rng.choice(sorted(VOCABULARY.actions))
         if name in ("add_member", "remove_member"):
             args = (person(),)
         elif name == "assign_duty":
@@ -142,97 +126,43 @@ def _policies(
     def rule():
         location = rng.choice(every) if rng.random() < 0.4 else None
         triggers = tuple(TriggerSpec(rng.choice(TRIGGER_NAMES)) for _ in range(rng.randint(0, 2)))
-        condition = _reshape_condition(gen_condition(rng), pred) if rng.random() < 0.5 else None
-        return PolicyRule(location, triggers, condition, _reshape_action(gen_action(rng), call))
+        condition = gen_condition(rng, leaf=pred) if rng.random() < 0.5 else None
+        return PolicyRule(location, triggers, condition, gen_action(rng, leaf=call))
 
-    if names is None:
-        names = [f"R{k}" for k in range(rng.randint(1, 4))]
-    return PolicyDocument(tuple(Policy(name, _reshape_group(gen_group(rng), rule)) for name in names))
+    return PolicyDocument(tuple(Policy(name, gen_group(rng, leaf=rule)) for name in names))
 
 
-def _state_is_fresh(engine: Engine) -> bool:
-    """The last STATE record's ``tasks`` is the sorted join of the status
-    map; every event that changes a status ends with a STATE record."""
-    state = next(r for r in reversed(engine.records) if r.kind == "STATE")
-    status = engine.instance.status
-    return state.get("tasks") == ",".join(f"{t}:{status[t].value}" for t in sorted(status))
+def _same(new: Engine, ref: naive.NaiveEngine):
+    assert canonical_dump(new.model) == canonical_dump(ref.model)
+    assert new.instance == ref.instance
+    assert new.policies == ref.policies
+    assert validate_model(new.model) == []
 
 
-def _divergence_point(records) -> int | None:
-    """Index of the TRIGGER record opening the first dispatch that traces a
-    CONFLICT or a policy ERROR, or None when there is no such dispatch."""
-    trigger = None
-    for i, rec in enumerate(records):
-        if rec.kind == "TRIGGER":
-            trigger = i
-        elif rec.kind == "CONFLICT" or (
-            rec.kind == "ERROR" and (rec.get("detail") or "").startswith("policy ")
-        ):
-            return trigger
-    return None
+def test_engine_matches_the_naive_engine_after_every_event(tmp_path, monkeypatch):
+    # policy evaluations per engine module
+    evaluations: Counter[object] = Counter()
+    for module in (vopol.engine, naive):
+        def counted(*args, _module=module, _evaluate=module.evaluate_rule_group):
+            evaluations[_module] += 1
+            return _evaluate(*args)
 
-
-def test_one_pass_matches_two_pass_until_the_first_conflict_or_policy_error():
-    rng = random.Random(2024)
-    conflicted = clean = reshaped = 0
-    for _ in range(200):
-        model_text, tasks, spare, items = _soup_model(rng)
-        model = load_model(model_text + PEOPLE_ROWS)
-        policies = _policies(rng, tasks, spare, items)
-        ref, new = TwoPassEngine(model, policies), Engine(model, policies)
-        for _ in range(rng.randint(8, 24)):
-            # the events follow the reference's state
-            status = ref.instance.status
-            ready = [t for t, s in status.items() if s is Status.READY]
-            active = [t for t, s in status.items() if s is Status.ACTIVE]
-            roll = rng.random()
-            if roll < 0.1:
-                event = ev(rng.choice(["consume", "release"]), rng.choice(["P", "Q"]), "a", rng.randint(1, 3))
-            elif active and roll < 0.55:
-                event = ev("complete" if rng.random() < 0.8 else "fail", rng.choice(active))
-            elif ready:
-                event = ev("activate", rng.choice(ready))
-            else:
-                event = ev(rng.choice(["activate", "complete"]), rng.choice(tasks + spare))
-            ref.handle_event(event)
-            new.handle_event(event)
-            assert validate_model(new.model) == []
-            assert _state_is_fresh(ref) and _state_is_fresh(new)
-        reshaped += set(new.instance.status) != set(model.in_process_tasks())
-        cut = _divergence_point(ref.records)
-        if cut is None:
-            assert format_trace(new.records) == format_trace(ref.records)
-            assert canonical_dump(new.model) == canonical_dump(ref.model)
-            assert new.instance == ref.instance
-            clean += 1
-        else:
-            assert format_trace(new.records[:cut]) == format_trace(ref.records[:cut])
-            conflicted += any(r.kind == "CONFLICT" for r in ref.records[cut:])
-    assert conflicted >= 20 and clean >= 50 and reshaped >= 60, (conflicted, clean, reshaped)
-
-
-def test_indexed_dispatch_matches_the_full_walk(tmp_path, monkeypatch):
-    evaluate = vopol.engine.evaluate_rule_group
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return evaluate(*args)
-
-    monkeypatch.setattr(vopol.engine, "evaluate_rule_group", counted)
+        monkeypatch.setattr(module, "evaluate_rule_group", counted)
     rng = random.Random(2025)
-    skipped = loads = reloads = retracts = unknown = conflicted = files = 0
+    tally: Counter[str] = Counter()
+    applied: Counter[str] = Counter()
     for _ in range(200):
         model_text, tasks, spare, items = _soup_model(rng)
-        model = load_model(model_text + PEOPLE_ROWS)
-        # up to a dozen policies: with a few, even a merge left in set order
-        # would come out sorted
+        model = load_model(model_text)
+        # up to a dozen policies: with a few, even a merge of index buckets
+        # left in set order would come out sorted
         policies = _policies(rng, tasks, spare, items, [f"R{k}" for k in range(rng.randint(1, 12))])
-        ref, new = FullWalkEngine(model, policies, tmp_path), Engine(model, policies, tmp_path)
-        skips = 0
+        ref, new = naive.NaiveEngine(model, policies, tmp_path), Engine(model, policies, tmp_path)
+        assert format_trace(new.records) == format_trace(ref.records)
+        _same(new, ref)
+        evaluations.clear()
         for _ in range(rng.randint(8, 24)):
-            # the events follow the reference's state
+            # the events follow the naive engine's state
             status = ref.instance.status
             ready = [t for t, s in status.items() if s is Status.READY]
             active = [t for t, s in status.items() if s is Status.ACTIVE]
@@ -242,39 +172,42 @@ def test_indexed_dispatch_matches_the_full_walk(tmp_path, monkeypatch):
                 event = ev(rng.choice(["consume", "release"]), rng.choice(["P", "Q"]), "a", rng.randint(1, 3))
             elif roll < 0.18:
                 # the first policy takes a new name or an active one, with new rules
-                files += 1
-                names = [rng.choice(active_names + [f"L{files}"])]
+                tally["loads"] += 1
+                names = [rng.choice(active_names + [f"L{tally['loads']}"])]
                 if rng.random() < 0.3:
-                    names.append(f"M{files}")
-                path = tmp_path / f"p{files}.pol"
+                    names.append(f"M{tally['loads']}")
+                path = tmp_path / f"p{tally['loads']}.pol"
                 path.write_text(render_policy_document(_policies(rng, tasks, spare, items, names)), encoding="utf-8")
                 event = ev("load-policy", path.name)
-                loads += 1
-                reloads += names[0] in active_names
-            elif roll < 0.24:
+                tally["reloads"] += names[0] in active_names
+            elif roll < 0.25:
                 name = rng.choice(active_names) if active_names and rng.random() < 0.7 else "ghost"
                 event = ev("retract-policy", name)
-                retracts += name in active_names
-                unknown += name not in active_names
+                tally["retracts" if name in active_names else "unknown retracts"] += 1
             elif active and roll < 0.6:
                 event = ev("complete" if rng.random() < 0.8 else "fail", rng.choice(active))
             elif ready:
                 event = ev("activate", rng.choice(ready))
             else:
                 event = ev(rng.choice(["activate", "complete"]), rng.choice(tasks + spare))
-            start = calls
-            ref.handle_event(event)
-            middle = calls
-            new.handle_event(event)
-            skips += (middle - start) - (calls - middle)
-            assert _state_is_fresh(ref) and _state_is_fresh(new)
-        assert format_trace(new.records) == format_trace(ref.records)
-        assert canonical_dump(new.model) == canonical_dump(ref.model)
-        assert new.instance == ref.instance
-        assert new.policies == ref.policies
-        assert not any(r.get("error") == "InvalidPolicy" for r in new.records)
-        skipped += skips > 0
-        conflicted += any(r.kind == "CONFLICT" for r in new.records)
-    counts = (skipped, loads, reloads, retracts, unknown, conflicted)
-    assert skipped >= 160 and conflicted >= 80, counts
-    assert loads >= 300 and reloads >= 250 and retracts >= 120 and unknown >= 60, counts
+            expected = format_trace(ref.handle_event(event))
+            assert format_trace(new.handle_event(event)) == expected, event
+            _same(new, ref)
+        records = new.records
+        assert not any(r.get("error") == "InvalidPolicy" for r in records)
+        tally["skipped"] += evaluations[vopol.engine] < evaluations[naive]
+        tally["conflicted"] += any(r.kind == "CONFLICT" for r in records)
+        tally["reshaped"] += set(new.instance.status) != set(model.in_process_tasks())
+        for r in records:
+            bootstrap = r.get("policy") == BOOTSTRAP_POLICY
+            tally["rollbacks"] += r.kind == "ERROR" and r.get("detail").startswith("policy ")
+            tally["admissions"] += bootstrap and r.get("action") == "add_member"
+            tally["bootstrap failures"] += bootstrap and r.kind == "ACTION-FAILED"
+            if r.kind == "ACTION-APPLIED" and not bootstrap:
+                applied[r.get("action")] += 1
+    assert tally["skipped"] >= 160 and tally["conflicted"] >= 80 and tally["reshaped"] >= 60, tally
+    assert tally["loads"] >= 300 and tally["reloads"] >= 250, tally
+    assert tally["retracts"] >= 120 and tally["unknown retracts"] >= 60, tally
+    assert tally["rollbacks"] >= 40 and tally["admissions"] >= 80 and tally["bootstrap failures"] >= 25, tally
+    assert len(applied) == 9, applied
+    assert min(applied[name] for name in ("add_task", "delete_task", "provide_input", "remove_input")) >= 20, applied

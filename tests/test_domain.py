@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from vopol.policy.ast import ActionCall, Ident, Number, Text
+from vopol.conflict import detect_conflicts
 from vopol.domain import (
+    VOCABULARY,
     DomainAction,
     EvalContext,
     apply_action,
@@ -22,6 +24,7 @@ from vopol.errors import (
     AtomicityViolationError,
     CapabilityMissingError,
     CapacityExceededError,
+    InvalidArgumentError,
     NotAMemberError,
     TaskFailure,
     UnknownDutyError,
@@ -525,3 +528,19 @@ def test_apply_action_routes_each_name(visitus):
     m = apply_action(ctx_for(m), action("unassign_duty", "newHotel", "HotelProv", "beds"))
     m = apply_action(ctx_for(m), action("remove_member", "newHotel"))
     assert validate_model(m) == []
+
+
+@pytest.mark.parametrize("name", sorted(VOCABULARY.actions))
+def test_a_library_built_action_needs_its_full_arity(visitus, name):
+    # resolve_action pads every action to its upper arity; a shorter one
+    # built in code is refused where it is built, before apply_action or
+    # detect_conflicts would index past its arguments
+    full = VOCABULARY.actions[name][1]
+    for count in range(full):
+        args = ("HotelProv",) * count
+        with pytest.raises(InvalidArgumentError):
+            apply_action(ctx_for(visitus), DomainAction(name, args))
+        with pytest.raises(InvalidArgumentError):
+            detect_conflicts([("P", action("delete_task", "HotelProv")), ("Q", DomainAction(name, args))])
+    with pytest.raises(InvalidArgumentError):
+        DomainAction(name, ("HotelProv",) * (full + 1))
