@@ -37,3 +37,12 @@ def visitus():
 @pytest.fixture
 def morebeds():
     return parse_policy_document(MOREBEDS)
+
+
+@pytest.fixture(scope="session")
+def naive_differential(tmp_path_factory):
+    """One run of the engine against the naive engine, shared by the tests
+    that assert its floors (see ``test_dispatch_differential.py``)."""
+    from test_dispatch_differential import run_naive_differential
+
+    return run_naive_differential(tmp_path_factory.mktemp("naive"))

@@ -768,3 +768,13 @@ def test_random_event_soup_preserves_engine_invariants():
         assert entries == became_active
         assert exits == completed
         assert canonical_dump(model) == before
+
+
+def test_incremental_readiness_matches_full_recompute(naive_differential):
+    # the naive engine refreshes readiness by a full ready_set sweep over
+    # the in-process tasks, and the naive differential compares the
+    # instances after every event; the actions that reshape the graph or
+    # its inputs are applied often enough in its runs
+    _, applied = naive_differential
+    for action in ("add_task", "delete_task", "provide_input", "remove_input"):
+        assert applied[action] >= 20, applied
