@@ -5,9 +5,11 @@ model: nine actions (workflow control/data, task typing, membership,
 duties), five read-only predicates, the three task-lifecycle triggers and
 the hidden bootstrap allocator that runs when a task starts.
 
-Every ``apply_*`` function is all-or-nothing: it returns a fresh model
-that passes :func:`vopol.model.validate_model`, or raises with the input
-model untouched.
+:func:`apply_action` and :func:`run_bootstrap` are all-or-nothing: they
+return a new version that passes :func:`vopol.model.validate_model`, or
+raise with the input model untouched. With ``in_place=True`` they write
+the context's model itself, under its undo journal, and return it; a
+raise still leaves it as it was.
 """
 
 from __future__ import annotations
@@ -37,11 +39,17 @@ from .model import (
     TaskType,
     VoModel,
     _drop_duty,
+    _move_member,
     _put_duty,
+    _put_task,
+    _release,
+    _reserve,
     free_capacity,
     insert_task_node,
+    journal_mark,
     remove_task_node,
     set_dataflow_edge,
+    undo,
 )
 from .state import Hold, InstanceState
 
@@ -82,6 +90,9 @@ _TARGETS = {
     "unassign_duty": (1,),
 }
 
+# the actions whose last argument may stay open (None), and its type when given
+_OPEN_LAST = {"assign_duty": int, "change_type": str}
+
 _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9  # members without a bid sort after any real offer
 
@@ -99,18 +110,32 @@ class DomainAction:
     amount-or-None); a None amount means "the task's remaining shortfall,
     decided at application time". A vocabulary action carries exactly its
     upper arity of arguments, open ones as None, as :func:`resolve_action`
-    pads them; an unknown name takes any arguments."""
+    pads them: every argument is a name (``str``) but ``assign_duty``'s
+    amount (an ``int`` or None) and ``change_type``'s sharing (a name or
+    None). An unknown name takes any arguments."""
 
     name: str
     args: tuple[str | int | None, ...]
 
     def __post_init__(self):
         arity = VOCABULARY.actions.get(self.name)
-        if arity is not None and len(self.args) != arity[1]:
+        if arity is None:
+            return
+        if len(self.args) != arity[1]:
             raise InvalidArgumentError(
                 f"{self.name} needs {arity[1]} argument(s), open ones as None, got {len(self.args)}",
                 self.name,
             )
+        names, last_type = self.args, _OPEN_LAST.get(self.name)
+        if last_type is not None:
+            names, last = self.args[:-1], self.args[-1]
+            if last is not None and (type(last) is bool or not isinstance(last, last_type)):
+                raise InvalidArgumentError(
+                    f"{self.name} takes a {last_type.__name__} or None last, got {last!r}", self.name
+                )
+        for arg in names:
+            if not isinstance(arg, str):
+                raise InvalidArgumentError(f"{self.name} takes names as str, got {arg!r}", self.name)
 
     def render(self) -> str:
         shown = ["?" if a is None else str(a) for a in self.args]
@@ -234,24 +259,24 @@ def remaining_shortfall(m: VoModel, task: str, capability: str) -> int:
     return max(0, required - _coverage(m, task, capability))
 
 
-def _set_duty(out: VoModel, ctx: EvalContext, member: str, task: str, capability: str, amount: int | None):
+def _set_duty(m: VoModel, ctx: EvalContext, member: str, task: str, capability: str, amount: int | None):
     """Write one duty (None drops it) and move its units: added units are
     reserved, freed ones are held until a running task finishes or else
     released."""
     key = (member, task, capability)
-    old = out.duties.get(key, 0)
+    old = m.duties.get(key, 0)
     if amount is None:
-        _drop_duty(out, key)
+        _drop_duty(m, key)
         amount = 0
     else:
-        _put_duty(out, key, amount)
+        _put_duty(m, key, amount)
     if amount >= old:
-        out.ledger.add(member, capability, amount - old)
+        _reserve(m, member, capability, amount - old)
     elif ctx.is_active(task):
         # commitment to a running task remains until it finishes
         ctx.hold_sink.append(Hold(task, member, capability, old - amount))
     else:
-        out.ledger.release(member, capability, old - amount)
+        _release(m, member, capability, old - amount)
 
 
 def materialize(m: VoModel, action: DomainAction) -> DomainAction:
@@ -259,39 +284,36 @@ def materialize(m: VoModel, action: DomainAction) -> DomainAction:
     the task's current shortfall on ``m``."""
     if action.name == "assign_duty" and action.args[3] is None:
         member, task, capability, _ = action.args
-        assert isinstance(task, str) and isinstance(capability, str)
         if task in m.tasks:
             amount = remaining_shortfall(m, task, capability)
             return DomainAction(action.name, (member, task, capability, amount))
     return action
 
 
-def apply_member_action(ctx: EvalContext, action: DomainAction) -> VoModel:
+# Each writer below applies one kind of action to ``ctx.model`` in place
+# and runs every check before its first write.
+
+
+def _member_action(ctx: EvalContext, action: DomainAction):
     m = ctx.model
     (who,) = action.args
-    assert isinstance(who, str)
     if action.name == "add_member":
         if who in m.members:
             raise AlreadyMemberError(f"{who!r} is already a member", who)
         if who not in m.registry:
             raise UnknownMemberError(f"{who!r} is not in the candidate registry", who)
-        out = m.clone()
-        out.members[who] = out.registry.pop(who)
-        return out
+        _move_member(m, who, admit=True)
+        return
     if who not in m.members:
         raise NotAMemberError(f"{who!r} is not a member", who)
-    out = m.clone()
     for duty in m.duties_of(who):
-        _set_duty(out, ctx, who, duty.task, duty.capability, None)
-    out.registry[who] = out.members.pop(who)
-    return out
+        _set_duty(m, ctx, who, duty.task, duty.capability, None)
+    _move_member(m, who, admit=False)
 
 
-def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
+def _duty_action(ctx: EvalContext, action: DomainAction):
     m = ctx.model
-    member, task = action.args[0], action.args[1]
-    capability = action.args[2]
-    assert isinstance(member, str) and isinstance(task, str) and isinstance(capability, str)
+    member, task, capability = action.args[:3]
     if m.anyone(member) is None:
         raise UnknownMemberError(f"unknown member {member!r}", member)
     if task not in m.tasks:
@@ -300,9 +322,8 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
     if action.name == "unassign_duty":
         if (member, task, capability) not in m.duties:
             raise UnknownDutyError(f"no duty ({member}, {task}, {capability}) to unassign", member)
-        out = m.clone()
-        _set_duty(out, ctx, member, task, capability, None)
-        return out
+        _set_duty(m, ctx, member, task, capability, None)
+        return
 
     if member not in m.members:
         raise NotAMemberError(f"{member!r} is not a member", member)
@@ -318,7 +339,6 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
                 f"atomic task {task!r} is already assigned to {sorted(others)[0]!r}", task
             )
     amount = materialize(m, action).args[3]
-    assert isinstance(amount, int)
     if amount < 0:
         raise InvalidArgumentError("duty amount must be non-negative", member)
     old = m.duties.get((member, task, capability), 0)
@@ -328,13 +348,12 @@ def apply_duty_action(ctx: EvalContext, action: DomainAction) -> VoModel:
             f"assigning {amount} of ({member}, {capability}) exceeds free capacity {free} + held {old}",
             member,
         )
-    out = m.clone()
-    _set_duty(out, ctx, member, task, capability, amount)
-    return out
+    _set_duty(m, ctx, member, task, capability, amount)
 
 
-def apply_change_type(ctx: EvalContext, task: str, new_type: str, sharing: str | None) -> VoModel:
+def _change_type(ctx: EvalContext, action: DomainAction):
     m = ctx.model
+    task, new_type, sharing = action.args
     if task not in m.tasks:
         raise UnknownTaskError(f"unknown task {task!r}", task)
     try:
@@ -348,43 +367,47 @@ def apply_change_type(ctx: EvalContext, task: str, new_type: str, sharing: str |
                 f"cannot make {task!r} atomic: duties from {len(holders)} members", task
             )
     old = m.tasks[task]
-    out = m.clone()
-    out.tasks[task] = replace(old, ttype=ttype, sharing=old.sharing if sharing is None else sharing)
-    return out
+    _put_task(m, replace(old, ttype=ttype, sharing=old.sharing if sharing is None else sharing))
 
 
-def apply_workflow_action(ctx: EvalContext, action: DomainAction) -> VoModel:
+def _workflow_action(ctx: EvalContext, action: DomainAction):
     m = ctx.model
     if action.name == "add_task":
-        t1, t2, relation = action.args
-        return insert_task_node(m, str(t1), str(t2), str(relation))
-    if action.name == "delete_task":
+        insert_task_node(m, *action.args, in_place=True)
+    elif action.name == "delete_task":
         (task,) = action.args
-        assert isinstance(task, str)
         if ctx.is_active(task):
             raise ActiveTaskError(f"task {task!r} is active and cannot be deleted", task)
-        return remove_task_node(m, task)
-    item, task = action.args
-    assert isinstance(item, str) and isinstance(task, str)
-    mode = "add" if action.name == "provide_input" else "remove"
-    out, _warning = set_dataflow_edge(m, item, task, mode)
-    return out
+        remove_task_node(m, task, in_place=True)
+    else:
+        item, task = action.args
+        mode = "add" if action.name == "provide_input" else "remove"
+        set_dataflow_edge(m, item, task, mode, in_place=True)
 
 
-def apply_action(ctx: EvalContext, action: DomainAction) -> VoModel:
-    """Dispatch one resolved action; returns the new model or raises with
-    the old one untouched."""
-    if action.name in ("add_member", "remove_member"):
-        return apply_member_action(ctx, action)
-    if action.name in ("assign_duty", "unassign_duty"):
-        return apply_duty_action(ctx, action)
-    if action.name == "change_type":
-        task, new_type, sharing = action.args
-        assert isinstance(task, str) and isinstance(new_type, str)
-        return apply_change_type(ctx, task, new_type, sharing if isinstance(sharing, str) else None)
-    if action.name in ("add_task", "delete_task", "provide_input", "remove_input"):
-        return apply_workflow_action(ctx, action)
-    raise UnknownActionError(f"unknown action {action.name!r}", action.name)
+_WRITERS = {
+    "add_member": _member_action,
+    "remove_member": _member_action,
+    "assign_duty": _duty_action,
+    "unassign_duty": _duty_action,
+    "change_type": _change_type,
+    "add_task": _workflow_action,
+    "delete_task": _workflow_action,
+    "provide_input": _workflow_action,
+    "remove_input": _workflow_action,
+}
+
+
+def apply_action(ctx: EvalContext, action: DomainAction, *, in_place: bool = False) -> VoModel:
+    """Apply one resolved action; returns the new model or raises with the
+    old one untouched. With ``in_place``, the new model is ``ctx.model``."""
+    writer = _WRITERS.get(action.name)
+    if writer is None:
+        raise UnknownActionError(f"unknown action {action.name!r}", action.name)
+    if not in_place:
+        ctx = replace(ctx, model=ctx.model.clone())
+    writer(ctx, action)
+    return ctx.model
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +525,9 @@ def _ranking(m: VoModel) -> _Ranking:
     return ranking
 
 
-def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainAction]]:
+def run_bootstrap(
+    ctx: EvalContext, task: str, *, in_place: bool = False
+) -> tuple[VoModel, list[DomainAction]]:
     """Default start-of-task allocation: top up under-covered capabilities
     from current members first, then by admitting registry candidates.
 
@@ -510,7 +535,8 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
     ``assign_duty`` applied under the usual checks, so an atomic task only
     ever draws on a single member. Returns the (possibly unchanged) model
     and the actions performed, or raises :class:`TaskFailure` with nothing
-    applied when the requirements cannot be covered.
+    applied when the requirements cannot be covered: in place, the walk
+    undoes what it wrote.
     """
     m = ctx.model
     if task not in m.tasks:
@@ -518,14 +544,18 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
     if can_run(m, task):
         return m, []
     task_def = m.tasks[task]
-    ranking = _ranking(m)
+    ranking = _ranking(m)  # kept on the input, which its versions share
+    if not in_place:
+        m = m.clone()
+        ctx = replace(ctx, model=m)
+    start = journal_mark(m)
     competition = task_def.sharing == COMPETITION
     performed: list[DomainAction] = []
     for capability in sorted(task_def.required):
         shortfall = remaining_shortfall(m, task, capability)
         orders = ranking.orders(capability, competition) if shortfall else ()
-        # members first, then candidates, each filtered by the membership
-        # of the version the walk starts on
+        # members first, then candidates, each filtered by membership; a
+        # walk admits only the candidates it visits, each of them once
         for as_candidate, order in enumerate(orders):
             pool = m.registry if as_candidate else m.members
             for mid, declared in order:
@@ -540,16 +570,17 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
                 held = m.duties.get((mid, task, capability), 0)
                 steps = [DomainAction("add_member", (mid,))] if mid in m.registry else []
                 steps.append(DomainAction("assign_duty", (mid, task, capability, held + take)))
-                version = m
+                mark = journal_mark(m)
                 try:
                     for step in steps:
-                        version = apply_action(replace(ctx, model=version), step)
+                        apply_action(ctx, step, in_place=True)
                 except AtomicityViolationError:
-                    continue  # a candidate's admission is dropped with its duty
-                m = version
+                    undo(m, mark)  # a candidate's admission is dropped with its duty
+                    continue
                 performed += steps
                 shortfall -= take
         if shortfall > 0:
+            undo(m, start)
             raise TaskFailure(
                 f"task {task!r} needs {shortfall} more of {capability!r} and no suitable member can cover it",
                 task,

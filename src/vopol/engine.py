@@ -15,12 +15,13 @@ suppressed ones included. If it conflicts with one, it is suppressed
 (first writer wins) and never applied; otherwise it is applied at once,
 so later conditions observe it. A suppressed request counts as a failed
 attempt, so ``andthen`` stops and ``orelse`` tries its right side. A
-policy whose evaluation raises is rolled back: its model changes, holds,
-requests and conflicts are dropped. The trace lists the POLICY-FIRED (or
-ERROR) records per policy, then the CONFLICT records by (first, second)
-index, then the ACTION-APPLIED and ACTION-FAILED records in attempt
-order. For task_entry only, the bootstrap allocator runs last and fails
-the task when it cannot cover the requirements.
+policy whose evaluation raises is rolled back: its model writes are
+undone through the model's journal, and its holds, requests and
+conflicts are dropped. The trace lists the POLICY-FIRED (or ERROR)
+records per policy, then the CONFLICT records by (first, second) index,
+then the ACTION-APPLIED and ACTION-FAILED records in attempt order. For
+task_entry only, the bootstrap allocator runs last and fails the task
+when it cannot cover the requirements.
 """
 
 from __future__ import annotations
@@ -55,7 +56,16 @@ from .errors import (
     UnderflowError,
     VopolError,
 )
-from .model import CUSTOMER, VoModel, adjust_reserved_capacity, validate_model
+from .model import (
+    CUSTOMER,
+    VoModel,
+    _release,
+    adjust_reserved_capacity,
+    commit,
+    journal_mark,
+    undo,
+    validate_model,
+)
 from .state import InstanceState, Status, StatusMap
 from .trace import TraceRecord
 
@@ -149,7 +159,11 @@ def _action_fields(policy: str, name: str, args: tuple) -> tuple[tuple[str, str]
 
 
 class Engine:
-    """Runs one instance; processes events strictly sequentially."""
+    """Runs one instance; processes events strictly sequentially.
+
+    ``model`` is the engine's working model, a copy of the one it was
+    given: every event writes it in place, and its journal holds the
+    writes of the event under way, so a policy that raises is undone."""
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
         self.model = model.clone()
@@ -227,31 +241,30 @@ class Engine:
                 status[task] = Status.READY if eligible else Status.PENDING
         self._touched.clear()
 
-    def _touch_applied(self, action: DomainAction, applied_to: VoModel):
-        """Note the tasks whose readiness an applied action may change:
-        the task a graph change adds or deletes with its successors, or
-        the task whose inputs changed. ``self.model`` is already the new
-        version; ``applied_to`` is the one the action was applied to."""
-        if action.name in ("add_task", "delete_task"):
-            task = str(action.args[0])
-            graph = self.model if action.name == "add_task" else applied_to
+    def _apply(self, ctx: EvalContext, action: DomainAction):
+        """Apply ``action`` to the working model and note the tasks whose
+        readiness it may change: the task a graph change adds or deletes
+        with its successors in the graph that has it, or the task whose
+        inputs changed."""
+        name = action.name
+        # a deleted task's successors, read before the delete unwires it
+        deleted_successors = self.model.successors(action.args[0]) if name == "delete_task" else ()
+        apply_action(ctx, action, in_place=True)
+        if name in ("add_task", "delete_task"):
+            task = action.args[0]
             self._touched.add(task)
-            self._touched.update(graph.successors(task))
-        elif action.name in ("provide_input", "remove_input"):
-            item, task = str(action.args[0]), str(action.args[1])
+            self._touched.update(self.model.successors(task) if name == "add_task" else deleted_successors)
+        elif name in ("provide_input", "remove_input"):
+            item, task = action.args
             self._touched.add(task)
-            if action.name == "provide_input":
+            if name == "provide_input":
                 # never dropped on removal: a stale consumer costs one re-check
                 self._consumers.setdefault(item, set()).add(task)
 
     def _release_holds(self, task: str):
-        """Free the units held for ``task`` in a new model version, so a
-        version handed out earlier keeps its ledger."""
-        holds = self.instance.release_holds(task)
-        if holds:
-            self.model = self.model.clone()
-            for hold in holds:
-                self.model.ledger.release(hold.member, hold.capability, hold.amount)
+        """Free the units held for ``task`` in the working model."""
+        for hold in self.instance.release_holds(task):
+            _release(self.model, hold.member, hold.capability, hold.amount)
 
     # dispatch -------------------------------------------------------------
 
@@ -290,10 +303,11 @@ class Engine:
                 action = materialize(ctx.model, action)
                 fields = _action_fields(policy_name, action.name, action.args)
                 try:
-                    self.model = apply_action(ctx, action)
+                    # every check runs before the first write, so a failed
+                    # action leaves the model as it was
+                    self._apply(ctx, action)
                 except ModelError as err:
                     return failed(fields, err)
-                self._touch_applied(action, ctx.model)
                 self.instance.holds.extend(ctx.hold_sink)
                 outcomes.append(("ACTION-APPLIED", fields))
                 return True
@@ -302,7 +316,7 @@ class Engine:
 
         logs = (self.instance.holds, requests, conflicts, outcomes)
         for policy in self._candidates(trig):
-            saved = self.model
+            saved = journal_mark(self.model)
             marks = tuple(map(len, logs))
             try:
                 applied = evaluate_rule_group(
@@ -310,7 +324,7 @@ class Engine:
                 )
             except ModelError as err:
                 # roll the policy back; a task it touched costs one re-check
-                self.model = saved
+                undo(self.model, saved)
                 for log, kept in zip(logs, marks):
                     del log[kept:]
                 self._emit_error(err, f"policy {policy.name!r}: {err.message}")
@@ -335,13 +349,13 @@ class Engine:
         if trig.name == "task_entry":
             ctx = EvalContext(self.model, self.instance, trig.task)
             try:
-                new_model, performed = run_bootstrap(ctx, trig.task)
+                # a failure leaves the model as it was
+                _, performed = run_bootstrap(ctx, trig.task, in_place=True)
             except TaskFailure as err:
                 fields = _action_fields(BOOTSTRAP_POLICY, "bootstrap", (trig.task,))
                 self._emit("ACTION-FAILED", *fields, ("error", err.code), ("detail", err.message))
                 bootstrap_failed = True
             else:
-                self.model = new_model
                 for action in performed:
                     self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
 
@@ -372,6 +386,7 @@ class Engine:
             )
         else:
             getattr(self, "_ev_" + ev.kind.replace("-", "_"))(ev)
+        commit(self.model)  # the journal holds one event's writes at most
         return self.records[mark:]
 
     def _reject(self, ev: ScenarioEvent, err: VopolError):
@@ -456,15 +471,17 @@ class Engine:
             ("capability", capability),
             ("amount", str(amount)),
         )
+        saved = journal_mark(self.model)
         try:
-            adjusted = adjust_reserved_capacity(self.model, member, capability, sign * amount)
+            adjust_reserved_capacity(self.model, member, capability, sign * amount, in_place=True)
         except ModelError as err:
             self._emit_error(err)
             return
         if sign < 0:
-            reserved = self.model.ledger.get(member, capability)
+            reserved = self.model.ledger.get(member, capability) + amount  # before this release
             unclaimed = max(0, reserved - self._claimed(member, capability))
             if amount > unclaimed:
+                undo(self.model, saved)
                 self._emit_error(
                     UnderflowError(
                         f"releasing {amount} of ({member}, {capability}) would free units that duties "
@@ -472,8 +489,6 @@ class Engine:
                         member,
                     )
                 )
-                return
-        self.model = adjusted
 
     def _claimed(self, member: str, capability: str) -> int:
         """The units of ``member``'s ``capability`` that its duties and the

@@ -2,17 +2,23 @@
 
 The model holds members, the task catalogue, the control-flow graph over
 in-process tasks, data flows, the candidate registry, named integer
-parameters, duty assignments and the capacity ledger. Mutating operations
-never modify their input: they return a fresh model, and a successful
-result always satisfies :func:`validate_model`. Failed operations raise
-and leave the caller's model untouched.
+parameters, duty assignments and the capacity ledger. A mutating
+operation returns a new version and leaves its input untouched, or, with
+``in_place=True``, writes its input and returns it. Either way it runs
+every check before its first write, so a failed operation raises and
+leaves the model as it was, and a successful result always satisfies
+:func:`validate_model`.
 
-Model versions share their records: :class:`Member` and :class:`TaskDef`
-are frozen, so a change puts a new record (``dataclasses.replace``) into
-the new version's containers (dicts, sets, ledger), which it owns alone.
+Versions share their records: :class:`Member` and :class:`TaskDef` are
+frozen, so a change puts a new record (``dataclasses.replace``) into the
+containers (dicts, sets, ledger) that each version owns alone.
 
-``VoModel.duties`` is a read-only mapping, (member, task, capability) ->
-amount: only the actions and the primitives here write duties, through
+Only this module writes the containers. Past :func:`load_model`, each
+write goes through :func:`_write`. From the first :func:`journal_mark`
+on, it journals the old value of the slot it overwrites, so that
+:func:`undo` can roll the model back to a mark, until :func:`commit`
+drops the journal. ``VoModel.duties`` is a
+read-only mapping, (member, task, capability) -> amount, written through
 ``_put_duty``/``_drop_duty``, which keep its keys filed by task and by
 member, as ``_link``/``_unlink`` keep the control graph.
 """
@@ -98,21 +104,6 @@ class CapacityLedger:
     def get(self, member: str, capability: str) -> int:
         return self.reserved.get((member, capability), 0)
 
-    def add(self, member: str, capability: str, delta: int):
-        key = (member, capability)
-        new = self.reserved.get(key, 0) + delta
-        if new:
-            self.reserved[key] = new
-        else:
-            self.reserved.pop(key, None)
-
-    def release(self, member: str, capability: str, amount: int):
-        """Free ``amount`` units, or all that are left when a library call
-        to :func:`adjust_reserved_capacity` with a negative delta already
-        freed some of them (a scenario ``release`` cannot free units that a
-        duty claims)."""
-        self.add(member, capability, -min(amount, self.get(member, capability)))
-
     def clone(self) -> "CapacityLedger":
         return CapacityLedger(dict(self.reserved))
 
@@ -140,10 +131,14 @@ class VoModel:
     # the bootstrap's ranking of members and candidates (vopol.domain); a
     # cache that versions share, since no action writes a Member record
     _ranking: object = field(default=None, compare=False, repr=False)
+    # (container, key, old value) of every write since the first mark, in
+    # write order, or None when nothing can be undone; see _write
+    _journal: list | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "VoModel":
-        """A new version with its own containers; the records in them are
-        shared with this one, since no version writes a record."""
+        """A new version with its own containers and no journal; the
+        records in them are shared with this one, since no version writes
+        a record."""
         return VoModel(
             name=self.name,
             members=dict(self.members),
@@ -202,39 +197,112 @@ class VoModel:
         return _sorted_duties((k, self._duties[k]) for k in self._duties_of.get(member_id, ()))
 
 
+# the value of a dict slot that holds no key
+_ABSENT = object()
+
+
+def _store(table: dict | set, key, value):
+    """Put ``value`` under ``key``: a dict drops the key for ``_ABSENT``, a
+    set holds the key for a true value and drops it for a false one."""
+    if isinstance(table, set):
+        if value:
+            table.add(key)
+        else:
+            table.discard(key)
+    elif value is _ABSENT:
+        table.pop(key, None)
+    else:
+        table[key] = value
+
+
+def _write(m: VoModel, table: dict | set, key, value):
+    """Store ``value`` under ``key`` in ``table``, one of ``m``'s containers;
+    once a mark is taken, journal the old value so that :func:`undo` can
+    put it back."""
+    if m._journal is not None:
+        old = key in table if isinstance(table, set) else table.get(key, _ABSENT)
+        m._journal.append((table, key, old))
+    _store(table, key, value)
+
+
+def journal_mark(m: VoModel) -> int:
+    """A point that :func:`undo` can roll ``m`` back to; from the first
+    mark until :func:`commit`, every write to ``m`` is journaled."""
+    if m._journal is None:
+        m._journal = []
+    return len(m._journal)
+
+
+def undo(m: VoModel, mark: int):
+    """Restore every slot written since ``mark``, newest first."""
+    journal = m._journal
+    while len(journal) > mark:
+        _store(*journal.pop())
+
+
+def commit(m: VoModel):
+    """Drop the journal: the writes so far can no longer be undone, and
+    later ones are not journaled until the next mark."""
+    m._journal = None
+
+
 def _link(m: VoModel, edges: Iterable[tuple[str, str]]):
-    """Add the control ``edges`` to ``m``, which must own its maps."""
+    """Add the control ``edges`` to ``m``."""
     for p, s in edges:
-        m._preds[s] = m._preds.get(s, frozenset()) | {p}
-        m._succs[p] = m._succs.get(p, frozenset()) | {s}
+        _write(m, m._preds, s, m._preds.get(s, frozenset()) | {p})
+        _write(m, m._succs, p, m._succs.get(p, frozenset()) | {s})
 
 
 def _unlink(m: VoModel, edges: Iterable[tuple[str, str]]):
     """Remove the control ``edges``, each present once, from ``m``."""
     for p, s in edges:
         for table, key, other in ((m._preds, s, p), (m._succs, p, s)):
-            table[key] -= {other}
-            if not table[key]:
-                del table[key]
+            _write(m, table, key, table[key] - {other} or _ABSENT)
 
 
 def _put_duty(m: VoModel, key: tuple[str, str, str], amount: int):
-    """Set the duty ``key`` of ``m``, which must own its maps, to ``amount``."""
+    """Set the duty ``key`` of ``m`` to ``amount``."""
     if key not in m._duties:
         member, task, _ = key
-        m._duties_on[task] = m._duties_on.get(task, frozenset()) | {key}
-        m._duties_of[member] = m._duties_of.get(member, frozenset()) | {key}
-    m._duties[key] = amount
+        _write(m, m._duties_on, task, m._duties_on.get(task, frozenset()) | {key})
+        _write(m, m._duties_of, member, m._duties_of.get(member, frozenset()) | {key})
+    _write(m, m._duties, key, amount)
 
 
 def _drop_duty(m: VoModel, key: tuple[str, str, str]):
     """Remove the duty ``key``, which must be present, from ``m``."""
-    del m._duties[key]
+    _write(m, m._duties, key, _ABSENT)
     member, task, _ = key
     for table, at in ((m._duties_on, task), (m._duties_of, member)):
-        table[at] -= {key}
-        if not table[at]:
-            del table[at]
+        _write(m, table, at, table[at] - {key} or _ABSENT)
+
+
+def _put_task(m: VoModel, task_def: TaskDef):
+    """File ``task_def`` in ``m``'s catalogue under its id."""
+    _write(m, m.tasks, task_def.id, task_def)
+
+
+def _move_member(m: VoModel, who: str, admit: bool):
+    """Move ``who`` from the registry into the members (``admit``) or back."""
+    source, target = (m.registry, m.members) if admit else (m.members, m.registry)
+    _write(m, target, who, source[who])
+    _write(m, source, who, _ABSENT)
+
+
+def _reserve(m: VoModel, member: str, capability: str, delta: int):
+    """Shift the units of ``capability`` that ``m``'s ledger reserves for
+    ``member`` by ``delta``; the caller keeps the ledger's bounds."""
+    key = (member, capability)
+    new = m.ledger.get(member, capability) + delta
+    _write(m, m.ledger.reserved, key, new or _ABSENT)
+
+
+def _release(m: VoModel, member: str, capability: str, amount: int):
+    """Free ``amount`` units, or all that are left when a library call to
+    :func:`adjust_reserved_capacity` with a negative delta already freed
+    some of them (a scenario ``release`` cannot free units that a duty
+    claims)."""
+    _reserve(m, member, capability, -min(amount, m.ledger.get(member, capability)))
 
 
 def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Duty]:
@@ -531,7 +599,7 @@ def _need_task(m: VoModel, task: str, in_process: bool | None = None) -> TaskDef
     return task_def
 
 
-def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> VoModel:
+def insert_task_node(m: VoModel, t1: str, t2: str, relation: str, *, in_place: bool = False) -> VoModel:
     """Wire catalogue task ``t1`` into the process next to ``t2``.
 
     ``after``: t1 takes over every outgoing edge of t2 and a single edge
@@ -544,18 +612,18 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> VoModel:
     if m.tasks[t1].in_process:
         raise AlreadyInProcessError(f"task {t1!r} is already in the process", t1)
     _need_task(m, t2, in_process=True)
-    out = m.clone()
-    succ = m.successors(t2)
+    out = m if in_place else m.clone()
+    succ = out.successors(t2)
     if relation == "after":
         _unlink(out, [(t2, s) for s in succ])
         _link(out, [(t1, s) for s in succ] + [(t2, t1)])
     else:
-        _link(out, [(p, t1) for p in m.predecessors(t2)] + [(t1, s) for s in succ])
-    out.tasks[t1] = replace(out.tasks[t1], in_process=True)
+        _link(out, [(p, t1) for p in out.predecessors(t2)] + [(t1, s) for s in succ])
+    _put_task(out, replace(out.tasks[t1], in_process=True))
     return out
 
 
-def remove_task_node(m: VoModel, t: str) -> VoModel:
+def remove_task_node(m: VoModel, t: str, *, in_place: bool = False) -> VoModel:
     """Unwire ``t`` from the process, bridging predecessors to successors.
 
     A bridge p -> s is added for every predecessor/successor pair that is
@@ -567,9 +635,9 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
     ``t`` has no active instance.
     """
     _need_task(m, t, in_process=True)
-    out = m.clone()
-    preds = m.predecessors(t)
-    succs = m.successors(t)
+    out = m if in_place else m.clone()
+    preds = out.predecessors(t)
+    succs = out.successors(t)
     _unlink(out, {(p, t) for p in preds} | {(t, s) for s in succs})
     bridges = set()
     for p in preds:
@@ -583,16 +651,17 @@ def remove_task_node(m: VoModel, t: str) -> VoModel:
         reach.discard(p)  # on cyclic input a task that is both pred and succ gets p -> p
         bridges |= {(p, s) for s in succs if s not in reach}
     _link(out, bridges)
-    for duty in m.duties_on(t):
+    for duty in out.duties_on(t):
         _drop_duty(out, (duty.member, t, duty.capability))
-        out.ledger.release(duty.member, duty.capability, duty.amount)
-    out.dataflows = {f for f in out.dataflows if f.source != t and f.target != t}
-    out.tasks[t] = replace(out.tasks[t], in_process=False)
+        _release(out, duty.member, duty.capability, duty.amount)
+    for flow in [f for f in out.dataflows if f.source == t or f.target == t]:
+        _write(out, out.dataflows, flow, False)
+    _put_task(out, replace(out.tasks[t], in_process=False))
     return out
 
 
 def set_dataflow_edge(
-    m: VoModel, item: str, t: str, mode: str
+    m: VoModel, item: str, t: str, mode: str, *, in_place: bool = False
 ) -> tuple[VoModel, Diagnostic | None]:
     """Add or remove the dataflow ``item -> t``; ``t.inputs`` mirrors it.
 
@@ -611,10 +680,10 @@ def set_dataflow_edge(
             if f.target == t:
                 existing.append(f)
     if mode == "add":
-        out = m.clone()
+        out = m if in_place else m.clone()
         if not existing:
-            out.dataflows.add(DataFlow(item, min(sources) if sources else CUSTOMER, t))
-        out.tasks[t] = replace(task_def, inputs=task_def.inputs | {item})
+            _write(out, out.dataflows, DataFlow(item, min(sources) if sources else CUSTOMER, t), True)
+        _put_task(out, replace(task_def, inputs=task_def.inputs | {item}))
         return out, None
     if not existing:
         warning = Diagnostic(
@@ -624,13 +693,16 @@ def set_dataflow_edge(
             severity="warning",
         )
         return m, warning
-    out = m.clone()
-    out.dataflows.difference_update(existing)
-    out.tasks[t] = replace(task_def, inputs=task_def.inputs - {item})
+    out = m if in_place else m.clone()
+    for flow in existing:
+        _write(out, out.dataflows, flow, False)
+    _put_task(out, replace(task_def, inputs=task_def.inputs - {item}))
     return out, None
 
 
-def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: int) -> VoModel:
+def adjust_reserved_capacity(
+    m: VoModel, member: str, capability: str, delta: int, *, in_place: bool = False
+) -> VoModel:
     """Shift the reserved amount for (member, capability) by ``delta``,
     holding 0 <= reserved <= declared."""
     declared = m.declared(member, capability)
@@ -649,8 +721,8 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
         raise CapacityExceededError(
             f"reserving {delta} of ({member}, {capability}) would exceed declared {declared}", member
         )
-    out = m.clone()
-    out.ledger.add(member, capability, delta)
+    out = m if in_place else m.clone()
+    _reserve(out, member, capability, delta)
     return out
 
 

@@ -11,11 +11,17 @@ form of each hook the engine optimises:
   keeps each task's fragment of the STATE record between events);
 - ``dispatch_trigger``: one-pass semantics, with a request suppressed when
   the hand-written pair rules find it clashing with any earlier request
-  (the engine compares what each request writes), the hand-written
-  bootstrap allocator that walks the whole population and scans every duty
-  (the engine applies ordinary actions over a shared ranking and reads
-  duty buckets), and a snapshot taken before each policy to roll it back
-  (the engine truncates its logs).
+  (the engine compares what each request writes), every action applied
+  to a new model version (the engine writes its one working model in
+  place), the hand-written bootstrap allocator that walks the whole
+  population and scans every duty on a scratch copy (the engine applies
+  ordinary actions over a shared ranking, reads duty buckets and undoes a
+  failed walk through the model's journal), and a snapshot taken before
+  each policy to roll it back (the engine undoes the policy's writes and
+  truncates its logs);
+- ``_adjust_capacity`` and ``_release_holds``: the ledger written in a new
+  model version (the engine writes it in place and undoes a refused
+  release).
 
 A new index or cache adds its naive form here rather than a new frozen
 copy of the code it replaces.
@@ -36,9 +42,9 @@ from vopol.domain import (
     materialize,
     resolve_action,
 )
-from vopol.engine import BOOTSTRAP_POLICY, Engine, _action_fields, ready_set
-from vopol.errors import ModelError, TaskFailure, UnknownTaskError
-from vopol.model import TaskType, VoModel, _put_duty, free_capacity
+from vopol.engine import BOOTSTRAP_POLICY, Engine, ScenarioEvent, _action_fields, ready_set
+from vopol.errors import InvalidArgumentError, ModelError, TaskFailure, UnderflowError, UnknownTaskError
+from vopol.model import TaskType, VoModel, _put_duty, adjust_reserved_capacity, free_capacity
 from vopol.policy.ast import ActionCall, Ident, Policy, Pred, TriggerSpec
 from vopol.policy.evaluate import evaluate_rule_group
 from vopol.state import Status
@@ -89,6 +95,19 @@ def detect_conflicts(actions: list[tuple[str, DomainAction]], start: int = 0) ->
             if reason is not None:
                 out.append(Conflict(i, j, actions[i], actions[j], reason))
     return out
+
+
+# ledger -------------------------------------------------------------------
+
+
+def _shift(m: VoModel, member: str, capability: str, delta: int):
+    """Shift the units the ledger of ``m`` reserves by ``delta``, clamped at 0."""
+    reserved = m.ledger.reserved
+    new = max(0, reserved.get((member, capability), 0) + delta)
+    if new:
+        reserved[member, capability] = new
+    else:
+        reserved.pop((member, capability), None)
 
 
 # bootstrap ----------------------------------------------------------------
@@ -152,7 +171,7 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
         take = min(free, shortfall)
         new_amount = scratch.duties.get((mid, task, capability), 0) + take
         _put_duty(scratch, (mid, task, capability), new_amount)
-        scratch.ledger.add(mid, capability, take)
+        _shift(scratch, mid, capability, take)
         performed.append(DomainAction("assign_duty", (mid, task, capability, new_amount)))
         return take
 
@@ -202,6 +221,49 @@ class NaiveEngine(Engine):
                 status[task] = Status.PENDING
         for task in ready_set(self.model, self.instance):
             status[task] = Status.READY
+
+    def _release_holds(self, task: str):
+        holds = self.instance.release_holds(task)
+        if holds:
+            self.model = self.model.clone()
+            for hold in holds:
+                _shift(self.model, hold.member, hold.capability, -hold.amount)
+
+    def _adjust_capacity(self, ev: ScenarioEvent, sign: int):
+        member, capability, raw = str(ev.args[0]), str(ev.args[1]), ev.args[2]
+        amount = None
+        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+            try:
+                amount = int(raw)
+            except ValueError:
+                pass
+        if amount is None:
+            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
+            return
+        if amount < 0:
+            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {raw!r}", ev.kind))
+            return
+        self._emit(
+            "EVENT", ("event", ev.kind), ("member", member), ("capability", capability), ("amount", str(amount))
+        )
+        try:
+            adjusted = adjust_reserved_capacity(self.model, member, capability, sign * amount)
+        except ModelError as err:
+            self._emit_error(err)
+            return
+        if sign < 0:
+            reserved = self.model.ledger.get(member, capability)
+            unclaimed = max(0, reserved - self._claimed(member, capability))
+            if amount > unclaimed:
+                self._emit_error(
+                    UnderflowError(
+                        f"releasing {amount} of ({member}, {capability}) would free units that duties "
+                        f"or holds claim: {unclaimed} of {reserved} reserved are unclaimed",
+                        member,
+                    )
+                )
+                return
+        self.model = adjusted
 
     def _emit_state(self):
         status = self.instance.status

@@ -19,6 +19,7 @@ straight into the registry.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -95,9 +96,9 @@ def _outcome(run, m, active):
 def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):
     atomic_skips = []
 
-    def counting_apply(ctx, action):
+    def counting_apply(ctx, action, **kwargs):
         try:
-            return apply_action(ctx, action)
+            return apply_action(ctx, action, **kwargs)
         except AtomicityViolationError:
             atomic_skips.append(action)
             raise
@@ -119,6 +120,23 @@ def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):
         sole_holders += m.tasks["T"].ttype.value == "Atomic" and bool(m.duties_on("T"))
     assert admissions >= 60 and failures >= 60 and sole_holders >= 20, (admissions, failures, sole_holders)
     assert len(atomic_skips) >= 40, len(atomic_skips)
+
+
+def test_bootstrap_in_place_matches_the_new_version():
+    # in place the walk undoes a refused admission and, on failure, all it
+    # wrote through the model's journal
+    rng = random.Random(7)
+    failures = 0
+    for _ in range(400):
+        m = _model(rng)
+        active = ("T",) if rng.random() < 0.25 else ()
+        expected = _outcome(run_bootstrap, m, active)
+        working = m.clone()
+        assert _outcome(partial(run_bootstrap, in_place=True), working, active) == expected
+        failed = expected[0][0] == "failed"
+        assert canonical_dump(working) == (canonical_dump(m) if failed else expected[0][1])
+        failures += failed
+    assert failures >= 60, failures
 
 
 def test_successive_versions_share_one_ranking_until_the_registry_is_written():

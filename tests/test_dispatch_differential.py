@@ -8,8 +8,9 @@ engines must agree on the event's records, the model, the instance and
 the active policies, conflicts, policy errors and bootstrap failures
 included. So the trigger index, the readiness refresh of touched tasks,
 the kept STATE fragments, the conflicts derived from what requests write,
-the bootstrap through ordinary actions over a shared ranking and the
-rollback by truncation each match their naive form.
+the bootstrap through ordinary actions over a shared ranking, the writes
+in place and the rollback through the model's journal each match their
+naive form, which writes a new model version instead.
 """
 
 from __future__ import annotations
@@ -167,6 +168,7 @@ def _run(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> tuple[Counter[str],
     for _ in range(200):
         model_text, tasks, spare, items = _soup_model(rng)
         model = load_model(model_text)
+        loaded = canonical_dump(model)
         # up to a dozen policies: with a few, even a merge of index buckets
         # left in set order would come out sorted
         policies = _policies(rng, tasks, spare, items, [f"R{k}" for k in range(rng.randint(1, 12))])
@@ -206,6 +208,8 @@ def _run(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> tuple[Counter[str],
             expected = format_trace(ref.handle_event(event))
             assert format_trace(new.handle_event(event)) == expected, event
             _same(new, ref)
+        # each engine writes a working copy; the model they were given is untouched
+        assert canonical_dump(model) == loaded
         records = new.records
         assert not any(r.get("error") == "InvalidPolicy" for r in records)
         tally["skipped"] += evaluations[vopol.engine] < evaluations[naive]

@@ -9,10 +9,6 @@ from vopol.domain import (
     DomainAction,
     EvalContext,
     apply_action,
-    apply_change_type,
-    apply_duty_action,
-    apply_member_action,
-    apply_workflow_action,
     can_run,
     eval_predicate,
     resolve_action,
@@ -54,21 +50,21 @@ def visitus_ctx(visitus):
 
 
 def test_add_member_moves_candidate_in(visitus_ctx):
-    out = apply_member_action(visitus_ctx, action("add_member", "newHotel"))
+    out = apply_action(visitus_ctx, action("add_member", "newHotel"))
     assert "newHotel" in out.members and "newHotel" not in out.registry
     assert out.duties == {}
     assert validate_model(out) == []
 
 
 def test_add_member_twice_fails(visitus_ctx):
-    out = apply_member_action(visitus_ctx, action("add_member", "newHotel"))
+    out = apply_action(visitus_ctx, action("add_member", "newHotel"))
     with pytest.raises(AlreadyMemberError):
-        apply_member_action(ctx_for(out), action("add_member", "newHotel"))
+        apply_action(ctx_for(out), action("add_member", "newHotel"))
 
 
 def test_add_member_unknown(visitus_ctx):
     with pytest.raises(UnknownMemberError):
-        apply_member_action(visitus_ctx, action("add_member", "ghost"))
+        apply_action(visitus_ctx, action("add_member", "ghost"))
 
 
 def test_remove_member_drops_all_duties_and_reservations():
@@ -77,10 +73,10 @@ def test_remove_member_drops_all_duties_and_reservations():
         "task T type=Replicable requires a=2\ntask U type=Replicable requires b=3\nedge T U\n"
     )
     ctx = ctx_for(m)
-    m = apply_duty_action(ctx, action("assign_duty", "P", "T", "a", 2))
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "U", "b", 3))
+    m = apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "U", "b", 3))
     assert len(m.duties) == 2
-    out = apply_member_action(ctx_for(m), action("remove_member", "P"))
+    out = apply_action(ctx_for(m), action("remove_member", "P"))
     assert out.duties == {}
     assert out.ledger.reserved == {}
     assert "P" in out.registry  # back in the breeding pool
@@ -91,9 +87,9 @@ def test_remove_member_keeps_reservation_for_active_task():
     m = load_model(
         "vo X\nmember P kind=Partner cap a=5\ntask T type=Replicable requires a=2\n"
     )
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
     ctx = ctx_for(m, active={"T"})
-    out = apply_member_action(ctx, action("remove_member", "P"))
+    out = apply_action(ctx, action("remove_member", "P"))
     assert out.duties == {}
     assert out.ledger.get("P", "a") == 2  # commitment survives the removal
     assert ctx.hold_sink == [("T", "P", "a", 2)]
@@ -102,9 +98,9 @@ def test_remove_member_keeps_reservation_for_active_task():
 def test_remove_nonmember_rejected(visitus_ctx, visitus):
     before = canonical_dump(visitus)
     with pytest.raises(NotAMemberError):
-        apply_member_action(visitus_ctx, action("remove_member", "ghost"))
+        apply_action(visitus_ctx, action("remove_member", "ghost"))
     with pytest.raises(NotAMemberError):
-        apply_member_action(visitus_ctx, action("remove_member", "newHotel"))
+        apply_action(visitus_ctx, action("remove_member", "newHotel"))
     assert canonical_dump(visitus) == before
 
 
@@ -112,8 +108,8 @@ def test_remove_nonmember_rejected(visitus_ctx, visitus):
 
 
 def test_assign_creates_duty_and_reserves(visitus):
-    m = apply_member_action(ctx_for(visitus), action("add_member", "newHotel"))
-    out = apply_duty_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    out = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
     assert out.duties == {("newHotel", "HotelProv", "beds"): 3}
     assert out.ledger.get("newHotel", "beds") == 3
     assert validate_model(out) == []
@@ -121,46 +117,46 @@ def test_assign_creates_duty_and_reserves(visitus):
 
 def test_reassign_overwrites_amount():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))
-    out = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))
+    out = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     assert out.duties == {("P", "T", "a"): 5}
     assert out.ledger.get("P", "a") == 5
 
 
 def test_assign_overwrite_equals_last_write():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    twice = apply_duty_action(
-        ctx_for(apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))),
+    twice = apply_action(
+        ctx_for(apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))),
         action("assign_duty", "P", "T", "a", 5),
     )
-    once = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    once = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     assert canonical_dump(twice) == canonical_dump(once)
 
 
 def test_assign_capacity_check_allows_own_held_amount():
     m = load_model("vo X\nmember P kind=Partner cap a=5\ntask T type=Replicable requires a=5\n")
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     # 5 free + 0: raising beyond declared must fail, re-assigning 5 is fine
-    out = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    out = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     assert out.ledger.get("P", "a") == 5
     with pytest.raises(CapacityExceededError):
-        apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 6))
+        apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 6))
 
 
 def test_assign_defaults_amount_to_shortfall(visitus):
-    m = apply_member_action(ctx_for(visitus), action("add_member", "newHotel"))
-    out = apply_duty_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", None))
+    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    out = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", None))
     assert out.duties[("newHotel", "HotelProv", "beds")] == 3
 
 
 def test_assign_requires_declared_capability(visitus):
     with pytest.raises(CapabilityMissingError):
-        apply_duty_action(ctx_for(visitus), action("assign_duty", "Hotel", "HotelProv", "vans", 1))
+        apply_action(ctx_for(visitus), action("assign_duty", "Hotel", "HotelProv", "vans", 1))
 
 
 def test_assign_requires_task_requirement(visitus):
     with pytest.raises(CapabilityMissingError):
-        apply_duty_action(ctx_for(visitus), action("assign_duty", "Hotel", "BookFlight", "beds", 1))
+        apply_action(ctx_for(visitus), action("assign_duty", "Hotel", "BookFlight", "beds", 1))
 
 
 def test_assign_atomic_second_member_rejected():
@@ -168,16 +164,16 @@ def test_assign_atomic_second_member_rejected():
         "vo X\nmember P kind=Partner cap a=5\nmember Q kind=Partner cap a=5\n"
         "task T type=Atomic requires a=4\n"
     )
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
     with pytest.raises(AtomicityViolationError):
-        apply_duty_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
+        apply_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
 
 
 def test_assign_reduction_on_active_task_keeps_commitment():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     ctx = ctx_for(m, active={"T"})
-    out = apply_duty_action(ctx, action("assign_duty", "P", "T", "a", 2))
+    out = apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
     assert out.duties[("P", "T", "a")] == 2
     assert out.ledger.get("P", "a") == 5  # reservation unchanged until completion
     assert ctx.hold_sink == [("T", "P", "a", 3)]
@@ -186,17 +182,17 @@ def test_assign_reduction_on_active_task_keeps_commitment():
 def test_unassign_absent_duty_rejected(visitus):
     before = canonical_dump(visitus)
     with pytest.raises(UnknownDutyError):
-        apply_duty_action(ctx_for(visitus), action("unassign_duty", "Hotel", "HotelProv", "beds"))
+        apply_action(ctx_for(visitus), action("unassign_duty", "Hotel", "HotelProv", "beds"))
     assert canonical_dump(visitus) == before
 
 
 def test_unassign_releases_unless_active():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    idle = apply_duty_action(ctx_for(m), action("unassign_duty", "P", "T", "a"))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    idle = apply_action(ctx_for(m), action("unassign_duty", "P", "T", "a"))
     assert idle.ledger.get("P", "a") == 0
     ctx = ctx_for(m, active={"T"})
-    busy = apply_duty_action(ctx, action("unassign_duty", "P", "T", "a"))
+    busy = apply_action(ctx, action("unassign_duty", "P", "T", "a"))
     assert busy.ledger.get("P", "a") == 5
     assert ctx.hold_sink == [("T", "P", "a", 5)]
 
@@ -207,7 +203,7 @@ def test_duty_release_never_frees_more_than_is_reserved():
     from vopol.model import adjust_reserved_capacity, remove_task_node
 
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     m = adjust_reserved_capacity(m, "P", "a", -4)
     for shrink in (
         action("assign_duty", "P", "T", "a", 0),
@@ -224,13 +220,13 @@ def test_duty_release_never_frees_more_than_is_reserved():
 
 
 def test_change_type_morebeds_case(visitus):
-    out = apply_change_type(ctx_for(visitus), "HotelProv", "Replicable", "competition")
+    out = apply_action(ctx_for(visitus), action("change_type", "HotelProv", "Replicable", "competition"))
     assert out.tasks["HotelProv"].ttype is TaskType.REPLICABLE
     assert out.tasks["HotelProv"].sharing == "competition"
 
 
 def test_change_type_to_same_type_is_noop(visitus):
-    out = apply_change_type(ctx_for(visitus), "HotelProv", "Atomic", None)
+    out = apply_action(ctx_for(visitus), action("change_type", "HotelProv", "Atomic", None))
     assert canonical_dump(out) == canonical_dump(visitus)
 
 
@@ -239,10 +235,10 @@ def test_change_type_to_atomic_with_two_holders_rejected():
         "vo X\nmember P kind=Partner cap a=5\nmember Q kind=Partner cap a=5\n"
         "task T type=Replicable requires a=4\n"
     )
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
+    m = apply_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
     with pytest.raises(AtomicityViolationError):
-        apply_change_type(ctx_for(m), "T", "Atomic", None)
+        apply_action(ctx_for(m), action("change_type", "T", "Atomic", None))
 
 
 # --- workflow actions ----------------------------------------------------------
@@ -253,7 +249,7 @@ def test_delete_active_task_rejected():
     ctx = ctx_for(m, active={"T"})
     before = canonical_dump(m)
     with pytest.raises(ActiveTaskError):
-        apply_workflow_action(ctx, action("delete_task", "T"))
+        apply_action(ctx, action("delete_task", "T"))
     assert canonical_dump(m) == before
 
 
@@ -262,7 +258,7 @@ def test_add_task_after(visitus):
         "vo X\ntask A type=Atomic\ntask HotelProv type=Atomic\ntask C type=Atomic\n"
         "task Insurance type=Atomic inprocess=false\nedge A HotelProv\nedge HotelProv C\n"
     )
-    out = apply_workflow_action(ctx_for(m), action("add_task", "Insurance", "HotelProv", "after"))
+    out = apply_action(ctx_for(m), action("add_task", "Insurance", "HotelProv", "after"))
     assert out.control_edges == {
         ("A", "HotelProv"),
         ("HotelProv", "Insurance"),
@@ -272,7 +268,7 @@ def test_add_task_after(visitus):
 
 def test_provide_input_adds_flow():
     m = load_model("vo X\ntask HotelProv type=Atomic\n")
-    out = apply_workflow_action(ctx_for(m), action("provide_input", "itinerary", "HotelProv"))
+    out = apply_action(ctx_for(m), action("provide_input", "itinerary", "HotelProv"))
     assert any(f.item == "itinerary" and f.target == "HotelProv" for f in out.dataflows)
 
 
@@ -340,15 +336,15 @@ def test_can_run_vacuous_without_requirements(visitus):
 
 def test_can_run_needs_covering_duties(visitus):
     assert not can_run(visitus, "HotelProv")
-    m = apply_member_action(ctx_for(visitus), action("add_member", "newHotel"))
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    m = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
     assert can_run(m, "HotelProv")
 
 
 def test_task_type_predicate_flips_after_change(visitus):
     ctx = ctx_for(visitus)
     assert eval_predicate(ctx, "task_type", (Ident("HotelProv"), Ident("Atomic")))
-    changed = apply_change_type(ctx, "HotelProv", "Replicable", "competition")
+    changed = apply_action(ctx, action("change_type", "HotelProv", "Replicable", "competition"))
     ctx2 = ctx_for(changed)
     assert not eval_predicate(ctx2, "task_type", (Ident("HotelProv"), Ident("Atomic")))
     assert eval_predicate(ctx2, "task_type", (Ident("HotelProv"), Ident("Replicable")))
@@ -389,8 +385,8 @@ def test_param_resolution_in_condition(visitus, morebeds):
 
 
 def test_bootstrap_noop_when_task_can_run(visitus):
-    m = apply_member_action(ctx_for(visitus), action("add_member", "newHotel"))
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    m = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
     out, performed = run_bootstrap(ctx_for(m), "HotelProv")
     assert performed == []
     assert canonical_dump(out) == canonical_dump(m)
@@ -478,7 +474,7 @@ def test_bootstrap_respects_atomicity():
         "vo X\nmember P kind=Partner cap a=2 cap b=2\nmember Q kind=Partner cap a=9 cap b=9\n"
         "task T type=Atomic requires a=1 requires b=1\n"
     )
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
     out, performed = run_bootstrap(ctx_for(m), "T")
     # only the existing holder may be used on an atomic task
     assert {d.member for d in out.duties_on("T")} == {"P"}
@@ -490,7 +486,7 @@ def test_bootstrap_atomic_fails_when_single_member_cannot_cover():
         "vo X\nmember P kind=Partner cap a=1\nmember Q kind=Partner cap a=9\n"
         "task T type=Atomic requires a=5\n"
     )
-    m = apply_duty_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
+    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
     with pytest.raises(TaskFailure):
         run_bootstrap(ctx_for(m), "T")
 
@@ -544,3 +540,25 @@ def test_a_library_built_action_needs_its_full_arity(visitus, name):
             detect_conflicts([("P", action("delete_task", "HotelProv")), ("Q", DomainAction(name, args))])
     with pytest.raises(InvalidArgumentError):
         DomainAction(name, ("HotelProv",) * (full + 1))
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("add_member", (5,)),
+        ("delete_task", (None,)),
+        ("assign_duty", ("Hotel", "HotelProv", "beds", "3")),
+        ("assign_duty", ("Hotel", "HotelProv", "beds", True)),
+        ("change_type", ("BookFlight", "Replicable", 7)),
+    ],
+)
+def test_a_library_built_action_needs_its_argument_types(visitus, name, args):
+    # names are str, assign_duty's amount an int or None and change_type's
+    # sharing a str or None: a mistyped action is refused where it is built,
+    # so an in-place write never fails halfway through
+    before = canonical_dump(visitus)
+    with pytest.raises(InvalidArgumentError):
+        apply_action(ctx_for(visitus), DomainAction(name, args))
+    with pytest.raises(InvalidArgumentError):
+        apply_action(ctx_for(visitus), DomainAction(name, args), in_place=True)
+    assert canonical_dump(visitus) == before

@@ -475,10 +475,10 @@ def test_removed_member_reservation_released_on_completion():
     engine = Engine(m, parse_policy_document(NO_POLICIES_TEXT))
     engine.handle_event(ev("activate", "T"))  # bootstrap assigns a=2 from P
     assert engine.model.ledger.get("P", "a") == 2
-    from vopol.domain import DomainAction, EvalContext, apply_member_action
+    from vopol.domain import DomainAction, EvalContext, apply_action
 
     ctx = EvalContext(engine.model, engine.instance, "T")
-    engine.model = apply_member_action(ctx, DomainAction("remove_member", ("P",)))
+    engine.model = apply_action(ctx, DomainAction("remove_member", ("P",)))
     engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.duties == {}
     assert engine.model.ledger.get("P", "a") == 2  # discharge obligation remains
@@ -504,10 +504,10 @@ def test_unassigned_duty_reservation_released_on_failure():
     engine = Engine(m, parse_policy_document(policy_text))
     engine.handle_event(ev("activate", "T"))  # bootstrap assigns a=2
     assert engine.model.ledger.get("P", "a") == 2
-    from vopol.domain import DomainAction, EvalContext, apply_duty_action
+    from vopol.domain import DomainAction, EvalContext, apply_action
 
     ctx = EvalContext(engine.model, engine.instance, "T")
-    engine.model = apply_duty_action(ctx, DomainAction("unassign_duty", ("P", "T", "a")))
+    engine.model = apply_action(ctx, DomainAction("unassign_duty", ("P", "T", "a")))
     engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.ledger.get("P", "a") == 2  # still committed
     engine.handle_event(ev("fail", "T"))
@@ -518,17 +518,19 @@ def test_unassigned_duty_reservation_released_on_failure():
 @pytest.mark.parametrize("finish", ["complete", "fail"])
 def test_releasing_holds_leaves_earlier_model_versions_alone(finish):
     # U's entry policy takes T's duty away while T runs, so T's units stay
-    # held until T finishes; finishing T must not rewrite a kept version
+    # held until T finishes; finishing T releases them in the working model
+    # and leaves a snapshot cloned from it before alone
     model_text = HOLD_MODEL + "task U type=Replicable requires a=1\n"
     policy_text = "policy Drop appliesTo U when task_entry() do unassign_duty(P, T, a)\n"
     engine = Engine(load_model(model_text), parse_policy_document(policy_text))
     engine.handle_event(ev("activate", "T"))
     engine.handle_event(ev("activate", "U"))
     assert engine.instance.holds == [Hold("T", "P", "a", 2)]
-    kept = engine.model
+    working, kept = engine.model, engine.model.clone()
     before = canonical_dump(kept)
     assert kept.ledger.get("P", "a") == 3
     engine.handle_event(ev(finish, "T"))
+    assert engine.model is working
     assert engine.model.ledger.get("P", "a") == 1
     assert canonical_dump(kept) == before
 

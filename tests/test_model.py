@@ -246,7 +246,11 @@ def test_duty_table_copies_and_pickles_with_its_indexes():
         assert m.duties == {("P", "T", "a"): 1, ("Q", "T", "b"): 2}
 
 
+# the duty and control graph indexes, the other containers of a model and
+# the ledger's reserved units: only model.py writes them, and its writers
+# journal every write, so no write escapes undo
 INDEXES = {"_duties", "_duties_on", "_duties_of", "_preds", "_succs"}
+CONTAINERS = {"members", "registry", "tasks", "dataflows", "vbe_resources", "params", "reserved"}
 MUTATORS = {
     "add", "clear", "difference_update", "discard", "intersection_update", "pop", "popitem",
     "remove", "setdefault", "symmetric_difference_update", "update",
@@ -254,12 +258,13 @@ MUTATORS = {
 
 
 def _names_an_index(target) -> bool:
-    """``x._duties``, ``x._duties[k]`` or a tuple target holding one."""
+    """``x._duties``, ``x._duties[k]``, ``x.tasks``, ``x.tasks[k]`` and so on,
+    or a tuple target holding one."""
     if isinstance(target, (ast.Tuple, ast.List)):
         return any(_names_an_index(t) for t in target.elts)
     if isinstance(target, (ast.Subscript, ast.Starred)):
         target = target.value
-    return isinstance(target, ast.Attribute) and target.attr in INDEXES
+    return isinstance(target, ast.Attribute) and target.attr in INDEXES | CONTAINERS
 
 
 def _writes_an_index(node) -> bool:
