@@ -6,10 +6,9 @@ duties), five read-only predicates, the three task-lifecycle triggers and
 the hidden bootstrap allocator that runs when a task starts.
 
 :func:`apply_action` and :func:`run_bootstrap` are all-or-nothing: they
-return a new version that passes :func:`vopol.model.validate_model`, or
-raise with the input model untouched. With ``in_place=True`` they write
-the context's model itself, under its undo journal, and return it; a
-raise still leaves it as it was.
+write the context's model, under its undo journal if one is open, and
+leave it passing :func:`vopol.model.validate_model`, or raise with it as
+it was. Call ``ctx.model.clone()`` first to keep a snapshot.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .errors import (
     CapabilityMissingError,
     CapacityExceededError,
     InvalidArgumentError,
+    ModelError,
     NotAMemberError,
     TaskFailure,
     UnknownActionError,
@@ -44,6 +44,7 @@ from .model import (
     _put_task,
     _release,
     _reserve,
+    commit,
     free_capacity,
     insert_task_node,
     journal_mark,
@@ -373,16 +374,16 @@ def _change_type(ctx: EvalContext, action: DomainAction):
 def _workflow_action(ctx: EvalContext, action: DomainAction):
     m = ctx.model
     if action.name == "add_task":
-        insert_task_node(m, *action.args, in_place=True)
+        insert_task_node(m, *action.args)
     elif action.name == "delete_task":
         (task,) = action.args
         if ctx.is_active(task):
             raise ActiveTaskError(f"task {task!r} is active and cannot be deleted", task)
-        remove_task_node(m, task, in_place=True)
+        remove_task_node(m, task)
     else:
         item, task = action.args
         mode = "add" if action.name == "provide_input" else "remove"
-        set_dataflow_edge(m, item, task, mode, in_place=True)
+        set_dataflow_edge(m, item, task, mode)
 
 
 _WRITERS = {
@@ -398,16 +399,13 @@ _WRITERS = {
 }
 
 
-def apply_action(ctx: EvalContext, action: DomainAction, *, in_place: bool = False) -> VoModel:
-    """Apply one resolved action; returns the new model or raises with the
-    old one untouched. With ``in_place``, the new model is ``ctx.model``."""
+def apply_action(ctx: EvalContext, action: DomainAction) -> None:
+    """Apply one resolved action to ``ctx.model``, or raise with the model
+    as it was."""
     writer = _WRITERS.get(action.name)
     if writer is None:
         raise UnknownActionError(f"unknown action {action.name!r}", action.name)
-    if not in_place:
-        ctx = replace(ctx, model=ctx.model.clone())
     writer(ctx, action)
-    return ctx.model
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +475,14 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
 
 class _Ranking:
     """Everyone the bootstrap can draw on, ranked once per (capability,
-    competition) and shared by model versions.
+    competition) and shared by a model and its clones.
 
     No action writes a :class:`Member` record: ``add_member`` and
     ``remove_member`` only move one between ``members`` and ``registry``.
-    So one ranking of the whole population serves every version derived
-    through actions; a walk filters it by current membership. A version
-    whose population differs (a library caller wrote ``members`` or
-    ``registry`` directly) gets a new ranking, see :func:`_ranking`.
+    So one ranking of the whole population serves a model through every
+    action, and its clones too; a walk filters it by current membership.
+    A model whose population differs (a library caller wrote ``members``
+    or ``registry`` directly) gets a new ranking, see :func:`_ranking`.
     """
 
     def __init__(self, m: VoModel):
@@ -517,7 +515,7 @@ class _Ranking:
 
 
 def _ranking(m: VoModel) -> _Ranking:
-    """The ranking ``m`` shares with the versions it derives from, rebuilt
+    """The ranking ``m`` shares with the models it was cloned from, rebuilt
     when ``m``'s population no longer fits it."""
     ranking = m._ranking
     if ranking is None or not ranking.fits(m):
@@ -525,30 +523,40 @@ def _ranking(m: VoModel) -> _Ranking:
     return ranking
 
 
-def run_bootstrap(
-    ctx: EvalContext, task: str, *, in_place: bool = False
-) -> tuple[VoModel, list[DomainAction]]:
+def run_bootstrap(ctx: EvalContext, task: str) -> list[DomainAction]:
     """Default start-of-task allocation: top up under-covered capabilities
     from current members first, then by admitting registry candidates.
 
     Every step is an ordinary ``add_member`` (candidates only) and
     ``assign_duty`` applied under the usual checks, so an atomic task only
-    ever draws on a single member. Returns the (possibly unchanged) model
-    and the actions performed, or raises :class:`TaskFailure` with nothing
-    applied when the requirements cannot be covered: in place, the walk
-    undoes what it wrote.
+    ever draws on a single member. Returns the actions performed, or
+    raises :class:`TaskFailure` with the model as it was when the
+    requirements cannot be covered. A journal the call opens is committed
+    before it returns or raises; one already open is left open.
     """
     m = ctx.model
     if task not in m.tasks:
         raise UnknownTaskError(f"unknown task {task!r}", task)
     if can_run(m, task):
-        return m, []
-    task_def = m.tasks[task]
-    ranking = _ranking(m)  # kept on the input, which its versions share
-    if not in_place:
-        m = m.clone()
-        ctx = replace(ctx, model=m)
+        return []
+    opened = m._journal is None
     start = journal_mark(m)
+    try:
+        return _allocate(ctx, task)
+    except ModelError:
+        undo(m, start)
+        raise
+    finally:
+        if opened:
+            commit(m)
+
+
+def _allocate(ctx: EvalContext, task: str) -> list[DomainAction]:
+    """The bootstrap's walk over ``ctx.model``, under its journal; raises
+    :class:`TaskFailure` at the first capability it cannot cover."""
+    m = ctx.model
+    task_def = m.tasks[task]
+    ranking = _ranking(m)
     competition = task_def.sharing == COMPETITION
     performed: list[DomainAction] = []
     for capability in sorted(task_def.required):
@@ -573,16 +581,15 @@ def run_bootstrap(
                 mark = journal_mark(m)
                 try:
                     for step in steps:
-                        apply_action(ctx, step, in_place=True)
+                        apply_action(ctx, step)
                 except AtomicityViolationError:
                     undo(m, mark)  # a candidate's admission is dropped with its duty
                     continue
                 performed += steps
                 shortfall -= take
         if shortfall > 0:
-            undo(m, start)
             raise TaskFailure(
                 f"task {task!r} needs {shortfall} more of {capability!r} and no suitable member can cover it",
                 task,
             )
-    return m, performed
+    return performed

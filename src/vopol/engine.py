@@ -249,7 +249,7 @@ class Engine:
         name = action.name
         # a deleted task's successors, read before the delete unwires it
         deleted_successors = self.model.successors(action.args[0]) if name == "delete_task" else ()
-        apply_action(ctx, action, in_place=True)
+        apply_action(ctx, action)
         if name in ("add_task", "delete_task"):
             task = action.args[0]
             self._touched.add(task)
@@ -350,7 +350,7 @@ class Engine:
             ctx = EvalContext(self.model, self.instance, trig.task)
             try:
                 # a failure leaves the model as it was
-                _, performed = run_bootstrap(ctx, trig.task, in_place=True)
+                performed = run_bootstrap(ctx, trig.task)
             except TaskFailure as err:
                 fields = _action_fields(BOOTSTRAP_POLICY, "bootstrap", (trig.task,))
                 self._emit("ACTION-FAILED", *fields, ("error", err.code), ("detail", err.message))
@@ -473,7 +473,7 @@ class Engine:
         )
         saved = journal_mark(self.model)
         try:
-            adjust_reserved_capacity(self.model, member, capability, sign * amount, in_place=True)
+            adjust_reserved_capacity(self.model, member, capability, sign * amount)
         except ModelError as err:
             self._emit_error(err)
             return

@@ -3,15 +3,14 @@
 The model holds members, the task catalogue, the control-flow graph over
 in-process tasks, data flows, the candidate registry, named integer
 parameters, duty assignments and the capacity ledger. A mutating
-operation returns a new version and leaves its input untouched, or, with
-``in_place=True``, writes its input and returns it. Either way it runs
-every check before its first write, so a failed operation raises and
-leaves the model as it was, and a successful result always satisfies
-:func:`validate_model`.
+operation writes the model it is given; call :meth:`VoModel.clone` first
+to keep a snapshot. It runs every check before its first write, so a
+failed operation raises and leaves the model as it was, and a successful
+one always leaves a model that satisfies :func:`validate_model`.
 
-Versions share their records: :class:`Member` and :class:`TaskDef` are
+Clones share their records: :class:`Member` and :class:`TaskDef` are
 frozen, so a change puts a new record (``dataclasses.replace``) into the
-containers (dicts, sets, ledger) that each version owns alone.
+containers (dicts, sets, ledger) that each clone owns alone.
 
 Only this module writes the containers. Past :func:`load_model`, each
 write goes through :func:`_write`. From the first :func:`journal_mark`
@@ -129,16 +128,16 @@ class VoModel:
     _preds: dict[str, frozenset[str]] = field(default_factory=dict)
     _succs: dict[str, frozenset[str]] = field(default_factory=dict)
     # the bootstrap's ranking of members and candidates (vopol.domain); a
-    # cache that versions share, since no action writes a Member record
+    # cache that clones share, since no action writes a Member record
     _ranking: object = field(default=None, compare=False, repr=False)
     # (container, key, old value) of every write since the first mark, in
     # write order, or None when nothing can be undone; see _write
     _journal: list | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "VoModel":
-        """A new version with its own containers and no journal; the
-        records in them are shared with this one, since no version writes
-        a record."""
+        """A snapshot with its own containers and no journal; the records
+        in them are shared with this model, since no write changes a
+        record."""
         return VoModel(
             name=self.name,
             members=dict(self.members),
@@ -599,7 +598,7 @@ def _need_task(m: VoModel, task: str, in_process: bool | None = None) -> TaskDef
     return task_def
 
 
-def insert_task_node(m: VoModel, t1: str, t2: str, relation: str, *, in_place: bool = False) -> VoModel:
+def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> None:
     """Wire catalogue task ``t1`` into the process next to ``t2``.
 
     ``after``: t1 takes over every outgoing edge of t2 and a single edge
@@ -612,18 +611,16 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str, *, in_place: b
     if m.tasks[t1].in_process:
         raise AlreadyInProcessError(f"task {t1!r} is already in the process", t1)
     _need_task(m, t2, in_process=True)
-    out = m if in_place else m.clone()
-    succ = out.successors(t2)
+    succ = m.successors(t2)
     if relation == "after":
-        _unlink(out, [(t2, s) for s in succ])
-        _link(out, [(t1, s) for s in succ] + [(t2, t1)])
+        _unlink(m, [(t2, s) for s in succ])
+        _link(m, [(t1, s) for s in succ] + [(t2, t1)])
     else:
-        _link(out, [(p, t1) for p in out.predecessors(t2)] + [(t1, s) for s in succ])
-    _put_task(out, replace(out.tasks[t1], in_process=True))
-    return out
+        _link(m, [(p, t1) for p in m.predecessors(t2)] + [(t1, s) for s in succ])
+    _put_task(m, replace(m.tasks[t1], in_process=True))
 
 
-def remove_task_node(m: VoModel, t: str, *, in_place: bool = False) -> VoModel:
+def remove_task_node(m: VoModel, t: str) -> None:
     """Unwire ``t`` from the process, bridging predecessors to successors.
 
     A bridge p -> s is added for every predecessor/successor pair that is
@@ -635,34 +632,30 @@ def remove_task_node(m: VoModel, t: str, *, in_place: bool = False) -> VoModel:
     ``t`` has no active instance.
     """
     _need_task(m, t, in_process=True)
-    out = m if in_place else m.clone()
-    preds = out.predecessors(t)
-    succs = out.successors(t)
-    _unlink(out, {(p, t) for p in preds} | {(t, s) for s in succs})
+    preds = m.predecessors(t)
+    succs = m.successors(t)
+    _unlink(m, {(p, t) for p in preds} | {(t, s) for s in succs})
     bridges = set()
     for p in preds:
         reach = {p}
         frontier = [p]
         while frontier:
-            for s in out.successors(frontier.pop()):
+            for s in m.successors(frontier.pop()):
                 if s not in reach:
                     reach.add(s)
                     frontier.append(s)
         reach.discard(p)  # on cyclic input a task that is both pred and succ gets p -> p
         bridges |= {(p, s) for s in succs if s not in reach}
-    _link(out, bridges)
-    for duty in out.duties_on(t):
-        _drop_duty(out, (duty.member, t, duty.capability))
-        _release(out, duty.member, duty.capability, duty.amount)
-    for flow in [f for f in out.dataflows if f.source == t or f.target == t]:
-        _write(out, out.dataflows, flow, False)
-    _put_task(out, replace(out.tasks[t], in_process=False))
-    return out
+    _link(m, bridges)
+    for duty in m.duties_on(t):
+        _drop_duty(m, (duty.member, t, duty.capability))
+        _release(m, duty.member, duty.capability, duty.amount)
+    for flow in [f for f in m.dataflows if f.source == t or f.target == t]:
+        _write(m, m.dataflows, flow, False)
+    _put_task(m, replace(m.tasks[t], in_process=False))
 
 
-def set_dataflow_edge(
-    m: VoModel, item: str, t: str, mode: str, *, in_place: bool = False
-) -> tuple[VoModel, Diagnostic | None]:
+def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | None:
     """Add or remove the dataflow ``item -> t``; ``t.inputs`` mirrors it.
 
     Adding picks the item's existing source when one is already known
@@ -680,31 +673,29 @@ def set_dataflow_edge(
             if f.target == t:
                 existing.append(f)
     if mode == "add":
-        out = m if in_place else m.clone()
         if not existing:
-            _write(out, out.dataflows, DataFlow(item, min(sources) if sources else CUSTOMER, t), True)
-        _put_task(out, replace(task_def, inputs=task_def.inputs | {item}))
-        return out, None
+            _write(m, m.dataflows, DataFlow(item, min(sources) if sources else CUSTOMER, t), True)
+        _put_task(m, replace(task_def, inputs=task_def.inputs | {item}))
+        return None
     if not existing:
-        warning = Diagnostic(
+        return Diagnostic(
             code="AbsentFlow",
             message=f"no dataflow {item!r} -> {t!r} to remove",
             subject=item,
             severity="warning",
         )
-        return m, warning
-    out = m if in_place else m.clone()
     for flow in existing:
-        _write(out, out.dataflows, flow, False)
-    _put_task(out, replace(task_def, inputs=task_def.inputs - {item}))
-    return out, None
+        _write(m, m.dataflows, flow, False)
+    _put_task(m, replace(task_def, inputs=task_def.inputs - {item}))
+    return None
 
 
-def adjust_reserved_capacity(
-    m: VoModel, member: str, capability: str, delta: int, *, in_place: bool = False
-) -> VoModel:
+def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: int) -> None:
     """Shift the reserved amount for (member, capability) by ``delta``,
-    holding 0 <= reserved <= declared."""
+    holding 0 <= reserved <= declared; ``delta`` is an ``int`` but not a
+    ``bool``."""
+    if type(delta) is bool or not isinstance(delta, int):
+        raise InvalidArgumentError(f"delta must be an int, got {delta!r}", member)
     declared = m.declared(member, capability)
     if m.anyone(member) is None:
         raise UnknownMemberError(f"unknown member {member!r}", member)
@@ -721,9 +712,7 @@ def adjust_reserved_capacity(
         raise CapacityExceededError(
             f"reserving {delta} of ({member}, {capability}) would exceed declared {declared}", member
         )
-    out = m if in_place else m.clone()
-    _reserve(out, member, capability, delta)
-    return out
+    _reserve(m, member, capability, delta)
 
 
 def free_capacity(m: VoModel, member: str, capability: str) -> int | None:

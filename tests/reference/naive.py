@@ -12,16 +12,19 @@ form of each hook the engine optimises:
 - ``dispatch_trigger``: one-pass semantics, with a request suppressed when
   the hand-written pair rules find it clashing with any earlier request
   (the engine compares what each request writes), every action applied
-  to a new model version (the engine writes its one working model in
-  place), the hand-written bootstrap allocator that walks the whole
-  population and scans every duty on a scratch copy (the engine applies
-  ordinary actions over a shared ranking, reads duty buckets and undoes a
-  failed walk through the model's journal), and a snapshot taken before
-  each policy to roll it back (the engine undoes the policy's writes and
-  truncates its logs);
-- ``_adjust_capacity`` and ``_release_holds``: the ledger written in a new
-  model version (the engine writes it in place and undoes a refused
-  release).
+  to a clone of the model that replaces it on success (the engine writes
+  its one working model in place), the hand-written bootstrap allocator
+  that walks the whole population and scans every duty on a scratch
+  clone (the engine applies ordinary actions over a shared ranking, reads
+  duty buckets and undoes a failed walk through the model's journal), and
+  a clone taken before each policy to roll it back (the engine undoes the
+  policy's writes and truncates its logs);
+- ``_adjust_capacity`` and ``_release_holds``: the ledger written in a
+  clone that replaces the model (the engine writes it in place and undoes
+  a refused release).
+
+So the engine's journal is checked against copy and swap: no write of
+the naive engine ever reaches a model that a snapshot still holds.
 
 A new index or cache adds its naive form here rather than a new frozen
 copy of the code it replaces.
@@ -246,8 +249,9 @@ class NaiveEngine(Engine):
         self._emit(
             "EVENT", ("event", ev.kind), ("member", member), ("capability", capability), ("amount", str(amount))
         )
+        adjusted = self.model.clone()
         try:
-            adjusted = adjust_reserved_capacity(self.model, member, capability, sign * amount)
+            adjust_reserved_capacity(adjusted, member, capability, sign * amount)
         except ModelError as err:
             self._emit_error(err)
             return
@@ -299,16 +303,18 @@ class NaiveEngine(Engine):
                 return False  # first writer wins
             action = materialize(ctx.model, action)
             fields = _action_fields(policy, action.name, action.args)
+            ctx.model = self.model.clone()
             try:
-                self.model = apply_action(ctx, action)
+                apply_action(ctx, action)
             except ModelError as err:
                 return failed(fields, err)
+            self.model = ctx.model
             self.instance.holds.extend(ctx.hold_sink)
             outcomes.append(("ACTION-APPLIED", fields))
             return True
 
         for policy in self._candidates(trig):
-            snapshot = (self.model, list(self.instance.holds), list(requests), list(outcomes))
+            snapshot = (self.model.clone(), list(self.instance.holds), list(requests), list(outcomes))
             try:
                 applied = evaluate_rule_group(
                     policy.body, event_spec, trig.task, predicate, partial(attempt, policy.name)

@@ -166,16 +166,20 @@ def test_criterion_04_repair_matches_bridging_oracle():
     rng = random.Random(40)
     for _ in range(200):
         model, nodes, edges = _random_dag(rng)
+        # each primitive writes the model it is given: every case starts
+        # from its own clone of the generated graph
         victim = rng.choice(nodes)
-        removed = remove_task_node(model, victim)
+        removed = model.clone()
+        remove_task_node(removed, victim)
         assert removed.control_edges == _oracle_remove(nodes, edges, victim)
         assert validate_model(removed) == []
 
         anchor = rng.choice(nodes)
         for relation in ("after", "parallel"):
-            inserted = insert_task_node(model, "Fresh", anchor, relation)
-            assert validate_model(inserted) == []
-            restored = remove_task_node(inserted, "Fresh")
+            restored = model.clone()
+            insert_task_node(restored, "Fresh", anchor, relation)
+            assert validate_model(restored) == []
+            remove_task_node(restored, "Fresh")
             assert restored.control_edges == edges, (relation, anchor, sorted(edges))
     report(4, "200 random graphs: removal equals the bridging oracle, insert+remove restores")
 
@@ -234,7 +238,7 @@ def test_criterion_05_member_removal_and_ledger_invariants():
                 )
             ctx = EvalContext(model, instance, task)
             try:
-                model = apply_action(ctx, action)
+                apply_action(ctx, action)
             except ModelError:
                 continue
             assert _ledger_ok(model)

@@ -5,13 +5,13 @@ Both run on the same seeded models: members and candidates of every kind,
 with and without bids, competition and plain tasks of every type needing
 one to three capabilities, existing duties (an atomic task's sole holder
 among them), pre-reserved units and, sometimes, an instance in which the
-task is already active. For every model they must agree on the resulting
-model and the actions performed, or fail with the same message, and leave
-the input untouched.
+task is already active. For every model they must agree on the model
+they leave and the actions performed, or fail with the same message and
+the model as it was.
 
-The allocator ranks the population once and shares the ranking across
-model versions, so they are also run on successive versions of one
-model: each bootstrap's result is the next one's input, with
+The allocator ranks the population once and shares the ranking between
+a model and its clones, so they are also run on successive clones of one
+model: each bootstrap writes the model the next one clones, with
 memberships moved by actions in between and, once, a candidate written
 straight into the registry.
 """
@@ -19,7 +19,7 @@ straight into the registry.
 from __future__ import annotations
 
 import random
-from functools import partial
+from contextlib import suppress
 
 import pytest
 
@@ -29,7 +29,16 @@ from test_domain import ctx_for
 from vopol import domain
 from vopol.domain import DomainAction, apply_action, run_bootstrap
 from vopol.errors import AtomicityViolationError, ModelError, TaskFailure
-from vopol.model import Member, MemberKind, adjust_reserved_capacity, canonical_dump, load_model, validate_model
+from vopol.model import (
+    Member,
+    MemberKind,
+    adjust_reserved_capacity,
+    canonical_dump,
+    journal_mark,
+    load_model,
+    undo,
+    validate_model,
+)
 
 KINDS = ["Partner", "Associate", "ExtEntity"]
 CAPS = ["a", "b", "c"]
@@ -53,13 +62,6 @@ def _task(rng: random.Random, tid: str) -> str:
     return text + "\n"
 
 
-def _try(m, make):
-    try:
-        return make(m)
-    except ModelError:
-        return m
-
-
 def _model(rng: random.Random):
     members = [f"M{i}" for i in range(rng.randint(0, 4))]
     candidates = [f"C{i}" for i in range(rng.randint(0, 4))]
@@ -71,34 +73,40 @@ def _model(rng: random.Random):
         if rng.random() < 0.5:
             task = rng.choice("TTU")
             cap = rng.choice(sorted(m.tasks[task].required))
-            duty = DomainAction("assign_duty", (mid, task, cap, rng.randint(0, 3)))
-            m = _try(m, lambda m: apply_action(ctx_for(m), duty))
+            with suppress(ModelError):
+                apply_action(ctx_for(m), DomainAction("assign_duty", (mid, task, cap, rng.randint(0, 3))))
     # units reserved outside any duty, for members and candidates alike
     for pid in members + candidates:
         if rng.random() < 0.3:
-            m = _try(m, lambda m: adjust_reserved_capacity(m, pid, rng.choice(CAPS), rng.randint(1, 4)))
+            with suppress(ModelError):
+                adjust_reserved_capacity(m, pid, rng.choice(CAPS), rng.randint(1, 4))
     assert validate_model(m) == []
     return m
 
 
+def _naive_bootstrap(ctx, task):
+    """The hand-written allocator, swapping the scratch clone it returns in."""
+    ctx.model, performed = naive.run_bootstrap(ctx, task)
+    return performed
+
+
 def _outcome(run, m, active):
+    """Bootstrap T on ``m``: how it ended, the model it left and the holds."""
     ctx = ctx_for(m, "T", active)
     try:
-        out, performed = run(ctx, "T")
+        result = ("ok", run(ctx, "T"))
     except TaskFailure as err:
         result = ("failed", err.message)
-    else:
-        assert validate_model(out) == []
-        result = ("ok", canonical_dump(out), performed)
-    return result, ctx.hold_sink
+    assert validate_model(ctx.model) == []
+    return result, canonical_dump(ctx.model), ctx.hold_sink
 
 
 def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):
     atomic_skips = []
 
-    def counting_apply(ctx, action, **kwargs):
+    def counting_apply(ctx, action):
         try:
-            return apply_action(ctx, action, **kwargs)
+            apply_action(ctx, action)
         except AtomicityViolationError:
             atomic_skips.append(action)
             raise
@@ -109,33 +117,40 @@ def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):
     for _ in range(400):
         m = _model(rng)
         active = ("T",) if rng.random() < 0.25 else ()
-        before = canonical_dump(m)
-        expected = _outcome(naive.run_bootstrap, m, active)
-        got = _outcome(run_bootstrap, m, active)
+        # each run writes its own clone; a failure leaves it as it was
+        expected = _outcome(_naive_bootstrap, m.clone(), active)
+        got = _outcome(run_bootstrap, m.clone(), active)
         assert got == expected
-        assert got[1] == []  # the bootstrap only ever raises duties
-        assert canonical_dump(m) == before
+        assert got[2] == []  # the bootstrap only ever raises duties
+        if got[0][0] == "failed":
+            assert got[1] == canonical_dump(m)
         failures += got[0][0] == "failed"
-        admissions += got[0][0] == "ok" and any(a.name == "add_member" for a in got[0][2])
+        admissions += got[0][0] == "ok" and any(a.name == "add_member" for a in got[0][1])
         sole_holders += m.tasks["T"].ttype.value == "Atomic" and bool(m.duties_on("T"))
     assert admissions >= 60 and failures >= 60 and sole_holders >= 20, (admissions, failures, sole_holders)
     assert len(atomic_skips) >= 40, len(atomic_skips)
 
 
 def test_bootstrap_in_place_matches_the_new_version():
-    # in place the walk undoes a refused admission and, on failure, all it
-    # wrote through the model's journal
+    # under a journal the caller holds open, as the engine does, the walk
+    # ends as it does without one and leaves the journal open: a failure
+    # has undone its writes already, and undoing to the caller's mark
+    # restores the model after a success
     rng = random.Random(7)
     failures = 0
     for _ in range(400):
         m = _model(rng)
         active = ("T",) if rng.random() < 0.25 else ()
-        expected = _outcome(run_bootstrap, m, active)
+        alone = m.clone()
+        expected = _outcome(run_bootstrap, alone, active)
+        assert alone._journal is None
         working = m.clone()
-        assert _outcome(partial(run_bootstrap, in_place=True), working, active) == expected
-        failed = expected[0][0] == "failed"
-        assert canonical_dump(working) == (canonical_dump(m) if failed else expected[0][1])
-        failures += failed
+        mark = journal_mark(working)
+        assert _outcome(run_bootstrap, working, active) == expected
+        assert working._journal is not None
+        undo(working, mark)
+        assert working == m and canonical_dump(working) == canonical_dump(m)
+        failures += expected[0][0] == "failed"
     assert failures >= 60, failures
 
 
@@ -149,11 +164,13 @@ def test_successive_versions_share_one_ranking_until_the_registry_is_written():
         m = load_model(text + "".join(_task(rng, t) for t in tasks))
         write_at = rng.randrange(1, len(tasks))
         for step, task in enumerate(tasks):
+            m = m.clone()  # a clone shares the ranking of the model it copies
             # memberships move between bootstraps through ordinary actions
             for _ in range(rng.randint(0, 2)):
                 who = rng.choice(people)
                 move = DomainAction("add_member" if who in m.registry else "remove_member", (who,))
-                m = _try(m, lambda m: apply_action(ctx_for(m), move))
+                with suppress(ModelError):
+                    apply_action(ctx_for(m), move)
             before = m._ranking
             if step == write_at:
                 # the cheapest Partner there is, which a stale ranking would miss
@@ -165,11 +182,10 @@ def test_successive_versions_share_one_ranking_until_the_registry_is_written():
                     run_bootstrap(ctx_for(m), task)
                 assert caught.value.message == err.message
             else:
-                out, performed = run_bootstrap(ctx_for(m), task)
-                assert (canonical_dump(out), performed) == (canonical_dump(expected[0]), expected[1])
-                assert validate_model(out) == []
+                performed = run_bootstrap(ctx_for(m), task)
+                assert (canonical_dump(m), performed) == (canonical_dump(expected[0]), expected[1])
+                assert validate_model(m) == []
                 admitted_late += step >= write_at and DomainAction("add_member", ("B0",)) in performed
-                m = out
             if before is not None:
                 shared += step != write_at and m._ranking is before
                 rebuilt += step == write_at and m._ranking is not before

@@ -10,7 +10,7 @@ included. So the trigger index, the readiness refresh of touched tasks,
 the kept STATE fragments, the conflicts derived from what requests write,
 the bootstrap through ordinary actions over a shared ranking, the writes
 in place and the rollback through the model's journal each match their
-naive form, which writes a new model version instead.
+naive form, which writes a clone and swaps it in instead.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from vopol.errors import (
     UnknownPredicateError,
     UnresolvedIdentifierError,
 )
-from vopol.model import TaskType, canonical_dump, load_model, validate_model
+from vopol.model import TaskType, canonical_dump, journal_mark, load_model, undo, validate_model
 from vopol.state import InstanceState, Status
 
 
@@ -49,17 +49,17 @@ def visitus_ctx(visitus):
 # --- member actions -----------------------------------------------------------
 
 
-def test_add_member_moves_candidate_in(visitus_ctx):
-    out = apply_action(visitus_ctx, action("add_member", "newHotel"))
-    assert "newHotel" in out.members and "newHotel" not in out.registry
-    assert out.duties == {}
-    assert validate_model(out) == []
+def test_add_member_moves_candidate_in(visitus_ctx, visitus):
+    assert apply_action(visitus_ctx, action("add_member", "newHotel")) is None
+    assert "newHotel" in visitus.members and "newHotel" not in visitus.registry
+    assert visitus.duties == {}
+    assert validate_model(visitus) == []
 
 
 def test_add_member_twice_fails(visitus_ctx):
-    out = apply_action(visitus_ctx, action("add_member", "newHotel"))
+    apply_action(visitus_ctx, action("add_member", "newHotel"))
     with pytest.raises(AlreadyMemberError):
-        apply_action(ctx_for(out), action("add_member", "newHotel"))
+        apply_action(visitus_ctx, action("add_member", "newHotel"))
 
 
 def test_add_member_unknown(visitus_ctx):
@@ -73,25 +73,25 @@ def test_remove_member_drops_all_duties_and_reservations():
         "task T type=Replicable requires a=2\ntask U type=Replicable requires b=3\nedge T U\n"
     )
     ctx = ctx_for(m)
-    m = apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "U", "b", 3))
+    apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
+    apply_action(ctx, action("assign_duty", "P", "U", "b", 3))
     assert len(m.duties) == 2
-    out = apply_action(ctx_for(m), action("remove_member", "P"))
-    assert out.duties == {}
-    assert out.ledger.reserved == {}
-    assert "P" in out.registry  # back in the breeding pool
-    assert validate_model(out) == []
+    apply_action(ctx, action("remove_member", "P"))
+    assert m.duties == {}
+    assert m.ledger.reserved == {}
+    assert "P" in m.registry  # back in the breeding pool
+    assert validate_model(m) == []
 
 
 def test_remove_member_keeps_reservation_for_active_task():
     m = load_model(
         "vo X\nmember P kind=Partner cap a=5\ntask T type=Replicable requires a=2\n"
     )
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
     ctx = ctx_for(m, active={"T"})
-    out = apply_action(ctx, action("remove_member", "P"))
-    assert out.duties == {}
-    assert out.ledger.get("P", "a") == 2  # commitment survives the removal
+    apply_action(ctx, action("remove_member", "P"))
+    assert m.duties == {}
+    assert m.ledger.get("P", "a") == 2  # commitment survives the removal
     assert ctx.hold_sink == [("T", "P", "a", 2)]
 
 
@@ -108,45 +108,44 @@ def test_remove_nonmember_rejected(visitus_ctx, visitus):
 
 
 def test_assign_creates_duty_and_reserves(visitus):
-    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
-    out = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
-    assert out.duties == {("newHotel", "HotelProv", "beds"): 3}
-    assert out.ledger.get("newHotel", "beds") == 3
-    assert validate_model(out) == []
+    apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    apply_action(ctx_for(visitus), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    assert visitus.duties == {("newHotel", "HotelProv", "beds"): 3}
+    assert visitus.ledger.get("newHotel", "beds") == 3
+    assert validate_model(visitus) == []
 
 
 def test_reassign_overwrites_amount():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))
-    out = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    assert out.duties == {("P", "T", "a"): 5}
-    assert out.ledger.get("P", "a") == 5
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    assert m.duties == {("P", "T", "a"): 5}
+    assert m.ledger.get("P", "a") == 5
 
 
 def test_assign_overwrite_equals_last_write():
-    m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    twice = apply_action(
-        ctx_for(apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))),
-        action("assign_duty", "P", "T", "a", 5),
-    )
-    once = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    twice = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
+    once = twice.clone()
+    apply_action(ctx_for(twice), action("assign_duty", "P", "T", "a", 3))
+    apply_action(ctx_for(twice), action("assign_duty", "P", "T", "a", 5))
+    apply_action(ctx_for(once), action("assign_duty", "P", "T", "a", 5))
     assert canonical_dump(twice) == canonical_dump(once)
 
 
 def test_assign_capacity_check_allows_own_held_amount():
     m = load_model("vo X\nmember P kind=Partner cap a=5\ntask T type=Replicable requires a=5\n")
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     # 5 free + 0: raising beyond declared must fail, re-assigning 5 is fine
-    out = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    assert out.ledger.get("P", "a") == 5
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    assert m.ledger.get("P", "a") == 5
     with pytest.raises(CapacityExceededError):
         apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 6))
 
 
 def test_assign_defaults_amount_to_shortfall(visitus):
-    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
-    out = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", None))
-    assert out.duties[("newHotel", "HotelProv", "beds")] == 3
+    apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    apply_action(ctx_for(visitus), action("assign_duty", "newHotel", "HotelProv", "beds", None))
+    assert visitus.duties[("newHotel", "HotelProv", "beds")] == 3
 
 
 def test_assign_requires_declared_capability(visitus):
@@ -164,18 +163,18 @@ def test_assign_atomic_second_member_rejected():
         "vo X\nmember P kind=Partner cap a=5\nmember Q kind=Partner cap a=5\n"
         "task T type=Atomic requires a=4\n"
     )
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
     with pytest.raises(AtomicityViolationError):
         apply_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
 
 
 def test_assign_reduction_on_active_task_keeps_commitment():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     ctx = ctx_for(m, active={"T"})
-    out = apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
-    assert out.duties[("P", "T", "a")] == 2
-    assert out.ledger.get("P", "a") == 5  # reservation unchanged until completion
+    apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
+    assert m.duties[("P", "T", "a")] == 2
+    assert m.ledger.get("P", "a") == 5  # reservation unchanged until completion
     assert ctx.hold_sink == [("T", "P", "a", 3)]
 
 
@@ -188,11 +187,12 @@ def test_unassign_absent_duty_rejected(visitus):
 
 def test_unassign_releases_unless_active():
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    idle = apply_action(ctx_for(m), action("unassign_duty", "P", "T", "a"))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    idle, busy = m, m.clone()
+    apply_action(ctx_for(idle), action("unassign_duty", "P", "T", "a"))
     assert idle.ledger.get("P", "a") == 0
-    ctx = ctx_for(m, active={"T"})
-    busy = apply_action(ctx, action("unassign_duty", "P", "T", "a"))
+    ctx = ctx_for(busy, active={"T"})
+    apply_action(ctx, action("unassign_duty", "P", "T", "a"))
     assert busy.ledger.get("P", "a") == 5
     assert ctx.hold_sink == [("T", "P", "a", 5)]
 
@@ -203,31 +203,33 @@ def test_duty_release_never_frees_more_than_is_reserved():
     from vopol.model import adjust_reserved_capacity, remove_task_node
 
     m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    m = adjust_reserved_capacity(m, "P", "a", -4)
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
+    adjust_reserved_capacity(m, "P", "a", -4)
     for shrink in (
         action("assign_duty", "P", "T", "a", 0),
         action("unassign_duty", "P", "T", "a"),
         action("remove_member", "P"),
     ):
-        out = apply_action(ctx_for(m), shrink)
+        out = m.clone()
+        apply_action(ctx_for(out), shrink)
         assert out.ledger.get("P", "a") == 0 and validate_model(out) == []
-    out = remove_task_node(m, "T")
-    assert out.ledger.get("P", "a") == 0 and validate_model(out) == []
+    remove_task_node(m, "T")
+    assert m.ledger.get("P", "a") == 0 and validate_model(m) == []
 
 
 # --- change_type -----------------------------------------------------------------
 
 
 def test_change_type_morebeds_case(visitus):
-    out = apply_action(ctx_for(visitus), action("change_type", "HotelProv", "Replicable", "competition"))
-    assert out.tasks["HotelProv"].ttype is TaskType.REPLICABLE
-    assert out.tasks["HotelProv"].sharing == "competition"
+    apply_action(ctx_for(visitus), action("change_type", "HotelProv", "Replicable", "competition"))
+    assert visitus.tasks["HotelProv"].ttype is TaskType.REPLICABLE
+    assert visitus.tasks["HotelProv"].sharing == "competition"
 
 
 def test_change_type_to_same_type_is_noop(visitus):
-    out = apply_action(ctx_for(visitus), action("change_type", "HotelProv", "Atomic", None))
-    assert canonical_dump(out) == canonical_dump(visitus)
+    before = canonical_dump(visitus)
+    apply_action(ctx_for(visitus), action("change_type", "HotelProv", "Atomic", None))
+    assert canonical_dump(visitus) == before
 
 
 def test_change_type_to_atomic_with_two_holders_rejected():
@@ -235,8 +237,8 @@ def test_change_type_to_atomic_with_two_holders_rejected():
         "vo X\nmember P kind=Partner cap a=5\nmember Q kind=Partner cap a=5\n"
         "task T type=Replicable requires a=4\n"
     )
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
-    m = apply_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 2))
+    apply_action(ctx_for(m), action("assign_duty", "Q", "T", "a", 2))
     with pytest.raises(AtomicityViolationError):
         apply_action(ctx_for(m), action("change_type", "T", "Atomic", None))
 
@@ -258,8 +260,8 @@ def test_add_task_after(visitus):
         "vo X\ntask A type=Atomic\ntask HotelProv type=Atomic\ntask C type=Atomic\n"
         "task Insurance type=Atomic inprocess=false\nedge A HotelProv\nedge HotelProv C\n"
     )
-    out = apply_action(ctx_for(m), action("add_task", "Insurance", "HotelProv", "after"))
-    assert out.control_edges == {
+    apply_action(ctx_for(m), action("add_task", "Insurance", "HotelProv", "after"))
+    assert m.control_edges == {
         ("A", "HotelProv"),
         ("HotelProv", "Insurance"),
         ("Insurance", "C"),
@@ -268,8 +270,8 @@ def test_add_task_after(visitus):
 
 def test_provide_input_adds_flow():
     m = load_model("vo X\ntask HotelProv type=Atomic\n")
-    out = apply_action(ctx_for(m), action("provide_input", "itinerary", "HotelProv"))
-    assert any(f.item == "itinerary" and f.target == "HotelProv" for f in out.dataflows)
+    apply_action(ctx_for(m), action("provide_input", "itinerary", "HotelProv"))
+    assert any(f.item == "itinerary" and f.target == "HotelProv" for f in m.dataflows)
 
 
 # --- resolve_action -------------------------------------------------------------
@@ -315,8 +317,8 @@ def test_resolve_quoted_names(visitus):
 def test_has_capacity_respects_reservations(visitus):
     from vopol.model import adjust_reserved_capacity
 
-    m = adjust_reserved_capacity(visitus, "Hotel", "beds", 8)
-    ctx = ctx_for(m)
+    adjust_reserved_capacity(visitus, "Hotel", "beds", 8)
+    ctx = ctx_for(visitus)
     assert not eval_predicate(ctx, "has_capacity", (Ident("Hotel"), Ident("beds"), Number(3)))
     assert eval_predicate(ctx, "has_capacity", (Ident("Hotel"), Ident("beds"), Number(2)))
 
@@ -324,8 +326,8 @@ def test_has_capacity_respects_reservations(visitus):
 def test_has_capability_ignores_reservations(visitus):
     from vopol.model import adjust_reserved_capacity
 
-    m = adjust_reserved_capacity(visitus, "Hotel", "beds", 10)
-    ctx = ctx_for(m)
+    adjust_reserved_capacity(visitus, "Hotel", "beds", 10)
+    ctx = ctx_for(visitus)
     assert eval_predicate(ctx, "has_capability", (Ident("Hotel"), Ident("beds")))
     assert not eval_predicate(ctx, "has_capability", (Ident("Hotel"), Ident("vans")))
 
@@ -336,18 +338,17 @@ def test_can_run_vacuous_without_requirements(visitus):
 
 def test_can_run_needs_covering_duties(visitus):
     assert not can_run(visitus, "HotelProv")
-    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
-    m = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
-    assert can_run(m, "HotelProv")
+    apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    apply_action(ctx_for(visitus), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    assert can_run(visitus, "HotelProv")
 
 
 def test_task_type_predicate_flips_after_change(visitus):
     ctx = ctx_for(visitus)
     assert eval_predicate(ctx, "task_type", (Ident("HotelProv"), Ident("Atomic")))
-    changed = apply_action(ctx, action("change_type", "HotelProv", "Replicable", "competition"))
-    ctx2 = ctx_for(changed)
-    assert not eval_predicate(ctx2, "task_type", (Ident("HotelProv"), Ident("Atomic")))
-    assert eval_predicate(ctx2, "task_type", (Ident("HotelProv"), Ident("Replicable")))
+    apply_action(ctx, action("change_type", "HotelProv", "Replicable", "competition"))
+    assert not eval_predicate(ctx, "task_type", (Ident("HotelProv"), Ident("Atomic")))
+    assert eval_predicate(ctx, "task_type", (Ident("HotelProv"), Ident("Replicable")))
 
 
 def test_active_predicate(visitus):
@@ -385,11 +386,11 @@ def test_param_resolution_in_condition(visitus, morebeds):
 
 
 def test_bootstrap_noop_when_task_can_run(visitus):
-    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
-    m = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
-    out, performed = run_bootstrap(ctx_for(m), "HotelProv")
-    assert performed == []
-    assert canonical_dump(out) == canonical_dump(m)
+    apply_action(ctx_for(visitus), action("add_member", "newHotel"))
+    apply_action(ctx_for(visitus), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    before = canonical_dump(visitus)
+    assert run_bootstrap(ctx_for(visitus), "HotelProv") == []
+    assert canonical_dump(visitus) == before
 
 
 def test_bootstrap_tops_up_from_members_then_candidates():
@@ -397,12 +398,12 @@ def test_bootstrap_tops_up_from_members_then_candidates():
         "vo X\nmember M kind=Partner cap beds=2\ncandidate C kind=Partner cap beds=8\n"
         "task T type=Replicable requires beds=3\n"
     )
-    out, performed = run_bootstrap(ctx_for(m), "T")
+    performed = run_bootstrap(ctx_for(m), "T")
     assert [a.name for a in performed] == ["assign_duty", "add_member", "assign_duty"]
-    assert out.duties == {("M", "T", "beds"): 2, ("C", "T", "beds"): 1}
-    assert "C" in out.members
-    assert can_run(out, "T")
-    assert validate_model(out) == []
+    assert m.duties == {("M", "T", "beds"): 2, ("C", "T", "beds"): 1}
+    assert "C" in m.members
+    assert can_run(m, "T")
+    assert validate_model(m) == []
 
 
 def test_bootstrap_failure_rolls_back():
@@ -416,15 +417,35 @@ def test_bootstrap_failure_rolls_back():
     assert canonical_dump(m) == before
 
 
+def test_a_library_bootstrap_leaves_no_journal_open(visitus):
+    # an open journal would keep every later write to the model
+    assert run_bootstrap(ctx_for(visitus), "HotelProv")
+    assert visitus.duties == {("Hotel", "HotelProv", "beds"): 3}
+    assert visitus._journal is None
+    m = load_model("vo X\nmember M kind=Partner cap beds=2\ntask T type=Replicable requires beds=5\n")
+    with pytest.raises(TaskFailure):
+        run_bootstrap(ctx_for(m), "T")
+    assert m._journal is None
+
+
+def test_a_bootstrap_leaves_an_open_journal_open(visitus):
+    before = visitus.clone()
+    mark = journal_mark(visitus)
+    assert run_bootstrap(ctx_for(visitus), "HotelProv")
+    assert visitus._journal
+    undo(visitus, mark)
+    assert visitus == before and canonical_dump(visitus) == canonical_dump(before)
+
+
 def test_bootstrap_is_idempotent():
     m = load_model(
         "vo X\nmember M kind=Partner cap beds=2\ncandidate C kind=Partner cap beds=8\n"
         "task T type=Replicable requires beds=3\n"
     )
-    once, _ = run_bootstrap(ctx_for(m), "T")
-    twice, performed = run_bootstrap(ctx_for(once), "T")
-    assert performed == []
-    assert canonical_dump(twice) == canonical_dump(once)
+    run_bootstrap(ctx_for(m), "T")
+    once = canonical_dump(m)
+    assert run_bootstrap(ctx_for(m), "T") == []
+    assert canonical_dump(m) == once
 
 
 def test_bootstrap_candidate_ordering_partners_first():
@@ -435,7 +456,7 @@ def test_bootstrap_candidate_ordering_partners_first():
         "candidate A kind=Partner cap c=9\n"
         "task T type=Replicable requires c=1\n"
     )
-    out, performed = run_bootstrap(ctx_for(m), "T")
+    performed = run_bootstrap(ctx_for(m), "T")
     assert performed[0] == action("add_member", "A")
 
 
@@ -446,7 +467,7 @@ def test_bootstrap_competition_prefers_lowest_cost():
         "member Cheap kind=Partner cap c=9 cost=2\n"
         "task T type=Replicable sharing=competition requires c=4\n"
     )
-    out, performed = run_bootstrap(ctx_for(m), "T")
+    performed = run_bootstrap(ctx_for(m), "T")
     assert performed == [action("assign_duty", "Cheap", "T", "c", 4)]
 
 
@@ -457,7 +478,7 @@ def test_bootstrap_without_competition_uses_id_order():
         "member Cheap kind=Partner cap c=9 cost=2\n"
         "task T type=Replicable requires c=4\n"
     )
-    out, performed = run_bootstrap(ctx_for(m), "T")
+    performed = run_bootstrap(ctx_for(m), "T")
     assert performed == [action("assign_duty", "Cheap", "T", "c", 4)]
     m2 = load_model(
         "vo X\n"
@@ -465,7 +486,7 @@ def test_bootstrap_without_competition_uses_id_order():
         "member Beta kind=Partner cap c=9 cost=2\n"
         "task T type=Replicable requires c=4\n"
     )
-    out2, performed2 = run_bootstrap(ctx_for(m2), "T")
+    performed2 = run_bootstrap(ctx_for(m2), "T")
     assert performed2 == [action("assign_duty", "Alpha", "T", "c", 4)]
 
 
@@ -474,11 +495,11 @@ def test_bootstrap_respects_atomicity():
         "vo X\nmember P kind=Partner cap a=2 cap b=2\nmember Q kind=Partner cap a=9 cap b=9\n"
         "task T type=Atomic requires a=1 requires b=1\n"
     )
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
-    out, performed = run_bootstrap(ctx_for(m), "T")
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
+    run_bootstrap(ctx_for(m), "T")
     # only the existing holder may be used on an atomic task
-    assert {d.member for d in out.duties_on("T")} == {"P"}
-    assert can_run(out, "T")
+    assert {d.member for d in m.duties_on("T")} == {"P"}
+    assert can_run(m, "T")
 
 
 def test_bootstrap_atomic_fails_when_single_member_cannot_cover():
@@ -486,7 +507,7 @@ def test_bootstrap_atomic_fails_when_single_member_cannot_cover():
         "vo X\nmember P kind=Partner cap a=1\nmember Q kind=Partner cap a=9\n"
         "task T type=Atomic requires a=5\n"
     )
-    m = apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 1))
     with pytest.raises(TaskFailure):
         run_bootstrap(ctx_for(m), "T")
 
@@ -507,23 +528,24 @@ def test_bootstrap_soundness_after_success():
         "vo X\nmember M kind=Partner cap a=3 cap b=1\ncandidate C kind=Associate cap b=9\n"
         "task T type=Composable requires a=2 requires b=4\n"
     )
-    out, _ = run_bootstrap(ctx_for(m), "T")
-    assert can_run(out, "T")
-    assert validate_model(out) == []
+    run_bootstrap(ctx_for(m), "T")
+    assert can_run(m, "T")
+    assert validate_model(m) == []
 
 
 # --- apply_action dispatcher -------------------------------------------------------
 
 
 def test_apply_action_routes_each_name(visitus):
-    m = apply_action(ctx_for(visitus), action("add_member", "newHotel"))
-    m = apply_action(ctx_for(m), action("change_type", "HotelProv", "Replicable", "competition"))
-    m = apply_action(ctx_for(m), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
-    m = apply_action(ctx_for(m), action("provide_input", "itinerary", "HotelProv"))
-    m = apply_action(ctx_for(m), action("remove_input", "itinerary", "HotelProv"))
-    m = apply_action(ctx_for(m), action("unassign_duty", "newHotel", "HotelProv", "beds"))
-    m = apply_action(ctx_for(m), action("remove_member", "newHotel"))
-    assert validate_model(m) == []
+    ctx = ctx_for(visitus)
+    apply_action(ctx, action("add_member", "newHotel"))
+    apply_action(ctx, action("change_type", "HotelProv", "Replicable", "competition"))
+    apply_action(ctx, action("assign_duty", "newHotel", "HotelProv", "beds", 3))
+    apply_action(ctx, action("provide_input", "itinerary", "HotelProv"))
+    apply_action(ctx, action("remove_input", "itinerary", "HotelProv"))
+    apply_action(ctx, action("unassign_duty", "newHotel", "HotelProv", "beds"))
+    apply_action(ctx, action("remove_member", "newHotel"))
+    assert validate_model(visitus) == []
 
 
 @pytest.mark.parametrize("name", sorted(VOCABULARY.actions))
@@ -555,10 +577,8 @@ def test_a_library_built_action_needs_its_full_arity(visitus, name):
 def test_a_library_built_action_needs_its_argument_types(visitus, name, args):
     # names are str, assign_duty's amount an int or None and change_type's
     # sharing a str or None: a mistyped action is refused where it is built,
-    # so an in-place write never fails halfway through
+    # so a write never fails halfway through
     before = canonical_dump(visitus)
     with pytest.raises(InvalidArgumentError):
         apply_action(ctx_for(visitus), DomainAction(name, args))
-    with pytest.raises(InvalidArgumentError):
-        apply_action(ctx_for(visitus), DomainAction(name, args), in_place=True)
     assert canonical_dump(visitus) == before

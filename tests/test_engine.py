@@ -478,7 +478,7 @@ def test_removed_member_reservation_released_on_completion():
     from vopol.domain import DomainAction, EvalContext, apply_action
 
     ctx = EvalContext(engine.model, engine.instance, "T")
-    engine.model = apply_action(ctx, DomainAction("remove_member", ("P",)))
+    apply_action(ctx, DomainAction("remove_member", ("P",)))
     engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.duties == {}
     assert engine.model.ledger.get("P", "a") == 2  # discharge obligation remains
@@ -507,7 +507,7 @@ def test_unassigned_duty_reservation_released_on_failure():
     from vopol.domain import DomainAction, EvalContext, apply_action
 
     ctx = EvalContext(engine.model, engine.instance, "T")
-    engine.model = apply_action(ctx, DomainAction("unassign_duty", ("P", "T", "a")))
+    apply_action(ctx, DomainAction("unassign_duty", ("P", "T", "a")))
     engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.ledger.get("P", "a") == 2  # still committed
     engine.handle_event(ev("fail", "T"))

@@ -17,6 +17,7 @@ from vopol.errors import (
     CapabilityMissingError,
     CapacityExceededError,
     DanglingRefError,
+    InvalidArgumentError,
     ParseError,
     UnderflowError,
     UnknownMemberError,
@@ -294,20 +295,20 @@ def test_only_model_writes_the_duty_and_control_graph_indexes():
 def test_insert_after_takes_over_outgoing_edges():
     m = chain("A", "B", "C")
     m.tasks["X"] = replace(m.tasks["A"], id="X", in_process=False)
-    out = insert_task_node(m, "X", "B", "after")
-    assert out.control_edges == {("A", "B"), ("B", "X"), ("X", "C")}
-    assert out.tasks["X"].in_process
-    assert validate_model(out) == []
+    assert insert_task_node(m, "X", "B", "after") is None
+    assert m.control_edges == {("A", "B"), ("B", "X"), ("X", "C")}
+    assert m.tasks["X"].in_process
+    assert validate_model(m) == []
 
 
 def test_insert_parallel_copies_edges():
     m = load_model(
         "vo X\ntask A type=Atomic\ntask B type=Atomic\ntask X type=Atomic inprocess=false\nedge A B\n"
     )
-    out = insert_task_node(m, "X", "B", "parallel")
-    assert out.control_edges == {("A", "B"), ("A", "X")}
-    assert not out.successors("X")  # X is an exit too
-    assert validate_model(out) == []
+    insert_task_node(m, "X", "B", "parallel")
+    assert m.control_edges == {("A", "B"), ("A", "X")}
+    assert not m.successors("X")  # X is an exit too
+    assert validate_model(m) == []
 
 
 def test_insert_already_in_process_rejected():
@@ -324,11 +325,11 @@ def test_insert_unknown_task_rejected():
 
 def test_remove_single_bridge():
     m = chain("A", "B", "C")
-    out = remove_task_node(m, "B")
-    assert out.control_edges == {("A", "C")}
-    assert not out.tasks["B"].in_process
-    assert "B" in out.tasks  # stays in the catalogue
-    assert validate_model(out) == []
+    assert remove_task_node(m, "B") is None
+    assert m.control_edges == {("A", "C")}
+    assert not m.tasks["B"].in_process
+    assert "B" in m.tasks  # stays in the catalogue
+    assert validate_model(m) == []
 
 
 def test_remove_bridges_cross_product():
@@ -337,9 +338,9 @@ def test_remove_bridges_cross_product():
         + "".join(f"task {t} type=Atomic\n" for t in "ABTCD")
         + "edge A T\nedge B T\nedge T C\nedge T D\n"
     )
-    out = remove_task_node(m, "T")
-    assert out.control_edges == {("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")}
-    assert validate_model(out) == []
+    remove_task_node(m, "T")
+    assert m.control_edges == {("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")}
+    assert validate_model(m) == []
 
 
 def test_remove_on_cyclic_input_bridges_a_task_to_itself():
@@ -350,16 +351,16 @@ def test_remove_on_cyclic_input_bridges_a_task_to_itself():
         + "".join(f"task {t} type=Atomic\n" for t in "ATB")
         + "edge A T\nedge T A\nedge A B\nedge B A\n"
     )
-    out = remove_task_node(m, "T")
-    assert out.control_edges == {("A", "A"), ("A", "B"), ("B", "A")}
+    remove_task_node(m, "T")
+    assert m.control_edges == {("A", "A"), ("A", "B"), ("B", "A")}
 
 
 def test_remove_entry_task_promotes_successor():
     m = chain("A", "B")
-    out = remove_task_node(m, "A")
-    assert out.control_edges == set()
-    assert not out.predecessors("B")
-    assert validate_model(out) == []
+    remove_task_node(m, "A")
+    assert m.control_edges == set()
+    assert not m.predecessors("B")
+    assert validate_model(m) == []
 
 
 def test_remove_drops_duties_and_flows():
@@ -370,21 +371,22 @@ def test_remove_drops_duties_and_flows():
     )
     _put_duty(m, ("P", "T", "c"), 2)
     m.ledger.reserved[("P", "c")] = 2
-    out = remove_task_node(m, "T")
-    assert out.duties == {}
-    assert out.ledger.get("P", "c") == 0
-    assert out.dataflows == set()
-    assert validate_model(out) == []
+    remove_task_node(m, "T")
+    assert m.duties == {}
+    assert m.ledger.get("P", "c") == 0
+    assert m.dataflows == set()
+    assert validate_model(m) == []
 
 
 def test_insert_then_remove_restores_edges():
     for relation in ("after", "parallel"):
         m = chain("A", "B", "C")
         m.tasks["X"] = replace(m.tasks["A"], id="X", in_process=False)
-        before = set(m.control_edges)
-        out = remove_task_node(insert_task_node(m, "X", "B", relation), "X")
-        assert out.control_edges == before, relation
-        assert out == m, relation  # no empty adjacency entry is left behind
+        before = m.clone()
+        insert_task_node(m, "X", "B", relation)
+        remove_task_node(m, "X")
+        assert m.control_edges == before.control_edges, relation
+        assert m == before, relation  # no empty adjacency entry is left behind
 
 
 def test_remove_skips_bridges_already_ordered_by_remaining_paths():
@@ -395,14 +397,15 @@ def test_remove_skips_bridges_already_ordered_by_remaining_paths():
         + "".join(f"task {t} type=Atomic\n" for t in "ABCD")
         + "edge A B\nedge A C\nedge B D\nedge C D\n"
     )
-    out = remove_task_node(m, "B")
-    assert out.control_edges == {("A", "C"), ("C", "D")}
-    assert validate_model(out) == []
+    remove_task_node(m, "B")
+    assert m.control_edges == {("A", "C"), ("C", "D")}
+    assert validate_model(m) == []
 
 
 def test_adjacency_matches_edges_under_random_rewiring():
     # chains of inserts and removals keep the adjacency equal to a scan of
-    # the edge set, never write the input version, and keep the edges read-only
+    # the edge set, never write a clone taken before, and keep the edges
+    # read-only
     rng = random.Random(5)
     tasks = "ABCDEFGH"
     for _ in range(40):
@@ -414,27 +417,25 @@ def test_adjacency_matches_edges_under_random_rewiring():
         m = load_model("\n".join(rows))
         for _ in range(12):
             before = canonical_dump(m)
+            snapshot = m.clone()
             spare = sorted(t for t, d in m.tasks.items() if not d.in_process)
             wired = m.in_process_tasks()
             if not wired:
                 break
             if spare and rng.random() < 0.5:
-                out = insert_task_node(
-                    m, rng.choice(spare), rng.choice(wired), rng.choice(["after", "parallel"])
-                )
+                insert_task_node(m, rng.choice(spare), rng.choice(wired), rng.choice(["after", "parallel"]))
             else:
-                out = remove_task_node(m, rng.choice(wired))
-            assert canonical_dump(m) == before
-            edges = out.control_edges
+                remove_task_node(m, rng.choice(wired))
+            assert canonical_dump(snapshot) == before
+            edges = m.control_edges
             for t in tasks:
-                assert out.predecessors(t) == {p for p, s in edges if s == t}
-                assert out.successors(t) == {s for p, s in edges if p == t}
+                assert m.predecessors(t) == {p for p, s in edges if s == t}
+                assert m.successors(t) == {s for p, s in edges if p == t}
             with pytest.raises(AttributeError):
-                out.control_edges.add(("A", "H"))
+                m.control_edges.add(("A", "H"))
             with pytest.raises(AttributeError):
-                out.control_edges = frozenset()
-            assert validate_model(out) == []
-            m = out
+                m.control_edges = frozenset()
+            assert validate_model(m) == []
 
 
 # --- dataflow edges -----------------------------------------------------------
@@ -442,26 +443,27 @@ def test_adjacency_matches_edges_under_random_rewiring():
 
 def test_dataflow_add_is_idempotent():
     m = chain("A", "B")
-    out, _ = set_dataflow_edge(m, "itinerary", "B", "add")
-    out, _ = set_dataflow_edge(out, "itinerary", "B", "add")
-    assert len([f for f in out.dataflows if f.item == "itinerary"]) == 1
-    assert out.tasks["B"].inputs == {"itinerary"}
+    assert set_dataflow_edge(m, "itinerary", "B", "add") is None
+    assert set_dataflow_edge(m, "itinerary", "B", "add") is None
+    assert len([f for f in m.dataflows if f.item == "itinerary"]) == 1
+    assert m.tasks["B"].inputs == {"itinerary"}
 
 
 def test_dataflow_add_then_remove_restores():
     m = chain("A", "B")
-    added, _ = set_dataflow_edge(m, "itinerary", "B", "add")
-    removed, warning = set_dataflow_edge(added, "itinerary", "B", "remove")
-    assert warning is None
-    assert removed.dataflows == m.dataflows
-    assert removed.tasks["B"].inputs == set()
+    flows = set(m.dataflows)
+    set_dataflow_edge(m, "itinerary", "B", "add")
+    assert set_dataflow_edge(m, "itinerary", "B", "remove") is None
+    assert m.dataflows == flows
+    assert m.tasks["B"].inputs == set()
 
 
 def test_dataflow_remove_absent_warns_and_keeps_model():
     m = chain("A", "B")
-    out, warning = set_dataflow_edge(m, "ghost", "B", "remove")
+    before = canonical_dump(m)
+    warning = set_dataflow_edge(m, "ghost", "B", "remove")
     assert warning is not None and warning.severity == "warning"
-    assert canonical_dump(out) == canonical_dump(m)
+    assert canonical_dump(m) == before
 
 
 def test_dataflow_add_reuses_known_source():
@@ -469,8 +471,8 @@ def test_dataflow_add_reuses_known_source():
         "vo X\ntask A type=Atomic\ntask B type=Atomic\ntask C type=Atomic\n"
         "edge A B\nedge A C\ndataflow i from=A to=B\n"
     )
-    out, _ = set_dataflow_edge(m, "i", "C", "add")
-    assert DataFlow("i", "A", "C") in out.dataflows
+    set_dataflow_edge(m, "i", "C", "add")
+    assert DataFlow("i", "A", "C") in m.dataflows
 
 
 # --- capacity ledger ------------------------------------------------------------
@@ -478,9 +480,10 @@ def test_dataflow_add_reuses_known_source():
 
 def test_reserve_and_free():
     m = load_model("vo X\nmember P kind=Partner cap beds=10\ntask T type=Atomic\n")
-    out = adjust_reserved_capacity(m, "P", "beds", 8)
-    assert free_capacity(out, "P", "beds") == 2
-    assert free_capacity(m, "P", "beds") == 10  # input untouched
+    snapshot = m.clone()
+    assert adjust_reserved_capacity(m, "P", "beds", 8) is None
+    assert free_capacity(m, "P", "beds") == 2
+    assert free_capacity(snapshot, "P", "beds") == 10  # a clone keeps its own ledger
 
 
 def test_reserve_beyond_declared_rejected():
@@ -499,16 +502,27 @@ def test_release_below_zero_rejected():
 
 def test_reserve_zero_is_identity():
     m = load_model("vo X\nmember P kind=Partner cap beds=10\ntask T type=Atomic\n")
-    out = adjust_reserved_capacity(m, "P", "beds", 0)
-    assert canonical_dump(out) == canonical_dump(m)
+    before = canonical_dump(m)
+    adjust_reserved_capacity(m, "P", "beds", 0)
+    assert canonical_dump(m) == before
 
 
 def test_free_capacity_distinguishes_absent_from_exhausted():
     m = load_model("vo X\nmember P kind=Partner cap beds=10\ntask T type=Atomic\n")
-    full = adjust_reserved_capacity(m, "P", "beds", 10)
+    full = m.clone()
+    adjust_reserved_capacity(full, "P", "beds", 10)
     assert free_capacity(full, "P", "beds") == 0
     assert free_capacity(full, "P", "vans") is None
     assert free_capacity(m, "P", "beds") == 10 - 3 + 3
+
+
+@pytest.mark.parametrize("delta", [1.5, True, "2", None])
+def test_adjust_takes_an_int_delta(delta):
+    m = load_model(VISITUS)
+    before = m.clone()
+    with pytest.raises(InvalidArgumentError):
+        adjust_reserved_capacity(m, "Hotel", "beds", delta)
+    assert m == before and canonical_dump(m) == canonical_dump(before)
 
 
 def test_free_capacity_unknown_member():
@@ -528,12 +542,11 @@ def test_adjust_requires_declared_capability():
 
 def test_mutations_keep_model_valid():
     rng = random.Random(42)
-    base = load_model(
+    m = load_model(
         "vo R\nmember P kind=Partner cap c=9\nmember Q kind=Associate cap c=4\n"
         "task A type=Atomic\ntask B type=Replicable\ntask C type=Atomic\n"
         "task X type=Atomic inprocess=false\nedge A B\nedge B C\n"
     )
-    m = base
     for _ in range(300):
         op = rng.randrange(4)
         try:
@@ -541,22 +554,20 @@ def test_mutations_keep_model_valid():
                 spare = sorted(t for t, d in m.tasks.items() if not d.in_process)
                 wired = m.in_process_tasks()
                 if spare and wired:
-                    m = insert_task_node(
-                        m, rng.choice(spare), rng.choice(wired), rng.choice(["after", "parallel"])
-                    )
+                    insert_task_node(m, rng.choice(spare), rng.choice(wired), rng.choice(["after", "parallel"]))
             elif op == 1:
                 wired = m.in_process_tasks()
                 if wired:
-                    m = remove_task_node(m, rng.choice(wired))
+                    remove_task_node(m, rng.choice(wired))
             elif op == 2:
-                m, _ = set_dataflow_edge(
+                set_dataflow_edge(
                     m,
                     rng.choice("ijk"),
                     rng.choice(m.in_process_tasks() or ["A"]),
                     rng.choice(["add", "remove"]),
                 )
             else:
-                m = adjust_reserved_capacity(m, rng.choice("PQ"), "c", rng.randint(-3, 3))
+                adjust_reserved_capacity(m, rng.choice("PQ"), "c", rng.randint(-3, 3))
         except Exception:
             continue
         assert validate_model(m) == []
