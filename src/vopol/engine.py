@@ -425,7 +425,7 @@ class Engine:
             return
         self.instance.status[task] = Status.COMPLETED
         self._release_holds(task)
-        arrived = {f.item for f in self.model.dataflows if f.source == task}
+        arrived = {f.item for f in self.model.flows_from(task)}
         arrived -= self.instance.available_data
         self.instance.available_data |= arrived
         for item in arrived:

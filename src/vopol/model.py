@@ -20,6 +20,10 @@ drops the journal. ``VoModel.duties`` is a
 read-only mapping, (member, task, capability) -> amount, written through
 ``_put_duty``/``_drop_duty``, which keep its keys filed by task and by
 member, as ``_link``/``_unlink`` keep the control graph.
+``VoModel.dataflows`` is a read-only set derived from the flows filed by
+target; ``_add_flow``/``_drop_flow`` also file each flow by task source
+and count it by (item, source), with the sources of each item, so a flow
+write or a task's completion reads only the flows it touches.
 """
 
 from __future__ import annotations
@@ -113,7 +117,6 @@ class VoModel:
     members: dict[str, Member] = field(default_factory=dict)
     registry: dict[str, Member] = field(default_factory=dict)
     tasks: dict[str, TaskDef] = field(default_factory=dict)
-    dataflows: set[DataFlow] = field(default_factory=set)
     vbe_resources: set[str] = field(default_factory=set)
     params: dict[str, int] = field(default_factory=dict)
     ledger: CapacityLedger = field(default_factory=CapacityLedger)
@@ -127,6 +130,14 @@ class VoModel:
     # never mutated, and no entry is empty, so equal maps mean the same graph
     _preds: dict[str, frozenset[str]] = field(default_factory=dict)
     _succs: dict[str, frozenset[str]] = field(default_factory=dict)
+    # the data flows by target and by task source (a customer flow is filed
+    # by target only), the number of flows of each (item, source) and the
+    # sources of each item, written only by _add_flow/_drop_flow: bucket
+    # values are replaced, never mutated, no bucket is empty and no count 0
+    _flows_to: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
+    _flows_from: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
+    _flow_count: dict[tuple[str, str], int] = field(default_factory=dict)
+    _item_sources: dict[str, frozenset[str]] = field(default_factory=dict)
     # the bootstrap's ranking of members and candidates (vopol.domain); a
     # cache that clones share, since no action writes a Member record
     _ranking: object = field(default=None, compare=False, repr=False)
@@ -135,15 +146,15 @@ class VoModel:
     _journal: list | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "VoModel":
-        """A snapshot with its own containers and no journal; the records
-        in them are shared with this model, since no write changes a
-        record."""
+        """A snapshot with its own containers and no journal: the members,
+        registry, catalogue, resources, params and ledger, and the duty,
+        control graph and data flow indexes. The records and frozen buckets
+        in them are shared with this model, since no write changes one."""
         return VoModel(
             name=self.name,
             members=dict(self.members),
             registry=dict(self.registry),
             tasks=dict(self.tasks),
-            dataflows=set(self.dataflows),
             vbe_resources=set(self.vbe_resources),
             params=dict(self.params),
             ledger=self.ledger.clone(),
@@ -152,6 +163,10 @@ class VoModel:
             _duties_of=dict(self._duties_of),
             _preds=dict(self._preds),
             _succs=dict(self._succs),
+            _flows_to=dict(self._flows_to),
+            _flows_from=dict(self._flows_from),
+            _flow_count=dict(self._flow_count),
+            _item_sources=dict(self._item_sources),
             _ranking=self._ranking,
         )
 
@@ -182,6 +197,19 @@ class VoModel:
         return self._succs.get(task, frozenset())
 
     @property
+    def dataflows(self) -> frozenset[DataFlow]:
+        """Every data flow; read-only."""
+        return frozenset().union(*self._flows_to.values())
+
+    def flows_to(self, task: str) -> frozenset[DataFlow]:
+        return self._flows_to.get(task, frozenset())
+
+    def flows_from(self, task: str) -> frozenset[DataFlow]:
+        """The flows whose source is the task ``task``; the customer's
+        flows are filed by target only."""
+        return self._flows_from.get(task, frozenset())
+
+    @property
     def duties(self) -> Mapping[tuple[str, str, str], int]:
         """(member, task, capability) -> amount; read-only."""
         return MappingProxyType(self._duties)
@@ -200,27 +228,20 @@ class VoModel:
 _ABSENT = object()
 
 
-def _store(table: dict | set, key, value):
-    """Put ``value`` under ``key``: a dict drops the key for ``_ABSENT``, a
-    set holds the key for a true value and drops it for a false one."""
-    if isinstance(table, set):
-        if value:
-            table.add(key)
-        else:
-            table.discard(key)
-    elif value is _ABSENT:
+def _store(table: dict, key, value):
+    """Put ``value`` under ``key``, or drop the key for ``_ABSENT``."""
+    if value is _ABSENT:
         table.pop(key, None)
     else:
         table[key] = value
 
 
-def _write(m: VoModel, table: dict | set, key, value):
+def _write(m: VoModel, table: dict, key, value):
     """Store ``value`` under ``key`` in ``table``, one of ``m``'s containers;
     once a mark is taken, journal the old value so that :func:`undo` can
     put it back."""
     if m._journal is not None:
-        old = key in table if isinstance(table, set) else table.get(key, _ABSENT)
-        m._journal.append((table, key, old))
+        m._journal.append((table, key, table.get(key, _ABSENT)))
     _store(table, key, value)
 
 
@@ -274,6 +295,30 @@ def _drop_duty(m: VoModel, key: tuple[str, str, str]):
     member, task, _ = key
     for table, at in ((m._duties_on, task), (m._duties_of, member)):
         _write(m, table, at, table[at] - {key} or _ABSENT)
+
+
+def _add_flow(m: VoModel, flow: DataFlow):
+    """Add the data flow ``flow``, which must be absent, to ``m``."""
+    _write(m, m._flows_to, flow.target, m.flows_to(flow.target) | {flow})
+    if flow.source != CUSTOMER:
+        _write(m, m._flows_from, flow.source, m.flows_from(flow.source) | {flow})
+    key = (flow.item, flow.source)
+    count = m._flow_count.get(key, 0)
+    if not count:
+        _write(m, m._item_sources, flow.item, m._item_sources.get(flow.item, frozenset()) | {flow.source})
+    _write(m, m._flow_count, key, count + 1)
+
+
+def _drop_flow(m: VoModel, flow: DataFlow):
+    """Remove the data flow ``flow``, which must be present, from ``m``."""
+    _write(m, m._flows_to, flow.target, m._flows_to[flow.target] - {flow} or _ABSENT)
+    if flow.source != CUSTOMER:
+        _write(m, m._flows_from, flow.source, m._flows_from[flow.source] - {flow} or _ABSENT)
+    key = (flow.item, flow.source)
+    count = m._flow_count[key] - 1
+    _write(m, m._flow_count, key, count or _ABSENT)
+    if not count:
+        _write(m, m._item_sources, flow.item, m._item_sources[flow.item] - {flow.source} or _ABSENT)
 
 
 def _put_task(m: VoModel, task_def: TaskDef):
@@ -465,18 +510,36 @@ def load_model(text: str) -> VoModel:
             if tid not in model.tasks:
                 raise DanglingRefError(f"edge references undefined task {tid!r}", line_no, 1)
     _link(model, ((src, dst) for _, src, dst in pending_edges))
-    flow_inputs: dict[str, set[str]] = {}
+    rows: dict[tuple[str, str, str], None] = {}  # identical rows load as one flow
     for line_no, item, source, target in pending_flows:
         if source != CUSTOMER and source not in model.tasks:
             raise DanglingRefError(f"dataflow source {source!r} is not a task", line_no, 1)
         if target not in model.tasks:
             raise DanglingRefError(f"dataflow target {target!r} is not a task", line_no, 1)
-        model.dataflows.add(DataFlow(item, source, target))
-        flow_inputs.setdefault(target, set()).add(item)
-    for target, items in flow_inputs.items():
+        rows[item, source, target] = None
+    _file_flows(model, [DataFlow(*row) for row in rows])
+    for target, into in model._flows_to.items():
         task = model.tasks[target]
-        model.tasks[target] = replace(task, inputs=task.inputs | items)
+        model.tasks[target] = replace(task, inputs=task.inputs | {f.item for f in into})
     return model
+
+
+def _file_flows(m: VoModel, flows: list[DataFlow]):
+    """Build the flow indexes of ``m``, which holds no flow, in one pass
+    over the distinct ``flows``, as :func:`_add_flow` would file them one
+    by one."""
+    to: dict[str, list[DataFlow]] = {}
+    out: dict[str, list[DataFlow]] = {}
+    sources: dict[str, set[str]] = {}
+    for flow in flows:
+        to.setdefault(flow.target, []).append(flow)
+        if flow.source != CUSTOMER:
+            out.setdefault(flow.source, []).append(flow)
+        key = (flow.item, flow.source)
+        m._flow_count[key] = m._flow_count.get(key, 0) + 1
+        sources.setdefault(flow.item, set()).add(flow.source)
+    for index, buckets in ((m._flows_to, to), (m._flows_from, out), (m._item_sources, sources)):
+        index.update((key, frozenset(bucket)) for key, bucket in buckets.items())
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +713,8 @@ def remove_task_node(m: VoModel, t: str) -> None:
     for duty in m.duties_on(t):
         _drop_duty(m, (duty.member, t, duty.capability))
         _release(m, duty.member, duty.capability, duty.amount)
-    for flow in [f for f in m.dataflows if f.source == t or f.target == t]:
-        _write(m, m.dataflows, flow, False)
+    for flow in m.flows_from(t) | m.flows_to(t):
+        _drop_flow(m, flow)
     _put_task(m, replace(m.tasks[t], in_process=False))
 
 
@@ -665,16 +728,11 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
     if mode not in ("add", "remove"):
         raise InvalidArgumentError(f"mode must be add or remove, got {mode!r}", mode)
     task_def = _need_task(m, t, in_process=True)
-    existing: list[DataFlow] = []
-    sources: set[str] = set()
-    for f in m.dataflows:
-        if f.item == item:
-            sources.add(f.source)
-            if f.target == t:
-                existing.append(f)
+    existing = [f for f in m.flows_to(t) if f.item == item]
     if mode == "add":
         if not existing:
-            _write(m, m.dataflows, DataFlow(item, min(sources) if sources else CUSTOMER, t), True)
+            sources = m._item_sources.get(item)
+            _add_flow(m, DataFlow(item, min(sources) if sources else CUSTOMER, t))
         _put_task(m, replace(task_def, inputs=task_def.inputs | {item}))
         return None
     if not existing:
@@ -685,7 +743,7 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
             severity="warning",
         )
     for flow in existing:
-        _write(m, m.dataflows, flow, False)
+        _drop_flow(m, flow)
     _put_task(m, replace(task_def, inputs=task_def.inputs - {item}))
     return None
 

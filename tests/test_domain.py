@@ -28,7 +28,16 @@ from vopol.errors import (
     UnknownPredicateError,
     UnresolvedIdentifierError,
 )
-from vopol.model import TaskType, canonical_dump, journal_mark, load_model, undo, validate_model
+from vopol.model import (
+    CUSTOMER,
+    DataFlow,
+    TaskType,
+    canonical_dump,
+    journal_mark,
+    load_model,
+    undo,
+    validate_model,
+)
 from vopol.state import InstanceState, Status
 
 
@@ -272,6 +281,31 @@ def test_provide_input_adds_flow():
     m = load_model("vo X\ntask HotelProv type=Atomic\n")
     apply_action(ctx_for(m), action("provide_input", "itinerary", "HotelProv"))
     assert any(f.item == "itinerary" and f.target == "HotelProv" for f in m.dataflows)
+
+
+def test_provide_input_takes_a_source_that_still_sends_the_item():
+    # i flows from A and from B; once A sends i nowhere, a new i flow must
+    # come from B, not from the smaller name A
+    m = load_model(
+        "vo X\n"
+        + "".join(f"task {t} type=Atomic\n" for t in "ABCXY")
+        + "edge A X\nedge B Y\ndataflow i from=A to=X\ndataflow i from=B to=Y\n"
+    )
+    ctx = ctx_for(m)
+    apply_action(ctx, action("remove_input", "i", "X"))
+    apply_action(ctx, action("provide_input", "i", "C"))
+    assert m.flows_to("C") == {DataFlow("i", "B", "C")}
+    assert m.dataflows == {DataFlow("i", "B", "Y"), DataFlow("i", "B", "C")}
+    assert validate_model(m) == []
+
+
+def test_identical_dataflow_rows_load_as_one_flow():
+    m = load_model("vo X\ntask A type=Atomic\ndataflow i from=customer to=A\ndataflow i from=customer to=A\n")
+    assert m.dataflows == {DataFlow("i", CUSTOMER, "A")}
+    apply_action(ctx_for(m), action("remove_input", "i", "A"))
+    assert m.dataflows == set() and "i" not in m._item_sources
+    assert m.tasks["A"].inputs == set()
+    assert m == load_model("vo X\ntask A type=Atomic\n")  # every flow index is empty again
 
 
 # --- resolve_action -------------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import copy
 import pickle
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from vopol.errors import (
     CapacityExceededError,
     DanglingRefError,
     InvalidArgumentError,
+    ModelError,
     ParseError,
     UnderflowError,
     UnknownMemberError,
@@ -25,6 +27,7 @@ from vopol.errors import (
 )
 from vopol.model import (
     CUSTOMER,
+    RELATIONS,
     DataFlow,
     Duty,
     MemberKind,
@@ -35,9 +38,11 @@ from vopol.model import (
     canonical_dump,
     free_capacity,
     insert_task_node,
+    journal_mark,
     load_model,
     remove_task_node,
     set_dataflow_edge,
+    undo,
     validate_model,
 )
 
@@ -247,11 +252,14 @@ def test_duty_table_copies_and_pickles_with_its_indexes():
         assert m.duties == {("P", "T", "a"): 1, ("Q", "T", "b"): 2}
 
 
-# the duty and control graph indexes, the other containers of a model and
-# the ledger's reserved units: only model.py writes them, and its writers
-# journal every write, so no write escapes undo
-INDEXES = {"_duties", "_duties_on", "_duties_of", "_preds", "_succs"}
-CONTAINERS = {"members", "registry", "tasks", "dataflows", "vbe_resources", "params", "reserved"}
+# the duty, control graph and data flow indexes, the other containers of a
+# model and the ledger's reserved units: only model.py writes them, and its
+# writers journal every write, so no write escapes undo
+INDEXES = {
+    "_duties", "_duties_on", "_duties_of", "_preds", "_succs",
+    "_flows_to", "_flows_from", "_flow_count", "_item_sources",
+}
+CONTAINERS = {"members", "registry", "tasks", "vbe_resources", "params", "reserved"}
 MUTATORS = {
     "add", "clear", "difference_update", "discard", "intersection_update", "pop", "popitem",
     "remove", "setdefault", "symmetric_difference_update", "update",
@@ -473,6 +481,126 @@ def test_dataflow_add_reuses_known_source():
     )
     set_dataflow_edge(m, "i", "C", "add")
     assert DataFlow("i", "A", "C") in m.dataflows
+
+
+def test_dataflows_is_a_read_only_view():
+    m = load_model("vo X\ntask A type=Atomic\ndataflow i from=customer to=A\n")
+    with pytest.raises(AttributeError):
+        m.dataflows.add(DataFlow("j", CUSTOMER, "A"))
+    with pytest.raises(AttributeError):
+        m.dataflows = frozenset()
+    with pytest.raises(TypeError):
+        VoModel(name="X", dataflows={DataFlow("i", CUSTOMER, "A")})
+    assert m.dataflows == {DataFlow("i", CUSTOMER, "A")}
+
+
+def test_removing_a_flow_source_leaves_the_item_among_the_target_inputs():
+    # the flow goes with its source; C still declares i, which nothing
+    # sends any more, and the model stays valid (README "Model files")
+    m = load_model(
+        "vo X\ntask A type=Atomic\ntask B type=Atomic\ntask C type=Atomic\n"
+        "edge A B\nedge B C\ndataflow i from=A to=C\n"
+    )
+    remove_task_node(m, "A")
+    assert m.dataflows == set()
+    assert m.tasks["C"].inputs == {"i"}
+    assert validate_model(m) == []
+
+
+# --- the data flow indexes -------------------------------------------------------
+
+FLOW_MODEL = """\
+vo F
+task A type=Atomic
+task B type=Atomic
+task C type=Atomic
+task D type=Atomic
+task X type=Atomic inprocess=false
+edge A B
+edge A C
+edge B D
+edge C D
+dataflow i from=customer to=A
+dataflow i from=customer to=A
+dataflow i from=A to=B
+dataflow j from=B to=D
+dataflow j from=C to=D
+dataflow k from=X to=C
+"""
+FLOW_TASKS = ["A", "B", "C", "D", "X", "ghost"]
+flow_steps = st.one_of(
+    st.tuples(st.sampled_from(["add", "remove"]), st.sampled_from(["i", "j", "k"]), st.sampled_from(FLOW_TASKS)),
+    st.tuples(st.just("delete"), st.sampled_from(FLOW_TASKS)),
+    st.tuples(st.just("insert"), st.sampled_from(FLOW_TASKS), st.sampled_from(FLOW_TASKS), st.sampled_from(RELATIONS)),
+    st.tuples(st.sampled_from(["clone", "mark", "undo"])),
+)
+
+
+def _mirror_flow_write(flows: set[DataFlow], step: tuple):
+    """What a successful ``step`` does to the plain set ``flows``."""
+    if step[0] == "add":
+        _, item, task = step
+        if not any(f.item == item and f.target == task for f in flows):
+            sources = {f.source for f in flows if f.item == item}
+            flows.add(DataFlow(item, min(sources) if sources else CUSTOMER, task))
+    elif step[0] == "remove":
+        _, item, task = step
+        flows -= {f for f in flows if f.item == item and f.target == task}
+    elif step[0] == "delete":
+        flows -= {f for f in flows if step[1] in (f.source, f.target)}
+
+
+def _buckets(pairs) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, set()).add(value)
+    return {key: frozenset(bucket) for key, bucket in out.items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=7), flow_steps), max_size=30))
+def test_flow_indexes_match_a_full_scan_in_every_version(steps):
+    start = load_model(FLOW_MODEL)
+    # each version with a plain set mirror and its (mark, mirror) stack
+    versions = [(start, set(start.dataflows), [])]
+    for pick, step in steps:
+        # mostly the newest version; sometimes one it was copied from
+        at = -1 if pick > 3 else pick % len(versions)
+        model, mirror, marks = versions[at]
+        if step[0] == "clone":
+            versions.append((model.clone(), set(mirror), []))
+        elif step[0] == "mark":
+            marks.append((journal_mark(model), set(mirror)))
+        elif step[0] == "undo":
+            if marks:
+                mark, mirror = marks.pop()
+                undo(model, mark)
+                versions[at] = (model, mirror, marks)
+        else:
+            try:
+                if step[0] == "delete":
+                    remove_task_node(model, step[1])
+                elif step[0] == "insert":
+                    insert_task_node(model, *step[1:])
+                else:
+                    set_dataflow_edge(model, step[1], step[2], step[0])
+            except ModelError:
+                pass
+            else:
+                _mirror_flow_write(mirror, step)
+        for model, mirror, _ in versions:  # a step changes only the version it ran on
+            flows = model.dataflows
+            assert flows == mirror
+            assert model._flows_to == _buckets((f.target, f) for f in flows)
+            assert model._flows_from == _buckets((f.source, f) for f in flows if f.source != CUSTOMER)
+            assert model._flow_count == dict(Counter((f.item, f.source) for f in flows))
+            assert model._item_sources == _buckets((f.item, f.source) for f in flows)
+            for task in FLOW_TASKS:
+                assert model.flows_to(task) == {f for f in flows if f.target == task}
+                assert model.flows_from(task) == {f for f in flows if f.source == task}
+            assert all(model._flows_to.values()) and all(model._flows_from.values())
+            assert all(model._flow_count.values()) and all(model._item_sources.values())
+            assert validate_model(model) == []
 
 
 # --- capacity ledger ------------------------------------------------------------
