@@ -27,7 +27,6 @@ from .domain import (
 from .engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
 from .errors import Diagnostic, ParseError, VopolError
 from .model import (
-    CapacityLedger,
     DataFlow,
     Duty,
     Member,
@@ -48,7 +47,6 @@ from .trace import TraceRecord, format_record, format_trace, parse_record, parse
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityLedger",
     "Conflict",
     "DataFlow",
     "Diagnostic",

@@ -13,6 +13,7 @@ it was. Call ``ctx.model.clone()`` first to keep a snapshot.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -175,7 +176,7 @@ class EvalContext:
     hold_sink: list[Hold] = field(default_factory=list)
 
     @property
-    def params(self) -> dict[str, int]:
+    def params(self) -> Mapping[str, int]:
         return self.model.params
 
     def is_active(self, task: str) -> bool:
@@ -250,7 +251,7 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
 def _coverage(m: VoModel, task: str, capability: str) -> int:
     duties = m._duties
     return sum(
-        duties[key] for key in m._duties_on.get(task, ()) if key[2] == capability and key[0] in m.members
+        duties[key] for key in m._duties_on.get(task, ()) if key[2] == capability and key[0] in m._members
     )
 
 
@@ -421,7 +422,7 @@ def can_run(m: VoModel, task: str) -> bool:
     covered: dict[str, int] = {}
     for key in m._duties_on.get(task, ()):
         mid, _, cap = key
-        if mid not in m.members:
+        if mid not in m._members:
             return False
         covered[cap] = covered.get(cap, 0) + m._duties[key]
     return all(covered.get(cap, 0) >= need for cap, need in task_def.required.items())
@@ -477,22 +478,17 @@ class _Ranking:
     """Everyone the bootstrap can draw on, ranked once per (capability,
     competition) and shared by a model and its clones.
 
-    No action writes a :class:`Member` record: ``add_member`` and
-    ``remove_member`` only move one between ``members`` and ``registry``.
-    So one ranking of the whole population serves a model through every
-    action, and its clones too; a walk filters it by current membership.
-    A model whose population differs (a library caller wrote ``members``
-    or ``registry`` directly) gets a new ranking, see :func:`_ranking`.
+    The population is fixed after :func:`vopol.model.load_model`: no
+    action writes a :class:`Member` record, ``add_member`` and
+    ``remove_member`` only move one between ``members`` and ``registry``,
+    and no caller can write those. So one ranking of the whole population
+    serves a model through every action, and its clones too; a walk
+    filters it by current membership.
     """
 
     def __init__(self, m: VoModel):
-        self.people = {**m.registry, **m.members}
+        self.people = {**m._registry, **m._members}
         self._orders: dict[tuple[str, bool], tuple[list[tuple[str, int]], ...]] = {}
-
-    def fits(self, m: VoModel) -> bool:
-        """Every member and candidate of ``m`` is ranked here with its record."""
-        people = self.people.items()
-        return m.members.items() <= people and m.registry.items() <= people
 
     def orders(self, capability: str, competition: bool) -> tuple[list[tuple[str, int]], ...]:
         """(id, declared amount) of everyone who declares ``capability``,
@@ -512,15 +508,6 @@ class _Ranking:
                 for order in (as_member, as_candidate)
             )
         return self._orders[key]
-
-
-def _ranking(m: VoModel) -> _Ranking:
-    """The ranking ``m`` shares with the models it was cloned from, rebuilt
-    when ``m``'s population no longer fits it."""
-    ranking = m._ranking
-    if ranking is None or not ranking.fits(m):
-        ranking = m._ranking = _Ranking(m)
-    return ranking
 
 
 def run_bootstrap(ctx: EvalContext, task: str) -> list[DomainAction]:
@@ -556,7 +543,9 @@ def _allocate(ctx: EvalContext, task: str) -> list[DomainAction]:
     :class:`TaskFailure` at the first capability it cannot cover."""
     m = ctx.model
     task_def = m.tasks[task]
-    ranking = _ranking(m)
+    if m._ranking is None:  # clones taken from here on share it
+        m._ranking = _Ranking(m)
+    ranking = m._ranking
     competition = task_def.sharing == COMPETITION
     performed: list[DomainAction] = []
     for capability in sorted(task_def.required):
@@ -565,18 +554,18 @@ def _allocate(ctx: EvalContext, task: str) -> list[DomainAction]:
         # members first, then candidates, each filtered by membership; a
         # walk admits only the candidates it visits, each of them once
         for as_candidate, order in enumerate(orders):
-            pool = m.registry if as_candidate else m.members
+            pool = m._registry if as_candidate else m._members
             for mid, declared in order:
                 if shortfall == 0:
                     break
                 if mid not in pool:
                     continue
-                free = declared - m.ledger.get(mid, capability)
+                free = declared - m._reserved.get((mid, capability), 0)
                 if free <= 0:
                     continue
                 take = min(free, shortfall)
-                held = m.duties.get((mid, task, capability), 0)
-                steps = [DomainAction("add_member", (mid,))] if mid in m.registry else []
+                held = m._duties.get((mid, task, capability), 0)
+                steps = [DomainAction("add_member", (mid,))] if as_candidate else []
                 steps.append(DomainAction("assign_duty", (mid, task, capability, held + take)))
                 mark = journal_mark(m)
                 try:

@@ -26,6 +26,7 @@ when it cannot cover the requirements.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +67,7 @@ from .model import (
     undo,
     validate_model,
 )
-from .state import InstanceState, Status, StatusMap
+from .state import InstanceState, Status
 from .trace import TraceRecord
 
 BOOTSTRAP_POLICY = "@bootstrap"
@@ -163,7 +164,9 @@ class Engine:
 
     ``model`` is the engine's working model, a copy of the one it was
     given: every event writes it in place, and its journal holds the
-    writes of the event under way, so a policy that raises is undone."""
+    writes of the event under way, so a policy that raises is undone.
+    ``instance.status`` is written only by :meth:`_set_status`, which
+    keeps each task's fragment of the STATE record."""
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
         self.model = model.clone()
@@ -172,6 +175,10 @@ class Engine:
         self.records: list[TraceRecord] = []
         self._seq = 0
         self.instance = init_instance(self.model)
+        # the tasks of instance.status by name, and the name:Status fragment
+        # of the STATE record of each
+        self._order = sorted(self.instance.status)
+        self._fragments = [f"{t}:{self.instance.status[t].value}" for t in self._order]
         # data item -> catalogue tasks that declare it as an input
         self._consumers: dict[str, set[str]] = {}
         for task, task_def in self.model.tasks.items():
@@ -210,17 +217,29 @@ class Engine:
         return rec
 
     def _emit_state(self):
-        status = self.instance.status
-        if type(status) is not StatusMap:  # a new instance, or a map a caller put in
-            status = self.instance.status = StatusMap(status)
         data = ",".join(sorted(self.instance.available_data))
         members = ",".join(sorted(self.model.members))
-        self._emit("STATE", ("tasks", status.text()), ("data", data), ("members", members))
+        self._emit("STATE", ("tasks", ",".join(self._fragments)), ("data", data), ("members", members))
 
     def _emit_error(self, err: VopolError, detail: str | None = None):
         self._emit("ERROR", ("error", err.code), ("detail", detail or err.message))
 
     # lifecycle helpers ----------------------------------------------------
+
+    def _set_status(self, task: str, status: Status | None):
+        """Set the status of ``task``, or drop the task for None, and with it
+        its STATE fragment, found by bisection over the sorted task names."""
+        statuses = self.instance.status
+        i = bisect_left(self._order, task)
+        if status is None:
+            if statuses.pop(task, None) is not None:
+                del self._order[i], self._fragments[i]
+            return
+        if task not in statuses:
+            self._order.insert(i, task)
+            self._fragments.insert(i, "")
+        statuses[task] = status
+        self._fragments[i] = f"{task}:{status.value}"
 
     def _refresh_readiness(self):
         """Re-check the readiness of the touched tasks against the current
@@ -230,15 +249,14 @@ class Engine:
         left it is dropped, and a pending or ready one gets the readiness
         rule's verdict; started tasks are never changed.
         """
-        status = self.instance.status
         for task in sorted(self._touched):
             if not self.model.tasks[task].in_process:
-                status.pop(task, None)
+                self._set_status(task, None)
                 continue
-            current = status.setdefault(task, Status.PENDING)
+            current = self.instance.status.get(task, Status.PENDING)
             if current is Status.PENDING or current is Status.READY:
                 eligible = _eligible(self.model, self.instance, task)
-                status[task] = Status.READY if eligible else Status.PENDING
+                self._set_status(task, Status.READY if eligible else Status.PENDING)
         self._touched.clear()
 
     def _apply(self, ctx: EvalContext, action: DomainAction):
@@ -360,7 +378,7 @@ class Engine:
                     self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
 
         if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
-            self.instance.status[trig.task] = Status.FAILED
+            self._set_status(trig.task, Status.FAILED)
             self._release_holds(trig.task)
 
         self._refresh_readiness()
@@ -415,7 +433,7 @@ class Engine:
         self._emit("EVENT", ("event", "activate"), ("task", task))
         if not self._require_status(task, Status.READY, "activate"):
             return
-        self.instance.status[task] = Status.ACTIVE
+        self._set_status(task, Status.ACTIVE)
         self.dispatch_trigger(DomainTrigger("task_entry", task))
 
     def _ev_complete(self, ev: ScenarioEvent):
@@ -423,7 +441,7 @@ class Engine:
         self._emit("EVENT", ("event", "complete"), ("task", task))
         if not self._require_status(task, Status.ACTIVE, "complete"):
             return
-        self.instance.status[task] = Status.COMPLETED
+        self._set_status(task, Status.COMPLETED)
         self._release_holds(task)
         arrived = {f.item for f in self.model.flows_from(task)}
         arrived -= self.instance.available_data
@@ -439,7 +457,7 @@ class Engine:
         self._emit("EVENT", ("event", "fail"), ("task", task))
         if not self._require_status(task, Status.ACTIVE, "fail"):
             return
-        self.instance.status[task] = Status.FAILED
+        self._set_status(task, Status.FAILED)
         self._release_holds(task)
         self.dispatch_trigger(DomainTrigger("task_failure", task))
 
@@ -478,7 +496,7 @@ class Engine:
             self._emit_error(err)
             return
         if sign < 0:
-            reserved = self.model.ledger.get(member, capability) + amount  # before this release
+            reserved = self.model.reserved.get((member, capability), 0) + amount  # before this release
             unclaimed = max(0, reserved - self._claimed(member, capability))
             if amount > unclaimed:
                 undo(self.model, saved)

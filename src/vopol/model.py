@@ -2,7 +2,7 @@
 
 The model holds members, the task catalogue, the control-flow graph over
 in-process tasks, data flows, the candidate registry, named integer
-parameters, duty assignments and the capacity ledger. A mutating
+parameters, duty assignments and the reserved capacity. A mutating
 operation writes the model it is given; call :meth:`VoModel.clone` first
 to keep a snapshot. It runs every check before its first write, so a
 failed operation raises and leaves the model as it was, and a successful
@@ -10,26 +10,26 @@ one always leaves a model that satisfies :func:`validate_model`.
 
 Clones share their records: :class:`Member` and :class:`TaskDef` are
 frozen, so a change puts a new record (``dataclasses.replace``) into the
-containers (dicts, sets, ledger) that each clone owns alone.
+private containers that each clone owns alone.
 
-Only this module writes the containers. Past :func:`load_model`, each
-write goes through :func:`_write`. From the first :func:`journal_mark`
-on, it journals the old value of the slot it overwrites, so that
-:func:`undo` can roll the model back to a mark, until :func:`commit`
-drops the journal. ``VoModel.duties`` is a
-read-only mapping, (member, task, capability) -> amount, written through
-``_put_duty``/``_drop_duty``, which keep its keys filed by task and by
-member, as ``_link``/``_unlink`` keep the control graph.
-``VoModel.dataflows`` is a read-only set derived from the flows filed by
-target; ``_add_flow``/``_drop_flow`` also file each flow by task source
-and count it by (item, source), with the sources of each item, so a flow
-write or a task's completion reads only the flows it touches.
+Only this module writes the containers; each public one, such as
+``members``, ``reserved``, ``duties`` or ``dataflows``, is a read-only
+view. Past :func:`load_model`, each write goes through :func:`_write`.
+From the first :func:`journal_mark` on, it journals the old value of the
+slot it overwrites, so that :func:`undo` can roll the model back to a
+mark, until :func:`commit` drops the journal. ``_put_duty`` and
+``_drop_duty`` keep each duty key filed by task and by member, as
+``_link``/``_unlink`` keep the control graph. ``dataflows`` is derived
+from the flows filed by target; ``_add_flow``/``_drop_flow`` also file
+each flow by task source and count it by (item, source), with the
+sources of each item, so a flow write or a task's completion reads only
+the flows it touches.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
 
@@ -98,28 +98,19 @@ class Duty:
 
 
 @dataclass
-class CapacityLedger:
-    """Reserved units per (member, capability); never exceeds the declared
-    capacity and never goes negative."""
-
-    reserved: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def get(self, member: str, capability: str) -> int:
-        return self.reserved.get((member, capability), 0)
-
-    def clone(self) -> "CapacityLedger":
-        return CapacityLedger(dict(self.reserved))
-
-
-@dataclass
 class VoModel:
     name: str
-    members: dict[str, Member] = field(default_factory=dict)
-    registry: dict[str, Member] = field(default_factory=dict)
-    tasks: dict[str, TaskDef] = field(default_factory=dict)
-    vbe_resources: set[str] = field(default_factory=set)
-    params: dict[str, int] = field(default_factory=dict)
-    ledger: CapacityLedger = field(default_factory=CapacityLedger)
+    # the members, the candidate registry, the task catalogue and the units
+    # reserved per (member, capability), which never exceed the declared
+    # capacity and never go negative; past load_model only _move_member,
+    # _put_task and _reserve write them, and nothing writes the params and
+    # resources
+    _members: dict[str, Member] = field(default_factory=dict)
+    _registry: dict[str, Member] = field(default_factory=dict)
+    _tasks: dict[str, TaskDef] = field(default_factory=dict)
+    _vbe_resources: frozenset[str] = frozenset()
+    _params: dict[str, int] = field(default_factory=dict)
+    _reserved: dict[tuple[str, str], int] = field(default_factory=dict)
     # the duty table and its keys by task and by member, written only by
     # _put_duty/_drop_duty: bucket values are replaced, never mutated, and
     # no bucket is empty
@@ -138,8 +129,8 @@ class VoModel:
     _flows_from: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
     _flow_count: dict[tuple[str, str], int] = field(default_factory=dict)
     _item_sources: dict[str, frozenset[str]] = field(default_factory=dict)
-    # the bootstrap's ranking of members and candidates (vopol.domain); a
-    # cache that clones share, since no action writes a Member record
+    # the bootstrap's ranking of members and candidates (vopol.domain), a
+    # cache that clones share: the population is fixed after load_model
     _ranking: object = field(default=None, compare=False, repr=False)
     # (container, key, old value) of every write since the first mark, in
     # write order, or None when nothing can be undone; see _write
@@ -147,17 +138,17 @@ class VoModel:
 
     def clone(self) -> "VoModel":
         """A snapshot with its own containers and no journal: the members,
-        registry, catalogue, resources, params and ledger, and the duty,
+        registry, catalogue, params and reserved units, and the duty,
         control graph and data flow indexes. The records and frozen buckets
         in them are shared with this model, since no write changes one."""
         return VoModel(
             name=self.name,
-            members=dict(self.members),
-            registry=dict(self.registry),
-            tasks=dict(self.tasks),
-            vbe_resources=set(self.vbe_resources),
-            params=dict(self.params),
-            ledger=self.ledger.clone(),
+            _members=dict(self._members),
+            _registry=dict(self._registry),
+            _tasks=dict(self._tasks),
+            _vbe_resources=self._vbe_resources,
+            _params=dict(self._params),
+            _reserved=dict(self._reserved),
             _duties=dict(self._duties),
             _duties_on=dict(self._duties_on),
             _duties_of=dict(self._duties_of),
@@ -170,11 +161,36 @@ class VoModel:
             _ranking=self._ranking,
         )
 
+    def __post_init__(self):
+        # read-only views of the containers, built once per model, so a read
+        # costs what a plain attribute costs: id -> member or candidate
+        # (``registry``, the ones ``add_member`` can admit), id -> task,
+        # name -> param, (member, capability) -> reserved units (absent for
+        # none) and (member, task, capability) -> duty amount
+        self.members = MappingProxyType(self._members)
+        self.registry = MappingProxyType(self._registry)
+        self.tasks = MappingProxyType(self._tasks)
+        self.params = MappingProxyType(self._params)
+        self.reserved = MappingProxyType(self._reserved)
+        self.duties = MappingProxyType(self._duties)
+
+    def __getstate__(self):
+        # the fields alone, and __setstate__ builds the views again: a
+        # mappingproxy does not pickle
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
+
+    @property
+    def vbe_resources(self) -> frozenset[str]:
+        return self._vbe_resources
+
     # lookups ----------------------------------------------------------
 
     def anyone(self, member_id: str) -> Member | None:
         """Member or registry candidate with this id."""
-        return self.members.get(member_id) or self.registry.get(member_id)
+        return self._members.get(member_id) or self._registry.get(member_id)
 
     def declared(self, member_id: str, capability: str) -> int | None:
         who = self.anyone(member_id)
@@ -183,7 +199,7 @@ class VoModel:
         return who.capabilities[capability]
 
     def in_process_tasks(self) -> list[str]:
-        return sorted(t for t, d in self.tasks.items() if d.in_process)
+        return sorted(t for t, d in self._tasks.items() if d.in_process)
 
     @property
     def control_edges(self) -> frozenset[tuple[str, str]]:
@@ -208,11 +224,6 @@ class VoModel:
         """The flows whose source is the task ``task``; the customer's
         flows are filed by target only."""
         return self._flows_from.get(task, frozenset())
-
-    @property
-    def duties(self) -> Mapping[tuple[str, str, str], int]:
-        """(member, task, capability) -> amount; read-only."""
-        return MappingProxyType(self._duties)
 
     def iter_duties(self) -> list[Duty]:
         return _sorted_duties(self._duties.items())
@@ -323,22 +334,21 @@ def _drop_flow(m: VoModel, flow: DataFlow):
 
 def _put_task(m: VoModel, task_def: TaskDef):
     """File ``task_def`` in ``m``'s catalogue under its id."""
-    _write(m, m.tasks, task_def.id, task_def)
+    _write(m, m._tasks, task_def.id, task_def)
 
 
 def _move_member(m: VoModel, who: str, admit: bool):
     """Move ``who`` from the registry into the members (``admit``) or back."""
-    source, target = (m.registry, m.members) if admit else (m.members, m.registry)
+    source, target = (m._registry, m._members) if admit else (m._members, m._registry)
     _write(m, target, who, source[who])
     _write(m, source, who, _ABSENT)
 
 
 def _reserve(m: VoModel, member: str, capability: str, delta: int):
-    """Shift the units of ``capability`` that ``m``'s ledger reserves for
-    ``member`` by ``delta``; the caller keeps the ledger's bounds."""
+    """Shift the units of ``capability`` that ``m`` reserves for ``member``
+    by ``delta``; the caller keeps them between 0 and the declared amount."""
     key = (member, capability)
-    new = m.ledger.get(member, capability) + delta
-    _write(m, m.ledger.reserved, key, new or _ABSENT)
+    _write(m, m._reserved, key, m._reserved.get(key, 0) + delta or _ABSENT)
 
 
 def _release(m: VoModel, member: str, capability: str, amount: int):
@@ -346,7 +356,7 @@ def _release(m: VoModel, member: str, capability: str, amount: int):
     :func:`adjust_reserved_capacity` with a negative delta already freed
     some of them (a scenario ``release`` cannot free units that a duty
     claims)."""
-    _reserve(m, member, capability, -min(amount, m.ledger.get(member, capability)))
+    _reserve(m, member, capability, -min(amount, m._reserved.get((member, capability), 0)))
 
 
 def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Duty]:
@@ -457,6 +467,7 @@ def load_model(text: str) -> VoModel:
     model: VoModel | None = None
     pending_edges: list[tuple[int, str, str]] = []
     pending_flows: list[tuple[int, str, str, str]] = []
+    resources: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -475,17 +486,17 @@ def load_model(text: str) -> VoModel:
         if row == "param":
             if len(tokens) != 3:
                 raise ParseError("param row needs a name and a value", line_no, 1)
-            model.params[tokens[1]] = _int(tokens[2], line_no, f"param {tokens[1]!r}")
+            model._params[tokens[1]] = _int(tokens[2], line_no, f"param {tokens[1]!r}")
         elif row in ("member", "candidate"):
             who = _parse_member(tokens, line_no)
             if model.anyone(who.id) is not None:
                 raise ParseError(f"duplicate member id {who.id!r}", line_no, 1)
-            (model.members if row == "member" else model.registry)[who.id] = who
+            (model._members if row == "member" else model._registry)[who.id] = who
         elif row == "task":
             task = _parse_task(tokens, line_no)
-            if task.id in model.tasks:
+            if task.id in model._tasks:
                 raise ParseError(f"duplicate task id {task.id!r}", line_no, 1)
-            model.tasks[task.id] = task
+            model._tasks[task.id] = task
         elif row == "edge":
             if len(tokens) != 3:
                 raise ParseError("edge row needs from and to", line_no, 1)
@@ -500,11 +511,12 @@ def load_model(text: str) -> VoModel:
         elif row == "resource":
             if len(tokens) != 2:
                 raise ParseError("resource row needs an id", line_no, 1)
-            model.vbe_resources.add(tokens[1])
+            resources.add(tokens[1])
         else:
             raise ParseError(f"unknown row kind {row!r}", line_no, 1)
     if model is None:
         raise ParseError("empty model file", 1, 1)
+    model._vbe_resources = frozenset(resources)
     for line_no, src, dst in pending_edges:
         for tid in (src, dst):
             if tid not in model.tasks:
@@ -519,8 +531,8 @@ def load_model(text: str) -> VoModel:
         rows[item, source, target] = None
     _file_flows(model, [DataFlow(*row) for row in rows])
     for target, into in model._flows_to.items():
-        task = model.tasks[target]
-        model.tasks[target] = replace(task, inputs=task.inputs | {f.item for f in into})
+        task = model._tasks[target]
+        model._tasks[target] = replace(task, inputs=task.inputs | {f.item for f in into})
     return model
 
 
@@ -632,7 +644,7 @@ def validate_model(m: VoModel) -> list[Diagnostic]:
                 task,
             )
 
-    for (mid, cap), reserved in sorted(m.ledger.reserved.items()):
+    for (mid, cap), reserved in sorted(m._reserved.items()):
         declared = m.declared(mid, cap)
         if declared is None:
             bad("CapabilityMissing", f"ledger entry ({mid}, {cap}) has no declared capacity", mid)
@@ -700,15 +712,18 @@ def remove_task_node(m: VoModel, t: str) -> None:
     _unlink(m, {(p, t) for p in preds} | {(t, s) for s in succs})
     bridges = set()
     for p in preds:
-        reach = {p}
-        frontier = [p]
-        while frontier:
+        # walk from p until it reaches every other successor
+        missing = set(succs - {p})
+        seen, frontier = {p}, [p]
+        while frontier and missing:
             for s in m.successors(frontier.pop()):
-                if s not in reach:
-                    reach.add(s)
+                if s not in seen:
+                    seen.add(s)
+                    missing.discard(s)
                     frontier.append(s)
-        reach.discard(p)  # on cyclic input a task that is both pred and succ gets p -> p
-        bridges |= {(p, s) for s in succs if s not in reach}
+        bridges |= {(p, s) for s in missing}
+        if p in succs:  # on cyclic input a task that is both pred and succ gets p -> p
+            bridges.add((p, p))
     _link(m, bridges)
     for duty in m.duties_on(t):
         _drop_duty(m, (duty.member, t, duty.capability))
@@ -761,7 +776,7 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
         raise CapabilityMissingError(
             f"{member!r} declares no capability {capability!r}", capability
         )
-    new = m.ledger.get(member, capability) + delta
+    new = m._reserved.get((member, capability), 0) + delta
     if new < 0:
         raise UnderflowError(
             f"releasing {-delta} of ({member}, {capability}) would leave {new} reserved", member
@@ -781,7 +796,7 @@ def free_capacity(m: VoModel, member: str, capability: str) -> int | None:
     declared = m.declared(member, capability)
     if declared is None:
         return None
-    return declared - m.ledger.get(member, capability)
+    return declared - m._reserved.get((member, capability), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +841,6 @@ def canonical_dump(m: VoModel) -> str:
         lines.append(f"resource {rid}")
     for duty in m.iter_duties():
         lines.append(f"duty {duty.member} {duty.task} {duty.capability}={duty.amount}")
-    for (mid, cap), amount in sorted(m.ledger.reserved.items()):
+    for (mid, cap), amount in sorted(m.reserved.items()):
         lines.append(f"reserved {mid} {cap}={amount}")
     return "\n".join(lines) + "\n"

@@ -7,8 +7,9 @@ form of each hook the engine optimises:
   order (the engine reads a trigger index);
 - ``_refresh_readiness``: a full sweep through ``ready_set`` over the
   in-process tasks (the engine re-checks the tasks an event touched);
-- ``_emit_state``: a fresh sorted join over a plain ``dict`` (the engine
-  keeps each task's fragment of the STATE record between events);
+- ``_set_status`` and ``_emit_state``: a plain ``dict`` write and a fresh
+  sorted join (the engine's one status writer keeps each task's fragment
+  of the STATE record between events);
 - ``dispatch_trigger``: one-pass semantics, with a request suppressed when
   the hand-written pair rules find it clashing with any earlier request
   (the engine compares what each request writes), every action applied
@@ -19,7 +20,7 @@ form of each hook the engine optimises:
   duty buckets and undoes a failed walk through the model's journal), and
   a clone taken before each policy to roll it back (the engine undoes the
   policy's writes and truncates its logs);
-- ``_adjust_capacity`` and ``_release_holds``: the ledger written in a
+- ``_adjust_capacity`` and ``_release_holds``: the reserved units written in a
   clone that replaces the model (the engine writes it in place and undoes
   a refused release).
 
@@ -47,7 +48,15 @@ from vopol.domain import (
 )
 from vopol.engine import BOOTSTRAP_POLICY, Engine, ScenarioEvent, _action_fields, ready_set
 from vopol.errors import InvalidArgumentError, ModelError, TaskFailure, UnderflowError, UnknownTaskError
-from vopol.model import TaskType, VoModel, _put_duty, adjust_reserved_capacity, free_capacity
+from vopol.model import (
+    TaskType,
+    VoModel,
+    _move_member,
+    _put_duty,
+    _reserve,
+    adjust_reserved_capacity,
+    free_capacity,
+)
 from vopol.policy.ast import ActionCall, Ident, Policy, Pred, TriggerSpec
 from vopol.policy.evaluate import evaluate_rule_group
 from vopol.state import Status
@@ -100,17 +109,13 @@ def detect_conflicts(actions: list[tuple[str, DomainAction]], start: int = 0) ->
     return out
 
 
-# ledger -------------------------------------------------------------------
+# reserved capacity --------------------------------------------------------
 
 
 def _shift(m: VoModel, member: str, capability: str, delta: int):
-    """Shift the units the ledger of ``m`` reserves by ``delta``, clamped at 0."""
-    reserved = m.ledger.reserved
-    new = max(0, reserved.get((member, capability), 0) + delta)
-    if new:
-        reserved[member, capability] = new
-    else:
-        reserved.pop((member, capability), None)
+    """Shift the units ``m`` reserves by ``delta``, clamped at 0."""
+    reserved = m.reserved.get((member, capability), 0)
+    _reserve(m, member, capability, max(0, reserved + delta) - reserved)
 
 
 # bootstrap ----------------------------------------------------------------
@@ -192,7 +197,7 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
             free = free_capacity(scratch, mid, capability)
             if not allowed(mid) or not free or free <= 0:
                 continue
-            scratch.members[mid] = scratch.registry.pop(mid)
+            _move_member(scratch, mid, admit=True)
             performed.append(DomainAction("add_member", (mid,)))
             shortfall -= take_from(mid, capability, shortfall)
         if shortfall > 0:
@@ -256,7 +261,7 @@ class NaiveEngine(Engine):
             self._emit_error(err)
             return
         if sign < 0:
-            reserved = self.model.ledger.get(member, capability)
+            reserved = self.model.reserved.get((member, capability), 0)
             unclaimed = max(0, reserved - self._claimed(member, capability))
             if amount > unclaimed:
                 self._emit_error(
@@ -268,6 +273,12 @@ class NaiveEngine(Engine):
                 )
                 return
         self.model = adjusted
+
+    def _set_status(self, task: str, status: Status | None):
+        if status is None:
+            self.instance.status.pop(task, None)
+        else:
+            self.instance.status[task] = status
 
     def _emit_state(self):
         status = self.instance.status

@@ -205,7 +205,7 @@ def _random_sequence_model():
 def _ledger_ok(m):
     return all(
         0 <= reserved <= (m.declared(mid, cap) or 0)
-        for (mid, cap), reserved in m.ledger.reserved.items()
+        for (mid, cap), reserved in m.reserved.items()
     )
 
 

@@ -87,7 +87,7 @@ def test_remove_member_drops_all_duties_and_reservations():
     assert len(m.duties) == 2
     apply_action(ctx, action("remove_member", "P"))
     assert m.duties == {}
-    assert m.ledger.reserved == {}
+    assert m.reserved == {}
     assert "P" in m.registry  # back in the breeding pool
     assert validate_model(m) == []
 
@@ -100,7 +100,7 @@ def test_remove_member_keeps_reservation_for_active_task():
     ctx = ctx_for(m, active={"T"})
     apply_action(ctx, action("remove_member", "P"))
     assert m.duties == {}
-    assert m.ledger.get("P", "a") == 2  # commitment survives the removal
+    assert m.reserved.get(("P", "a"), 0) == 2  # commitment survives the removal
     assert ctx.hold_sink == [("T", "P", "a", 2)]
 
 
@@ -120,7 +120,7 @@ def test_assign_creates_duty_and_reserves(visitus):
     apply_action(ctx_for(visitus), action("add_member", "newHotel"))
     apply_action(ctx_for(visitus), action("assign_duty", "newHotel", "HotelProv", "beds", 3))
     assert visitus.duties == {("newHotel", "HotelProv", "beds"): 3}
-    assert visitus.ledger.get("newHotel", "beds") == 3
+    assert visitus.reserved.get(("newHotel", "beds"), 0) == 3
     assert validate_model(visitus) == []
 
 
@@ -129,7 +129,7 @@ def test_reassign_overwrites_amount():
     apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 3))
     apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     assert m.duties == {("P", "T", "a"): 5}
-    assert m.ledger.get("P", "a") == 5
+    assert m.reserved.get(("P", "a"), 0) == 5
 
 
 def test_assign_overwrite_equals_last_write():
@@ -146,7 +146,7 @@ def test_assign_capacity_check_allows_own_held_amount():
     apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     # 5 free + 0: raising beyond declared must fail, re-assigning 5 is fine
     apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    assert m.ledger.get("P", "a") == 5
+    assert m.reserved.get(("P", "a"), 0) == 5
     with pytest.raises(CapacityExceededError):
         apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 6))
 
@@ -183,7 +183,7 @@ def test_assign_reduction_on_active_task_keeps_commitment():
     ctx = ctx_for(m, active={"T"})
     apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
     assert m.duties[("P", "T", "a")] == 2
-    assert m.ledger.get("P", "a") == 5  # reservation unchanged until completion
+    assert m.reserved.get(("P", "a"), 0) == 5  # reservation unchanged until completion
     assert ctx.hold_sink == [("T", "P", "a", 3)]
 
 
@@ -199,10 +199,10 @@ def test_unassign_releases_unless_active():
     apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
     idle, busy = m, m.clone()
     apply_action(ctx_for(idle), action("unassign_duty", "P", "T", "a"))
-    assert idle.ledger.get("P", "a") == 0
+    assert idle.reserved.get(("P", "a"), 0) == 0
     ctx = ctx_for(busy, active={"T"})
     apply_action(ctx, action("unassign_duty", "P", "T", "a"))
-    assert busy.ledger.get("P", "a") == 5
+    assert busy.reserved.get(("P", "a"), 0) == 5
     assert ctx.hold_sink == [("T", "P", "a", 5)]
 
 
@@ -221,9 +221,9 @@ def test_duty_release_never_frees_more_than_is_reserved():
     ):
         out = m.clone()
         apply_action(ctx_for(out), shrink)
-        assert out.ledger.get("P", "a") == 0 and validate_model(out) == []
+        assert out.reserved.get(("P", "a"), 0) == 0 and validate_model(out) == []
     remove_task_node(m, "T")
-    assert m.ledger.get("P", "a") == 0 and validate_model(m) == []
+    assert m.reserved.get(("P", "a"), 0) == 0 and validate_model(m) == []
 
 
 # --- change_type -----------------------------------------------------------------

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from vopol.domain import DomainTrigger
@@ -9,7 +7,7 @@ from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_sc
 from vopol.errors import InvalidModelError
 from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
-from vopol.state import Hold, Status, StatusMap
+from vopol.state import Hold, Status
 from vopol.trace import format_trace
 
 from conftest import MOREBEDS, VISITUS
@@ -134,7 +132,7 @@ def test_consume_and_release_adjust_ledger():
         "policy P appliesTo X do add_member(y)\n",
         [ev("consume", "Hotel", "beds", 8), ev("release", "Hotel", "beds", 3)],
     )
-    assert final.ledger.get("Hotel", "beds") == 5
+    assert final.reserved.get(("Hotel", "beds"), 0) == 5
     assert kinds(records) == ["STATE", "EVENT", "EVENT"]
 
 
@@ -153,7 +151,7 @@ def test_release_of_units_a_duty_claims_is_underflow():
     assert records[1].get("detail") == (
         "releasing 1 of (Q, a) would free units that duties or holds claim: 0 of 6 reserved are unclaimed"
     )
-    assert engine.model.ledger.get("Q", "a") == 6
+    assert engine.model.reserved.get(("Q", "a"), 0) == 6
 
 
 def test_release_frees_only_units_no_duty_or_hold_claims():
@@ -178,9 +176,9 @@ def test_release_frees_only_units_no_duty_or_hold_claims():
     assert errors(ev("consume", "Q", "a", 2)) == []
     assert errors(ev("release", "Q", "a", 3)) == ["Underflow"]
     assert errors(ev("release", "Q", "a", 2)) == []
-    assert engine.model.ledger.get("Q", "a") == 6
+    assert engine.model.reserved.get(("Q", "a"), 0) == 6
     engine.handle_event(ev("complete", "U"))
-    assert engine.model.ledger.get("Q", "a") == 0
+    assert engine.model.reserved.get(("Q", "a"), 0) == 0
     assert validate_model(engine.model) == []
 
 
@@ -188,7 +186,7 @@ def test_consume_beyond_declared_is_error_record():
     final, instance, records = run(
         VISITUS, "policy P appliesTo X do add_member(y)\n", [ev("consume", "Hotel", "beds", 11)]
     )
-    assert final.ledger.get("Hotel", "beds") == 0
+    assert final.reserved.get(("Hotel", "beds"), 0) == 0
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["CapacityExceeded"]
 
 
@@ -230,38 +228,8 @@ def test_malformed_event_is_invalid_argument_record(event):
         ("EVENT", event.kind),
         ("ERROR", "InvalidArgument"),
     ]
-    assert engine.model.ledger.reserved == {}
+    assert engine.model.reserved == {}
     assert format_trace(engine.records).startswith(before)
-
-
-def test_status_map_keeps_its_state_text_under_every_write():
-    status = StatusMap({"B": Status.READY, "A": Status.PENDING})
-    assert status.text() == "A:Pending,B:Ready"
-    steps = [
-        lambda: status.__setitem__("A", Status.ACTIVE),
-        lambda: status.__setitem__("C", Status.PENDING),
-        lambda: status.setdefault("C", Status.READY),
-        lambda: status.pop("B"),
-        lambda: status.pop("Z", None),  # the engine pops touched tasks that may be absent
-        lambda: status.update({"D": Status.READY, "A": Status.COMPLETED}),
-        lambda: status.__delitem__("C"),
-        lambda: status.popitem(),
-        lambda: status.__ior__({"E": Status.FAILED}),
-        lambda: status.clear(),
-    ]
-    for step in steps:
-        step()
-        assert status.text() == ",".join(f"{t}:{status[t].value}" for t in sorted(status))
-        twin = pickle.loads(pickle.dumps(status))
-        assert type(twin) is StatusMap and twin == status and twin.text() == status.text()
-
-
-def test_engine_states_a_status_map_a_caller_put_in():
-    engine = Engine(load_model(VISITUS), NO_POLICIES)
-    engine.instance.status = {"BookFlight": Status.ACTIVE, "HotelProv": Status.PENDING}
-    engine.dispatch_trigger(DomainTrigger("task_exit", "BookFlight"))
-    assert engine.records[-1].get("tasks") == "BookFlight:Active,HotelProv:Pending"
-    assert type(engine.instance.status) is StatusMap
 
 
 # --- dispatch ----------------------------------------------------------------------
@@ -412,7 +380,7 @@ def test_rolled_back_policy_leaves_no_hold():
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["UnresolvedIdentifier"]
     assert instance.holds == []
     assert final.duties == {("M", "T", "c"): 2}
-    assert final.ledger.get("M", "c") == 2
+    assert final.reserved.get(("M", "c"), 0) == 2
 
 
 def test_rolled_back_graph_change_restores_readiness():
@@ -474,16 +442,16 @@ def test_removed_member_reservation_released_on_completion():
     m = load_model(HOLD_MODEL)
     engine = Engine(m, parse_policy_document(NO_POLICIES_TEXT))
     engine.handle_event(ev("activate", "T"))  # bootstrap assigns a=2 from P
-    assert engine.model.ledger.get("P", "a") == 2
+    assert engine.model.reserved.get(("P", "a"), 0) == 2
     from vopol.domain import DomainAction, EvalContext, apply_action
 
     ctx = EvalContext(engine.model, engine.instance, "T")
     apply_action(ctx, DomainAction("remove_member", ("P",)))
     engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.duties == {}
-    assert engine.model.ledger.get("P", "a") == 2  # discharge obligation remains
+    assert engine.model.reserved.get(("P", "a"), 0) == 2  # discharge obligation remains
     engine.handle_event(ev("complete", "T"))
-    assert engine.model.ledger.get("P", "a") == 0
+    assert engine.model.reserved.get(("P", "a"), 0) == 0
     assert engine.instance.holds == []
 
 
@@ -503,15 +471,15 @@ def test_unassigned_duty_reservation_released_on_failure():
     m = load_model(HOLD_MODEL)
     engine = Engine(m, parse_policy_document(policy_text))
     engine.handle_event(ev("activate", "T"))  # bootstrap assigns a=2
-    assert engine.model.ledger.get("P", "a") == 2
+    assert engine.model.reserved.get(("P", "a"), 0) == 2
     from vopol.domain import DomainAction, EvalContext, apply_action
 
     ctx = EvalContext(engine.model, engine.instance, "T")
     apply_action(ctx, DomainAction("unassign_duty", ("P", "T", "a")))
     engine.instance.holds.extend(ctx.hold_sink)
-    assert engine.model.ledger.get("P", "a") == 2  # still committed
+    assert engine.model.reserved.get(("P", "a"), 0) == 2  # still committed
     engine.handle_event(ev("fail", "T"))
-    assert engine.model.ledger.get("P", "a") == 0
+    assert engine.model.reserved.get(("P", "a"), 0) == 0
     assert engine.instance.holds == []
 
 
@@ -528,10 +496,10 @@ def test_releasing_holds_leaves_earlier_model_versions_alone(finish):
     assert engine.instance.holds == [Hold("T", "P", "a", 2)]
     working, kept = engine.model, engine.model.clone()
     before = canonical_dump(kept)
-    assert kept.ledger.get("P", "a") == 3
+    assert kept.reserved.get(("P", "a"), 0) == 3
     engine.handle_event(ev(finish, "T"))
     assert engine.model is working
-    assert engine.model.ledger.get("P", "a") == 1
+    assert engine.model.reserved.get(("P", "a"), 0) == 1
     assert canonical_dump(kept) == before
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
+import operator
 import pickle
 import random
 from collections import Counter
@@ -34,6 +36,8 @@ from vopol.model import (
     VoModel,
     _drop_duty,
     _put_duty,
+    _put_task,
+    _reserve,
     adjust_reserved_capacity,
     canonical_dump,
     free_capacity,
@@ -156,15 +160,15 @@ def test_atomic_two_member_duties_flagged():
     )
     _put_duty(m, ("P", "T", "c"), 2)
     _put_duty(m, ("Q", "T", "c"), 2)
-    m.ledger.reserved[("P", "c")] = 2
-    m.ledger.reserved[("Q", "c")] = 2
+    _reserve(m, "P", "c", 2)
+    _reserve(m, "Q", "c", 2)
     codes = [d.code for d in validate_model(m)]
     assert "AtomicityViolation" in codes
 
 
 def test_ledger_over_reservation_flagged():
     m = load_model("vo X\nmember P kind=Partner cap c=5\ntask T type=Atomic\n")
-    m.ledger.reserved[("P", "c")] = 9
+    _reserve(m, "P", "c", 9)
     codes = [d.code for d in validate_model(m)]
     assert "CapacityExceeded" in codes
 
@@ -252,14 +256,10 @@ def test_duty_table_copies_and_pickles_with_its_indexes():
         assert m.duties == {("P", "T", "a"): 1, ("Q", "T", "b"): 2}
 
 
-# the duty, control graph and data flow indexes, the other containers of a
-# model and the ledger's reserved units: only model.py writes them, and its
-# writers journal every write, so no write escapes undo
-INDEXES = {
-    "_duties", "_duties_on", "_duties_of", "_preds", "_succs",
-    "_flows_to", "_flows_from", "_flow_count", "_item_sources",
-}
-CONTAINERS = {"members", "registry", "tasks", "vbe_resources", "params", "reserved"}
+# the model's contents, every private field that equality compares (the
+# ranking cache and the journal are not contents): only model.py writes
+# them, and its writers journal every write, so no write escapes undo
+GUARDED = {f.name for f in dataclasses.fields(VoModel) if f.name.startswith("_") and f.compare}
 MUTATORS = {
     "add", "clear", "difference_update", "discard", "intersection_update", "pop", "popitem",
     "remove", "setdefault", "symmetric_difference_update", "update",
@@ -267,13 +267,13 @@ MUTATORS = {
 
 
 def _names_an_index(target) -> bool:
-    """``x._duties``, ``x._duties[k]``, ``x.tasks``, ``x.tasks[k]`` and so on,
-    or a tuple target holding one."""
+    """``x._duties``, ``x._duties[k]``, ``x._tasks``, ``x._tasks[k]`` and so
+    on, or a tuple target holding one."""
     if isinstance(target, (ast.Tuple, ast.List)):
         return any(_names_an_index(t) for t in target.elts)
     if isinstance(target, (ast.Subscript, ast.Starred)):
         target = target.value
-    return isinstance(target, ast.Attribute) and target.attr in INDEXES | CONTAINERS
+    return isinstance(target, ast.Attribute) and target.attr in GUARDED
 
 
 def _writes_an_index(node) -> bool:
@@ -302,7 +302,7 @@ def test_only_model_writes_the_duty_and_control_graph_indexes():
 
 def test_insert_after_takes_over_outgoing_edges():
     m = chain("A", "B", "C")
-    m.tasks["X"] = replace(m.tasks["A"], id="X", in_process=False)
+    _put_task(m, replace(m.tasks["A"], id="X", in_process=False))
     assert insert_task_node(m, "X", "B", "after") is None
     assert m.control_edges == {("A", "B"), ("B", "X"), ("X", "C")}
     assert m.tasks["X"].in_process
@@ -378,10 +378,10 @@ def test_remove_drops_duties_and_flows():
         "dataflow i from=customer to=T\ndataflow j from=T to=A\n"
     )
     _put_duty(m, ("P", "T", "c"), 2)
-    m.ledger.reserved[("P", "c")] = 2
+    _reserve(m, "P", "c", 2)
     remove_task_node(m, "T")
     assert m.duties == {}
-    assert m.ledger.get("P", "c") == 0
+    assert m.reserved.get(("P", "c"), 0) == 0
     assert m.dataflows == set()
     assert validate_model(m) == []
 
@@ -389,7 +389,7 @@ def test_remove_drops_duties_and_flows():
 def test_insert_then_remove_restores_edges():
     for relation in ("after", "parallel"):
         m = chain("A", "B", "C")
-        m.tasks["X"] = replace(m.tasks["A"], id="X", in_process=False)
+        _put_task(m, replace(m.tasks["A"], id="X", in_process=False))
         before = m.clone()
         insert_task_node(m, "X", "B", relation)
         remove_task_node(m, "X")
@@ -492,6 +492,32 @@ def test_dataflows_is_a_read_only_view():
     with pytest.raises(TypeError):
         VoModel(name="X", dataflows={DataFlow("i", CUSTOMER, "A")})
     assert m.dataflows == {DataFlow("i", CUSTOMER, "A")}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["members", "registry", "tasks", "params", "vbe_resources", "reserved", "duties", "dataflows", "control_edges"],
+)
+def test_every_model_container_is_read_only(name):
+    m = load_model(VISITUS + "resource Pool\ndataflow i from=customer to=BookFlight\n")
+    _put_duty(m, ("Hotel", "HotelProv", "beds"), 3)
+    adjust_reserved_capacity(m, "Hotel", "beds", 3)
+    before = canonical_dump(m)
+    view = getattr(m, name)
+    key = next(iter(view))
+    attempts = [
+        lambda: operator.setitem(view, key, key),
+        lambda: view.add(key),
+        lambda: view.pop(key),
+        lambda: view.update({key: key}),
+        lambda: VoModel(name="X", **{name: view}),
+    ]
+    for attempt in attempts:
+        with pytest.raises((TypeError, AttributeError)):
+            attempt()
+        assert canonical_dump(m) == before
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):  # a built view is not copied
+        assert twin == m and getattr(twin, name) == view and canonical_dump(twin) == before
 
 
 def test_removing_a_flow_source_leaves_the_item_among_the_target_inputs():

@@ -13,7 +13,6 @@ from vopol import DomainAction, EvalContext, VopolError, canonical_dump, load_mo
 from conftest import VISITUS
 
 EXPORTED = [
-    "CapacityLedger",
     "Conflict",
     "DataFlow",
     "Diagnostic",
