@@ -186,6 +186,10 @@ class Engine:
                 self._consumers.setdefault(item, set()).add(task)
         # tasks whose readiness may have changed since the last refresh
         self._touched: set[str] = set()
+        # the data and members fields of the STATE record: data changes only
+        # when an item arrives, and None marks members that may have moved
+        self._data_text = ",".join(sorted(self.instance.available_data))
+        self._members_text: str | None = None
         self._emit_state()
 
     @property
@@ -217,9 +221,10 @@ class Engine:
         return rec
 
     def _emit_state(self):
-        data = ",".join(sorted(self.instance.available_data))
-        members = ",".join(sorted(self.model.members))
-        self._emit("STATE", ("tasks", ",".join(self._fragments)), ("data", data), ("members", members))
+        if self._members_text is None:
+            self._members_text = ",".join(sorted(self.model.members))
+        tasks = ",".join(self._fragments)
+        self._emit("STATE", ("tasks", tasks), ("data", self._data_text), ("members", self._members_text))
 
     def _emit_error(self, err: VopolError, detail: str | None = None):
         self._emit("ERROR", ("error", err.code), ("detail", detail or err.message))
@@ -260,15 +265,17 @@ class Engine:
         self._touched.clear()
 
     def _apply(self, ctx: EvalContext, action: DomainAction):
-        """Apply ``action`` to the working model and note the tasks whose
-        readiness it may change: the task a graph change adds or deletes
-        with its successors in the graph that has it, or the task whose
-        inputs changed."""
+        """Apply ``action`` to the working model and note what it may change:
+        the members, or the readiness of the task a graph change adds or
+        deletes with its successors in the graph that has it, or of the
+        task whose inputs changed."""
         name = action.name
         # a deleted task's successors, read before the delete unwires it
         deleted_successors = self.model.successors(action.args[0]) if name == "delete_task" else ()
         apply_action(ctx, action)
-        if name in ("add_task", "delete_task"):
+        if name in ("add_member", "remove_member"):
+            self._members_text = None
+        elif name in ("add_task", "delete_task"):
             task = action.args[0]
             self._touched.add(task)
             self._touched.update(self.model.successors(task) if name == "add_task" else deleted_successors)
@@ -375,6 +382,8 @@ class Engine:
                 bootstrap_failed = True
             else:
                 for action in performed:
+                    if action.name == "add_member":
+                        self._members_text = None
                     self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
 
         if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
@@ -445,7 +454,9 @@ class Engine:
         self._release_holds(task)
         arrived = {f.item for f in self.model.flows_from(task)}
         arrived -= self.instance.available_data
-        self.instance.available_data |= arrived
+        if arrived:
+            self.instance.available_data |= arrived
+            self._data_text = ",".join(sorted(self.instance.available_data))
         for item in arrived:
             self._touched.update(self._consumers.get(item, ()))
         self._touched.update(self.model.successors(task))

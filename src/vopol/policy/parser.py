@@ -16,7 +16,15 @@ Grammar (UTF-8 text, ``#`` starts a comment running to end of line)::
 
 All binary operators sit at a single precedence level and associate to
 the left; parentheses override. Keywords are reserved and cannot be used
-as identifiers.
+as identifiers. A NUMBER has at most :data:`MAX_NUMBER_DIGITS` digits.
+
+One compiled regular expression scans the text, one token (after any
+blanks) per match, into four flat lists: the kind, value, line and column
+of each token. A stray character or a malformed string goes to a slow
+path that names the error. The parser walks the lists by index. An error
+points at its token's line and column; a column counts characters from 1
+and a comment does not advance it, so the end of input after a trailing
+comment sits at the comment's column.
 """
 
 from __future__ import annotations
@@ -55,8 +63,28 @@ KEYWORDS = frozenset(
     + list(GROUP_OPS)
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+")
+# One alternative per token class, tried in this order at each offset
+# after any blanks. A string matches only when it is well formed; "bad"
+# takes any other character, and _scan_error says what is wrong there.
+_SCAN = re.compile(
+    r"""[ \t\r]*
+    (?:
+        (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | (?P<punct>[(),])
+      | (?P<NUMBER>[0-9]+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<STRING>"(?:[^"\\\n]|\\["\\])*")
+      | (?P<bad>[^ \t\r])
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)")
+
+# the most digits a NUMBER argument may have: the least int-string limit
+# Python lets a process set, so every accepted literal converts to an int
+# and back on any interpreter
+MAX_NUMBER_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -67,244 +95,242 @@ class Token:
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+def _scan_error(text: str, i: int, line: int, col: int) -> ParseError:
+    """The error for offset ``i`` of ``text``, at ``line``:``col``, where no
+    token matches: a stray character or a malformed string."""
+    if text[i] != '"':
+        return ParseError(f"unexpected character {text[i]!r}", line, col)
+    j, n = i + 1, len(text)
+    while j < n and text[j] not in '"\n':
+        if text[j] == "\\":
+            if j + 1 >= n or text[j + 1] not in '"\\':
+                return ParseError("bad escape in string", line, col + j - i)
+            j += 1
+        j += 1
+    return ParseError("unterminated string", line, col)
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The kind, value, line and column of every token of ``text``, as four
+    lists ending with the EOF token. A column counts characters from 1 and
+    a comment does not advance it: the EOF after a trailing comment sits at
+    the comment's column."""
+    kinds, values, lines, cols = [], [], [], []
+    line, line_start = 1, 0
+    end = len(text)
+    for m in _SCAN.finditer(text):
+        group = m.lastgroup
+        value = m.group(group)
+        if group == "name":
+            kinds.append(value if value in KEYWORDS else "IDENT")
+        elif group == "punct":
+            kinds.append(value)
+        elif group == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        elif group == "comment":
+            end = m.start(group)  # a comment runs to the end of its line
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "(),":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while i < n and text[i] != '"':
-                c = text[i]
-                if c == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in '"\\':
-                        raise ParseError("bad escape in string", line, col)
-                    chars.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                chars.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(Token("STRING", "".join(chars), start_line, start_col))
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        elif group == "bad":
+            raise _scan_error(text, m.start(group), line, m.start(group) - line_start + 1)
+        else:
+            kinds.append(group)
+            if group == "STRING":
+                value = value[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(r"\1", value)
+        values.append(value)
+        lines.append(line)
+        cols.append(m.start(group) - line_start + 1)
+    if end < line_start:  # the last comment sits on an earlier line
+        end = len(text)
+    kinds.append("EOF")
+    values.append("")
+    lines.append(line)
+    cols.append(end - line_start + 1)
+    return kinds, values, lines, cols
+
+
+def tokenize(text: str) -> list[Token]:
+    return [Token(*t) for t in zip(*_scan(text))]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token lists of :func:`_scan`; ``k`` is the
+    index of the current token."""
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str):
+        self.kinds, self.values, self.lines, self.cols = _scan(text)
+        self.k = 0
 
-    def advance(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
+    def pos(self, k: int) -> tuple[int, int]:
+        return self.lines[k], self.cols[k]
 
-    def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
+    def expect(self, kind: str) -> int:
+        """Step past the current token, which must be of ``kind``; returns
+        its index."""
+        k = self.k
+        if self.kinds[k] != kind:
             self.fail(kind)
-        return self.advance()
+        self.k = k + 1
+        return k
 
     def fail(self, *expected: str):
-        tok = self.cur
-        got = tok.value if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"unexpected {got!r}", tok.line, tok.col, expected)
+        k = self.k
+        got = self.values[k] if self.kinds[k] != "EOF" else "end of input"
+        raise ParseError(f"unexpected {got!r}", self.lines[k], self.cols[k], expected)
 
     # document / policy ------------------------------------------------
 
     def document(self) -> PolicyDocument:
         policies = []
         seen: dict[str, tuple[int, int]] = {}
-        while self.cur.kind != "EOF":
+        while self.kinds[self.k] != "EOF":
             policies.append(self.policy(seen))
         if not policies:
             self.fail("policy")
         return PolicyDocument(tuple(policies))
 
     def policy(self, seen: dict[str, tuple[int, int]]) -> Policy:
-        head = self.expect("policy")
-        name = self.expect("IDENT").value
+        head = self.pos(self.expect("policy"))
+        name = self.values[self.expect("IDENT")]
         if name in seen:
             raise DocumentError(
                 f"duplicate policy name {name!r} (first defined at "
                 f"{seen[name][0]}:{seen[name][1]})",
-                head.line,
-                head.col,
+                *head,
             )
-        seen[name] = (head.line, head.col)
-        return Policy(name, self.group(), pos=(head.line, head.col))
+        seen[name] = head
+        return Policy(name, self.group(), pos=head)
 
     # rule groups --------------------------------------------------------
 
     def group(self) -> RuleGroup:
         node = self.term()
-        while self.cur.kind in GROUP_OPS:
-            op = self.advance().kind
+        while self.kinds[self.k] in GROUP_OPS:
+            op = self.kinds[self.k]
+            self.k += 1
             node = GroupNode(op, node, self.term())
         return node
 
     def term(self) -> RuleGroup:
-        if self.cur.kind == "(":
-            self.advance()
+        if self.kinds[self.k] == "(":
+            self.k += 1
             node = self.group()
             self.expect(")")
             return node
         return RuleLeaf(self.rule())
 
     def rule(self) -> PolicyRule:
-        start = self.cur
-        if start.kind not in ("appliesTo", "when", "if", "do"):
+        start = self.k
+        if self.kinds[start] not in ("appliesTo", "when", "if", "do"):
             self.fail("appliesTo", "when", "if", "do", "(")
         location = None
-        if self.cur.kind == "appliesTo":
-            self.advance()
-            location = self.expect("IDENT").value
+        if self.kinds[self.k] == "appliesTo":
+            self.k += 1
+            location = self.values[self.expect("IDENT")]
         triggers: list[TriggerSpec] = []
-        if self.cur.kind == "when":
-            self.advance()
+        if self.kinds[self.k] == "when":
+            self.k += 1
             triggers.append(self.trigger())
-            while self.cur.kind == "or":
-                self.advance()
+            while self.kinds[self.k] == "or":
+                self.k += 1
                 triggers.append(self.trigger())
         condition = None
-        if self.cur.kind == "if":
-            self.advance()
+        if self.kinds[self.k] == "if":
+            self.k += 1
             condition = self.condition()
         self.expect("do")
         action = self.action()
-        return PolicyRule(
-            location, tuple(triggers), condition, action, pos=(start.line, start.col)
-        )
+        return PolicyRule(location, tuple(triggers), condition, action, pos=self.pos(start))
 
     def trigger(self) -> TriggerSpec:
         name = self.expect("IDENT")
-        args = self.call_args()
-        return TriggerSpec(name.value, args, pos=(name.line, name.col))
+        return TriggerSpec(self.values[name], self.call_args(), pos=self.pos(name))
 
     # conditions ---------------------------------------------------------
 
     def condition(self) -> Condition:
         node = self.cterm()
-        while self.cur.kind in ("and", "or"):
-            op = self.advance().kind
+        while self.kinds[self.k] in ("and", "or"):
+            op = self.kinds[self.k]
+            self.k += 1
             right = self.cterm()
             node = AndCond(node, right) if op == "and" else OrCond(node, right)
         return node
 
     def cterm(self) -> Condition:
-        if self.cur.kind == "not":
-            self.advance()
+        if self.kinds[self.k] == "not":
+            self.k += 1
             return NotCond(self.cterm_base())
         return self.cterm_base()
 
     def cterm_base(self) -> Condition:
-        if self.cur.kind == "(":
-            self.advance()
+        name = self.k
+        kind = self.kinds[name]
+        if kind == "(":
+            self.k += 1
             node = self.condition()
             self.expect(")")
             return node
-        name = self.cur
-        if name.kind != "IDENT":
+        if kind != "IDENT":
             self.fail("IDENT", "(", "not")
-        self.advance()
-        args = self.call_args()
-        return Pred(name.value, args, pos=(name.line, name.col))
+        self.k += 1
+        return Pred(self.values[name], self.call_args(), pos=self.pos(name))
 
     # actions --------------------------------------------------------------
 
     def action(self) -> Action:
         node = self.aterm()
-        while self.cur.kind in ACTION_OPS:
-            op = self.advance().kind
+        while self.kinds[self.k] in ACTION_OPS:
+            op = self.kinds[self.k]
+            self.k += 1
             node = ActionOp(op, node, self.aterm())
         return node
 
     def aterm(self) -> Action:
-        if self.cur.kind == "(":
-            self.advance()
+        name = self.k
+        kind = self.kinds[name]
+        if kind == "(":
+            self.k += 1
             node = self.action()
             self.expect(")")
             return node
-        name = self.cur
-        if name.kind != "IDENT":
+        if kind != "IDENT":
             self.fail("IDENT", "(")
-        self.advance()
-        args = self.call_args()
-        return ActionCall(name.value, args, pos=(name.line, name.col))
+        self.k += 1
+        return ActionCall(self.values[name], self.call_args(), pos=self.pos(name))
 
     # argument lists -------------------------------------------------------
 
     def call_args(self) -> tuple[Arg, ...]:
         self.expect("(")
         args: list[Arg] = []
-        if self.cur.kind != ")":
+        if self.kinds[self.k] != ")":
             args.append(self.arg())
-            while self.cur.kind == ",":
-                self.advance()
+            while self.kinds[self.k] == ",":
+                self.k += 1
                 args.append(self.arg())
         self.expect(")")
         return tuple(args)
 
     def arg(self) -> Arg:
-        tok = self.cur
-        if tok.kind == "IDENT":
-            self.advance()
-            return Ident(tok.value)
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Number(int(tok.value))
-        if tok.kind == "STRING":
-            self.advance()
-            return Text(tok.value)
+        k = self.k
+        kind, value = self.kinds[k], self.values[k]
+        if kind == "IDENT":
+            self.k += 1
+            return Ident(value)
+        if kind == "NUMBER":
+            if len(value) > MAX_NUMBER_DIGITS:
+                raise ParseError(
+                    f"number literal has more than {MAX_NUMBER_DIGITS} digits", *self.pos(k)
+                )
+            self.k += 1
+            return Number(int(value))
+        if kind == "STRING":
+            self.k += 1
+            return Text(value)
         self.fail("IDENT", "NUMBER", "STRING")
         raise AssertionError("unreachable")
 
@@ -316,4 +342,4 @@ def parse_policy_document(text: str) -> PolicyDocument:
     the expected-token set) and :class:`DocumentError` when two policies
     share a name.
     """
-    return _Parser(tokenize(text)).document()
+    return _Parser(text).document()

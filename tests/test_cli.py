@@ -190,6 +190,19 @@ def test_run_invalid_policy_exits_2_before_any_event(tmp_path):
     assert result.stdout == ""
 
 
+def test_overlong_number_literal_is_a_diagnostic(tmp_path):
+    pol = tmp_path / "long.pol"
+    pol.write_text("policy P do a(" + "1" * 5000 + ")\n")
+    common = ["--model", str(FIXTURES / "visitus.vo"), "--policies", str(pol)]
+    validate = run_cli("validate", *common)
+    run = run_cli("run", *common, "--scenario", str(FIXTURES / "golden.scenario"))
+    assert (validate.returncode, run.returncode) == (1, 2)
+    for result in (validate, run):
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert f"{pol}:1:15: [ParseError] number literal has more than" in result.stderr
+
+
 def test_run_text_format(tmp_path):
     out = tmp_path / "trace.txt"
     code = main(

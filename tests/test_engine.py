@@ -363,6 +363,24 @@ def test_policy_that_raises_is_rolled_back():
     assert validate_model(final) == []
 
 
+def test_state_members_follow_admissions_and_their_rollback():
+    # P admits C and then raises, so the admission is undone with it; Q's
+    # admission on U stands, and the STATE records list members as they are
+    model_text = (
+        "vo X\nmember M kind=Partner cap c=5\ncandidate C kind=Partner cap c=5\n"
+        "task T type=Atomic\ntask U type=Atomic\nedge T U\n"
+    )
+    policy_text = (
+        "policy P (appliesTo T when task_entry() do add_member(C))"
+        " seq (appliesTo T when task_entry() if has_capacity(ghost, c, 1) do add_member(C))\n"
+        "policy Q appliesTo U when task_entry() do add_member(C)\n"
+    )
+    events = [ev("activate", "T"), ev("complete", "T"), ev("activate", "U")]
+    final, _, records = run(model_text, policy_text, events)
+    assert [r.get("members") for r in records if r.kind == "STATE"] == ["M", "M", "M", "C,M"]
+    assert sorted(final.members) == ["C", "M"]
+
+
 def test_rolled_back_policy_leaves_no_hold():
     # P's unassign of a running task's duty would hold its capacity until
     # T finishes; rolled back, the duty stays and so does its reservation
@@ -602,6 +620,16 @@ def test_load_policy_of_undecodable_bytes_is_error_record(tmp_path):
     errors = [r for r in records if r.kind == "ERROR"]
     assert [r.get("error") for r in errors] == ["IOError"]
     assert "bad.pol: not valid UTF-8" in errors[0].get("detail")
+
+
+def test_load_policy_with_an_overlong_number_is_a_parse_error_record(tmp_path):
+    (tmp_path / "long.pol").write_text("policy Long do a(" + "1" * 5000 + ")\n")
+    engine = Engine(load_model("vo X\ntask T type=Atomic\n"), NO_POLICIES, base_dir=tmp_path)
+    records = engine.handle_event(ev("load-policy", "long.pol"))
+    assert kinds(records) == ["EVENT", "ERROR"]
+    assert records[1].get("error") == "ParseError"
+    assert records[1].get("detail").startswith("1:18: number literal has more than")
+    assert [p.name for p in engine.policies] == ["Inert"]
 
 
 def test_policies_are_a_read_only_tuple(tmp_path):
