@@ -3,7 +3,8 @@
 ``vopol validate --model M --policies P`` checks all inputs and reports
 diagnostics; ``vopol run --model M --policies P --scenario S`` executes a
 scenario and writes the trace. Exit codes are a stable contract:
-0 = ran / valid, 1 = validation failure, 2 = input or IO failure.
+0 = ran / valid, 1 = validation failure, 2 = input or IO failure, such as
+an unreadable input or an unwritable ``--out``, reported as ``path: reason``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .policy.parser import parse_policy_document
 from .policy.validate import THIS, validate_policies
 from .domain import VOCABULARY
 from .engine import EVENT_ARITY, ScenarioEvent, read_text, run_scenario
-from .errors import Diagnostic, ParseError, VopolError
+from .errors import Diagnostic, ParseError, VopolError, parse_int
 from .model import CUSTOMER, RELATIONS, MemberKind, TaskType, VoModel, load_model, validate_model
 from .trace import format_text, format_trace
 
@@ -39,10 +40,9 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
                 f"{kind} takes {wanted} argument(s), got {len(args)}", line_no, 1
             )
         if kind in ("consume", "release"):
-            try:
-                amount = int(args[2])
-            except ValueError:
-                raise ParseError(f"amount must be an integer, got {args[2]!r}", line_no, 1) from None
+            amount = parse_int(args[2])
+            if amount is None:
+                raise ParseError(f"amount must be an integer, got {args[2]!r}", line_no, 1)
             if amount < 0:
                 raise ParseError(f"amount must not be negative, got {args[2]!r}", line_no, 1)
             events.append(ScenarioEvent(kind, (args[0], args[1], amount)))
@@ -122,14 +122,19 @@ def _missing(*paths: Path) -> bool:
     return False
 
 
+def _io_failure(err: OSError) -> int:
+    """Report ``err`` as ``path: reason``; returns the exit code 2."""
+    print(f"{err.filename}: {err.strerror}" if err.filename else str(err), file=sys.stderr)
+    return 2
+
+
 def cmd_validate(model_path: Path, policy_path: Path) -> int:
     if _missing(model_path, policy_path):
         return 2
     try:
         _, _, findings = _load_inputs(model_path, policy_path)
     except OSError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        return _io_failure(err)
     return 0 if findings == 0 else 1
 
 
@@ -154,17 +159,16 @@ def cmd_run(
             _print_diagnostics([_parse_error_diag(err)], scenario_path)
             return 2
         _, _, records = run_scenario(model, policies, events, base_dir=scenario_path.parent)
+        rendered = format_trace(records) if fmt == "records" else format_text(records)
+        if trace_out is None:
+            sys.stdout.write(rendered)
+        else:
+            trace_out.write_text(rendered, encoding="utf-8")
     except OSError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        return _io_failure(err)
     except VopolError as err:
         print(err.message, file=sys.stderr)
         return 2
-    rendered = format_trace(records) if fmt == "records" else format_text(records)
-    if trace_out is None:
-        sys.stdout.write(rendered)
-    else:
-        trace_out.write_text(rendered, encoding="utf-8")
     return 0
 
 

@@ -56,6 +56,7 @@ from .errors import (
     TaskFailure,
     UnderflowError,
     VopolError,
+    parse_int,
 )
 from .model import (
     CUSTOMER,
@@ -481,12 +482,10 @@ class Engine:
     def _adjust_capacity(self, ev: ScenarioEvent, sign: int):
         member, capability, raw = str(ev.args[0]), str(ev.args[1]), ev.args[2]
         amount = None
-        # int() would truncate a float and take a bool for 0 or 1
-        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
-            try:
-                amount = int(raw)
-            except ValueError:
-                pass
+        if isinstance(raw, str):
+            amount = parse_int(raw)
+        elif isinstance(raw, int) and not isinstance(raw, bool):  # a bool is no amount
+            amount = int(raw)
         if amount is None:
             self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
             return

@@ -1,4 +1,5 @@
-"""Error types and diagnostics shared across the package.
+"""Error types and diagnostics shared across the package, and the one
+integer rule of every text input (:func:`parse_int`).
 
 Every error carries a stable ``code`` string; the engine uses it verbatim
 in trace records, so codes are part of the output contract.
@@ -6,7 +7,20 @@ in trace records, so codes are part of the output contract.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+# the most digits an integer in any input may have: the least int-string
+# limit Python lets a process set, so every accepted integer converts to an
+# int and back on any interpreter
+MAX_NUMBER_DIGITS = 640
+_INTEGER = re.compile(f"-?[0-9]{{1,{MAX_NUMBER_DIGITS}}}")
+
+
+def parse_int(text: str) -> int | None:
+    """The integer that ``text`` spells, or None unless ``text`` is an
+    optional ``-`` and then 1 to :data:`MAX_NUMBER_DIGITS` ASCII digits."""
+    return int(text) if _INTEGER.fullmatch(text) else None
 
 
 class VopolError(Exception):

@@ -14,21 +14,22 @@ private containers that each clone owns alone.
 
 Only this module writes the containers; each public one, such as
 ``members``, ``reserved``, ``duties`` or ``dataflows``, is a read-only
-view. Past :func:`load_model`, each write goes through :func:`_write`.
-From the first :func:`journal_mark` on, it journals the old value of the
-slot it overwrites, so that :func:`undo` can roll the model back to a
-mark, until :func:`commit` drops the journal. ``_put_duty`` and
-``_drop_duty`` keep each duty key filed by task and by member, as
-``_link``/``_unlink`` keep the control graph. ``dataflows`` is derived
-from the flows filed by target; ``_add_flow``/``_drop_flow`` also file
-each flow by task source and count it by (item, source), with the
-sources of each item, so a flow write or a task's completion reads only
-the flows it touches.
+view. Every write, from :func:`load_model`'s first row on, goes through
+:func:`_write`. From the first :func:`journal_mark` on, it journals the
+old value of the slot it overwrites, so that :func:`undo` can roll the
+model back to a mark, until :func:`commit` drops the journal.
+``_put_duty`` and ``_drop_duty`` keep each duty key filed by task and by
+member, as ``_link``/``_unlink`` keep the control graph. ``dataflows`` is
+derived from the flows filed by target; ``_add_flows``/``_drop_flow``
+also file each flow by task source and count it by (item, source), with
+the sources of each item, so a flow write or a task's completion reads
+only the flows it touches. ``_link`` and ``_add_flows`` take a batch and
+write each bucket it touches once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
@@ -44,6 +45,7 @@ from .errors import (
     UnderflowError,
     UnknownMemberError,
     UnknownTaskError,
+    parse_int,
 )
 
 CUSTOMER = "customer"
@@ -123,7 +125,7 @@ class VoModel:
     _succs: dict[str, frozenset[str]] = field(default_factory=dict)
     # the data flows by target and by task source (a customer flow is filed
     # by target only), the number of flows of each (item, source) and the
-    # sources of each item, written only by _add_flow/_drop_flow: bucket
+    # sources of each item, written only by _add_flows/_drop_flow: bucket
     # values are replaced, never mutated, no bucket is empty and no count 0
     _flows_to: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
     _flows_from: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
@@ -137,29 +139,15 @@ class VoModel:
     _journal: list | None = field(default=None, compare=False, repr=False)
 
     def clone(self) -> "VoModel":
-        """A snapshot with its own containers and no journal: the members,
-        registry, catalogue, params and reserved units, and the duty,
-        control graph and data flow indexes. The records and frozen buckets
-        in them are shared with this model, since no write changes one."""
-        return VoModel(
-            name=self.name,
-            _members=dict(self._members),
-            _registry=dict(self._registry),
-            _tasks=dict(self._tasks),
-            _vbe_resources=self._vbe_resources,
-            _params=dict(self._params),
-            _reserved=dict(self._reserved),
-            _duties=dict(self._duties),
-            _duties_on=dict(self._duties_on),
-            _duties_of=dict(self._duties_of),
-            _preds=dict(self._preds),
-            _succs=dict(self._succs),
-            _flows_to=dict(self._flows_to),
-            _flows_from=dict(self._flows_from),
-            _flow_count=dict(self._flow_count),
-            _item_sources=dict(self._item_sources),
-            _ranking=self._ranking,
-        )
+        """A snapshot with no journal: each ``dict`` field is copied, and
+        every other one (the name, the frozen resources and the ranking
+        cache) is shared. The records and frozen buckets in the copies are
+        shared with this model too, since no write changes one."""
+        return VoModel(**{
+            f.name: dict(value) if isinstance(value := getattr(self, f.name), dict) else value
+            for f in fields(self)
+            if f.name != "_journal"
+        })
 
     def __post_init__(self):
         # read-only views of the containers, built once per model, so a read
@@ -277,11 +265,23 @@ def commit(m: VoModel):
     m._journal = None
 
 
+def _extend(m: VoModel, table: dict, added: dict[object, list]):
+    """For each key of ``added``, add the values it lists to the bucket
+    under that key in ``table``, one of ``m``'s indexes; each bucket is
+    written once."""
+    for key, values in added.items():
+        _write(m, table, key, table.get(key, frozenset()).union(values))
+
+
 def _link(m: VoModel, edges: Iterable[tuple[str, str]]):
     """Add the control ``edges`` to ``m``."""
+    preds: dict[str, list[str]] = {}
+    succs: dict[str, list[str]] = {}
     for p, s in edges:
-        _write(m, m._preds, s, m._preds.get(s, frozenset()) | {p})
-        _write(m, m._succs, p, m._succs.get(p, frozenset()) | {s})
+        preds.setdefault(s, []).append(p)
+        succs.setdefault(p, []).append(s)
+    _extend(m, m._preds, preds)
+    _extend(m, m._succs, succs)
 
 
 def _unlink(m: VoModel, edges: Iterable[tuple[str, str]]):
@@ -308,16 +308,23 @@ def _drop_duty(m: VoModel, key: tuple[str, str, str]):
         _write(m, table, at, table[at] - {key} or _ABSENT)
 
 
-def _add_flow(m: VoModel, flow: DataFlow):
-    """Add the data flow ``flow``, which must be absent, to ``m``."""
-    _write(m, m._flows_to, flow.target, m.flows_to(flow.target) | {flow})
-    if flow.source != CUSTOMER:
-        _write(m, m._flows_from, flow.source, m.flows_from(flow.source) | {flow})
-    key = (flow.item, flow.source)
-    count = m._flow_count.get(key, 0)
-    if not count:
-        _write(m, m._item_sources, flow.item, m._item_sources.get(flow.item, frozenset()) | {flow.source})
-    _write(m, m._flow_count, key, count + 1)
+def _add_flows(m: VoModel, flows: Iterable[DataFlow]):
+    """Add the distinct data ``flows``, each absent, to ``m``."""
+    to: dict[str, list[DataFlow]] = {}
+    out: dict[str, list[DataFlow]] = {}
+    sources: dict[str, list[str]] = {}
+    for flow in flows:
+        to.setdefault(flow.target, []).append(flow)
+        if flow.source != CUSTOMER:
+            out.setdefault(flow.source, []).append(flow)
+        key = (flow.item, flow.source)
+        count = m._flow_count.get(key, 0)
+        if not count:
+            sources.setdefault(flow.item, []).append(flow.source)
+        _write(m, m._flow_count, key, count + 1)
+    _extend(m, m._flows_to, to)
+    _extend(m, m._flows_from, out)
+    _extend(m, m._item_sources, sources)
 
 
 def _drop_flow(m: VoModel, flow: DataFlow):
@@ -369,10 +376,10 @@ def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Du
 
 
 def _int(tok: str, line_no: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {tok!r}", line_no, 1) from None
+    value = parse_int(tok)
+    if value is None:
+        raise ParseError(f"{what} must be an integer, got {tok!r}", line_no, 1)
+    return value
 
 
 def _kv(tok: str, line_no: int) -> tuple[str, str]:
@@ -486,17 +493,17 @@ def load_model(text: str) -> VoModel:
         if row == "param":
             if len(tokens) != 3:
                 raise ParseError("param row needs a name and a value", line_no, 1)
-            model._params[tokens[1]] = _int(tokens[2], line_no, f"param {tokens[1]!r}")
+            _write(model, model._params, tokens[1], _int(tokens[2], line_no, f"param {tokens[1]!r}"))
         elif row in ("member", "candidate"):
             who = _parse_member(tokens, line_no)
             if model.anyone(who.id) is not None:
                 raise ParseError(f"duplicate member id {who.id!r}", line_no, 1)
-            (model._members if row == "member" else model._registry)[who.id] = who
+            _write(model, model._members if row == "member" else model._registry, who.id, who)
         elif row == "task":
             task = _parse_task(tokens, line_no)
             if task.id in model._tasks:
                 raise ParseError(f"duplicate task id {task.id!r}", line_no, 1)
-            model._tasks[task.id] = task
+            _put_task(model, task)
         elif row == "edge":
             if len(tokens) != 3:
                 raise ParseError("edge row needs from and to", line_no, 1)
@@ -521,7 +528,7 @@ def load_model(text: str) -> VoModel:
         for tid in (src, dst):
             if tid not in model.tasks:
                 raise DanglingRefError(f"edge references undefined task {tid!r}", line_no, 1)
-    _link(model, ((src, dst) for _, src, dst in pending_edges))
+    _link(model, [(src, dst) for _, src, dst in pending_edges])
     rows: dict[tuple[str, str, str], None] = {}  # identical rows load as one flow
     for line_no, item, source, target in pending_flows:
         if source != CUSTOMER and source not in model.tasks:
@@ -529,29 +536,11 @@ def load_model(text: str) -> VoModel:
         if target not in model.tasks:
             raise DanglingRefError(f"dataflow target {target!r} is not a task", line_no, 1)
         rows[item, source, target] = None
-    _file_flows(model, [DataFlow(*row) for row in rows])
+    _add_flows(model, [DataFlow(*row) for row in rows])
     for target, into in model._flows_to.items():
         task = model._tasks[target]
-        model._tasks[target] = replace(task, inputs=task.inputs | {f.item for f in into})
+        _put_task(model, replace(task, inputs=task.inputs | {f.item for f in into}))
     return model
-
-
-def _file_flows(m: VoModel, flows: list[DataFlow]):
-    """Build the flow indexes of ``m``, which holds no flow, in one pass
-    over the distinct ``flows``, as :func:`_add_flow` would file them one
-    by one."""
-    to: dict[str, list[DataFlow]] = {}
-    out: dict[str, list[DataFlow]] = {}
-    sources: dict[str, set[str]] = {}
-    for flow in flows:
-        to.setdefault(flow.target, []).append(flow)
-        if flow.source != CUSTOMER:
-            out.setdefault(flow.source, []).append(flow)
-        key = (flow.item, flow.source)
-        m._flow_count[key] = m._flow_count.get(key, 0) + 1
-        sources.setdefault(flow.item, set()).add(flow.source)
-    for index, buckets in ((m._flows_to, to), (m._flows_from, out), (m._item_sources, sources)):
-        index.update((key, frozenset(bucket)) for key, bucket in buckets.items())
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +736,7 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
     if mode == "add":
         if not existing:
             sources = m._item_sources.get(item)
-            _add_flow(m, DataFlow(item, min(sources) if sources else CUSTOMER, t))
+            _add_flows(m, [DataFlow(item, min(sources) if sources else CUSTOMER, t)])
         _put_task(m, replace(task_def, inputs=task_def.inputs | {item}))
         return None
     if not existing:

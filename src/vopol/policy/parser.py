@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..errors import DocumentError, ParseError
+from ..errors import MAX_NUMBER_DIGITS, DocumentError, ParseError
 from .ast import (
     ACTION_OPS,
     GROUP_OPS,
@@ -80,11 +80,6 @@ _SCAN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r"\\(.)")
-
-# the most digits a NUMBER argument may have: the least int-string limit
-# Python lets a process set, so every accepted literal converts to an int
-# and back on any interpreter
-MAX_NUMBER_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -204,22 +199,50 @@ class _Parser:
         seen[name] = head
         return Policy(name, self.group(), pos=head)
 
+    # operator trees -------------------------------------------------------
+
+    def chain(self, ops, term, build):
+        """``term (op term)*`` for the operators ``ops``, associating to the
+        left: ``build(op, left, right)`` makes each node."""
+        node = term()
+        while self.kinds[self.k] in ops:
+            op = self.kinds[self.k]
+            self.k += 1
+            node = build(op, node, term())
+        return node
+
+    def nested(self, inner):
+        """``"(" inner ")"``; the current token is the ``(``."""
+        self.k += 1
+        node = inner()
+        self.expect(")")
+        return node
+
+    def call(self, node_type, *expected):
+        """``IDENT "(" [arglist] ")"`` as a ``node_type``; a current token
+        that is no IDENT fails with the ``expected`` set."""
+        name = self.k
+        if self.kinds[name] != "IDENT":
+            self.fail(*expected)
+        self.k = name + 1
+        self.expect("(")
+        args: list[Arg] = []
+        if self.kinds[self.k] != ")":
+            args.append(self.arg())
+            while self.kinds[self.k] == ",":
+                self.k += 1
+                args.append(self.arg())
+        self.expect(")")
+        return node_type(self.values[name], tuple(args), pos=self.pos(name))
+
     # rule groups --------------------------------------------------------
 
     def group(self) -> RuleGroup:
-        node = self.term()
-        while self.kinds[self.k] in GROUP_OPS:
-            op = self.kinds[self.k]
-            self.k += 1
-            node = GroupNode(op, node, self.term())
-        return node
+        return self.chain(GROUP_OPS, self.term, GroupNode)
 
     def term(self) -> RuleGroup:
         if self.kinds[self.k] == "(":
-            self.k += 1
-            node = self.group()
-            self.expect(")")
-            return node
+            return self.nested(self.group)
         return RuleLeaf(self.rule())
 
     def rule(self) -> PolicyRule:
@@ -233,10 +256,10 @@ class _Parser:
         triggers: list[TriggerSpec] = []
         if self.kinds[self.k] == "when":
             self.k += 1
-            triggers.append(self.trigger())
+            triggers.append(self.call(TriggerSpec, "IDENT"))
             while self.kinds[self.k] == "or":
                 self.k += 1
-                triggers.append(self.trigger())
+                triggers.append(self.call(TriggerSpec, "IDENT"))
         condition = None
         if self.kinds[self.k] == "if":
             self.k += 1
@@ -245,20 +268,10 @@ class _Parser:
         action = self.action()
         return PolicyRule(location, tuple(triggers), condition, action, pos=self.pos(start))
 
-    def trigger(self) -> TriggerSpec:
-        name = self.expect("IDENT")
-        return TriggerSpec(self.values[name], self.call_args(), pos=self.pos(name))
-
     # conditions ---------------------------------------------------------
 
     def condition(self) -> Condition:
-        node = self.cterm()
-        while self.kinds[self.k] in ("and", "or"):
-            op = self.kinds[self.k]
-            self.k += 1
-            right = self.cterm()
-            node = AndCond(node, right) if op == "and" else OrCond(node, right)
-        return node
+        return self.chain(("and", "or"), self.cterm, lambda op, *pair: (AndCond if op == "and" else OrCond)(*pair))
 
     def cterm(self) -> Condition:
         if self.kinds[self.k] == "not":
@@ -267,53 +280,21 @@ class _Parser:
         return self.cterm_base()
 
     def cterm_base(self) -> Condition:
-        name = self.k
-        kind = self.kinds[name]
-        if kind == "(":
-            self.k += 1
-            node = self.condition()
-            self.expect(")")
-            return node
-        if kind != "IDENT":
-            self.fail("IDENT", "(", "not")
-        self.k += 1
-        return Pred(self.values[name], self.call_args(), pos=self.pos(name))
+        if self.kinds[self.k] == "(":
+            return self.nested(self.condition)
+        return self.call(Pred, "IDENT", "(", "not")
 
     # actions --------------------------------------------------------------
 
     def action(self) -> Action:
-        node = self.aterm()
-        while self.kinds[self.k] in ACTION_OPS:
-            op = self.kinds[self.k]
-            self.k += 1
-            node = ActionOp(op, node, self.aterm())
-        return node
+        return self.chain(ACTION_OPS, self.aterm, ActionOp)
 
     def aterm(self) -> Action:
-        name = self.k
-        kind = self.kinds[name]
-        if kind == "(":
-            self.k += 1
-            node = self.action()
-            self.expect(")")
-            return node
-        if kind != "IDENT":
-            self.fail("IDENT", "(")
-        self.k += 1
-        return ActionCall(self.values[name], self.call_args(), pos=self.pos(name))
+        if self.kinds[self.k] == "(":
+            return self.nested(self.action)
+        return self.call(ActionCall, "IDENT", "(")
 
-    # argument lists -------------------------------------------------------
-
-    def call_args(self) -> tuple[Arg, ...]:
-        self.expect("(")
-        args: list[Arg] = []
-        if self.kinds[self.k] != ")":
-            args.append(self.arg())
-            while self.kinds[self.k] == ",":
-                self.k += 1
-                args.append(self.arg())
-        self.expect(")")
-        return tuple(args)
+    # arguments --------------------------------------------------------------
 
     def arg(self) -> Arg:
         k = self.k

@@ -41,6 +41,16 @@ def render_call(name: str, args: tuple[Arg, ...]) -> str:
     return f"{name}({', '.join(render_arg(a) for a in args)})"
 
 
+def _infix(node, op: str, render, composite) -> str:
+    """``left op right`` for the binary ``node``; a right operand that is
+    itself a ``composite`` goes in parentheses, as the operators associate
+    to the left."""
+    right = render(node.right)
+    if isinstance(node.right, composite):
+        right = f"({right})"
+    return f"{render(node.left)} {op} {right}"
+
+
 def render_condition(cond: Condition) -> str:
     if isinstance(cond, Pred):
         return render_call(cond.name, cond.args)
@@ -49,22 +59,13 @@ def render_condition(cond: Condition) -> str:
         if isinstance(child, Pred):
             return f"not {render_condition(child)}"
         return f"not ({render_condition(child)})"
-    op = "and" if isinstance(cond, AndCond) else "or"
-    left = render_condition(cond.left)
-    right = render_condition(cond.right)
-    if isinstance(cond.right, (AndCond, OrCond)):
-        right = f"({right})"
-    return f"{left} {op} {right}"
+    return _infix(cond, "and" if isinstance(cond, AndCond) else "or", render_condition, (AndCond, OrCond))
 
 
 def render_action(action: Action) -> str:
     if isinstance(action, ActionCall):
         return render_call(action.name, action.args)
-    left = render_action(action.left)
-    right = render_action(action.right)
-    if isinstance(action.right, ActionOp):
-        right = f"({right})"
-    return f"{left} {action.op} {right}"
+    return _infix(action, action.op, render_action, ActionOp)
 
 
 def render_rule(rule: PolicyRule) -> str:
@@ -83,11 +84,7 @@ def render_rule(rule: PolicyRule) -> str:
 def render_group(group: RuleGroup) -> str:
     if isinstance(group, RuleLeaf):
         return render_rule(group.rule)
-    left = render_group(group.left)
-    right = render_group(group.right)
-    if isinstance(group.right, GroupNode):
-        right = f"({right})"
-    return f"{left} {group.op} {right}"
+    return _infix(group, group.op, render_group, GroupNode)
 
 
 def render_policy(policy: Policy) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 KINDS = (
     "EVENT",
@@ -120,10 +120,9 @@ def parse_record(line: str, line_no: int = 1) -> TraceRecord:
     fields = _split_fields(line.rstrip("\n"), line_no)
     if len(fields) < 2 or not fields[0].startswith("seq=") or not fields[1].startswith("kind="):
         raise ParseError("record must start with seq= and kind=", line_no, 1)
-    try:
-        seq = int(fields[0][4:])
-    except ValueError:
-        raise ParseError("seq must be an integer", line_no, 1) from None
+    seq = parse_int(fields[0][4:])
+    if seq is None:
+        raise ParseError("seq must be an integer", line_no, 1)
     kind = fields[1][5:]
     if kind not in KINDS:
         raise ParseError(f"unknown record kind {kind!r}", line_no, 1)

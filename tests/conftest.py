@@ -28,6 +28,21 @@ policy MoreBeds
      andthen assign_duty(newHotel, beds)
 """
 
+# tokens that the one integer rule of every input refuses although int()
+# takes all but the last: an underscore, a plus sign, a non-ASCII digit and
+# more than 640 digits, the last past Python's default int-string limit
+NOT_INTEGERS = [
+    pytest.param(token, id=name)
+    for name, token in [
+        ("underscore", "1_000"),
+        ("plus", "+7"),
+        ("arabic-indic", "\u0663"),
+        ("641-digits", "1" * 641),
+        ("5000-digits", "1" * 5000),
+    ]
+]
+WIDEST = "9" * 640
+
 
 @pytest.fixture
 def visitus():

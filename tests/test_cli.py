@@ -11,7 +11,7 @@ from vopol.errors import ParseError
 from vopol.model import load_model
 from vopol.trace import parse_trace
 
-from conftest import FIXTURES, MOREBEDS, VISITUS
+from conftest import FIXTURES, MOREBEDS, NOT_INTEGERS, VISITUS, WIDEST
 
 
 # --- parse_scenario -----------------------------------------------------------
@@ -51,6 +51,17 @@ def test_parse_arity_and_integer_errors():
         with pytest.raises(ParseError) as err:
             parse_scenario(text)
         assert err.value.message == message
+
+
+@pytest.mark.parametrize("token", NOT_INTEGERS)
+def test_scenario_amounts_follow_the_one_integer_rule(token):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(f"start\nconsume Hotel beds {token}")
+    assert (err.value.bare_message, err.value.line) == (f"amount must be an integer, got {token!r}", 2)
+
+
+def test_scenario_amount_of_640_digits_parses():
+    assert parse_scenario(f"release Hotel beds {WIDEST}") == [ScenarioEvent("release", ("Hotel", "beds", int(WIDEST)))]
 
 
 def test_parse_comments_and_blanks():
@@ -234,6 +245,22 @@ def test_run_out_records_is_parseable(tmp_path):
     assert code == 0
     records = parse_trace(out.read_text())
     assert records[-1].kind == "STATE"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_run_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.records" if where == "missing-dir" else tmp_path
+    code = main(
+        [
+            "run",
+            "--model", str(FIXTURES / "visitus.vo"),
+            "--policies", str(FIXTURES / "morebeds.pol"),
+            "--scenario", str(FIXTURES / "golden.scenario"),
+            "--out", str(out),
+        ]
+    )
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert (code, capsys.readouterr().err) == (2, f"{out}: {reason}\n")
 
 
 # --- symbol table -----------------------------------------------------------------

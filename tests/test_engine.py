@@ -10,7 +10,7 @@ from vopol.policy.parser import parse_policy_document
 from vopol.state import Hold, Status
 from vopol.trace import format_trace
 
-from conftest import MOREBEDS, VISITUS
+from conftest import MOREBEDS, NOT_INTEGERS, VISITUS
 
 NO_POLICIES_TEXT = "policy Inert appliesTo Nowhere do add_member(nobody)\n"
 NO_POLICIES = parse_policy_document(NO_POLICIES_TEXT)
@@ -230,6 +230,25 @@ def test_malformed_event_is_invalid_argument_record(event):
     ]
     assert engine.model.reserved == {}
     assert format_trace(engine.records).startswith(before)
+
+
+@pytest.mark.parametrize("amount", NOT_INTEGERS + ["-3"])
+def test_a_text_amount_follows_the_one_integer_rule(amount):
+    engine = Engine(load_model(VISITUS), NO_POLICIES)
+    records = engine.handle_event(ev("consume", "Hotel", "beds", amount))
+    rule = "must not be negative" if amount == "-3" else "must be an integer"
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [
+        ("EVENT", "consume"),
+        ("ERROR", "InvalidArgument"),
+    ]
+    assert records[1].get("detail") == f"amount {rule}, got {amount!r}"
+    assert engine.model.reserved == {}
+
+
+def test_a_text_amount_is_reserved_as_its_integer():
+    engine = Engine(load_model(VISITUS), NO_POLICIES)
+    engine.handle_event(ev("consume", "Hotel", "beds", "3"))
+    assert engine.model.reserved == {("Hotel", "beds"): 3}
 
 
 # --- dispatch ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ from vopol.model import (
     validate_model,
 )
 
-from conftest import VISITUS
+from conftest import NOT_INTEGERS, VISITUS, WIDEST
 from test_acceptance import _closure
 
 
@@ -110,6 +110,75 @@ def test_load_errors_carry_line_numbers():
         load_model("vo X\nmember A kind=Partner\nmember A kind=Partner\n")
     with pytest.raises(ParseError):
         load_model("vo X\nfrobnicate A\n")
+
+
+# (text, error type, message, line, col), recorded from the loader before
+# its rows were filed through the model's writers
+MALFORMED_MODELS = [
+    ("vo X\nparam n abc\n", ParseError, "param 'n' must be an integer, got 'abc'", 2, 1),
+    ("vo X\nmember A kind=Partner cap c=x\n", ParseError, "capacity of 'c' must be an integer, got 'x'", 2, 1),
+    ("vo X\nmember A kind=Partner cap c=1 cost=x\n", ParseError, "cost must be an integer, got 'x'", 2, 1),
+    ("vo X\ntask T type=Atomic requires c=x\n", ParseError, "requirement 'c' must be an integer, got 'x'", 2, 1),
+    ("vo X\nmember A kind=Partner foo\n", ParseError, "expected key=value, got 'foo'", 2, 1),
+    ("vo X\nmember\n", ParseError, "member row needs an id and kind=", 2, 1),
+    ("vo X\ncandidate A kind=Partner cap\n", ParseError, "cap clause needs name=amount", 2, 1),
+    ("vo X\nmember A kind=Boss\n", ParseError, "unknown member kind 'Boss'", 2, 1),
+    ("vo X\nmember A kind=Partner color=red\n", ParseError, "unknown member attribute 'color'", 2, 1),
+    ("vo X\nmember A cap c=1\n", ParseError, "member 'A' is missing kind=", 2, 1),
+    ("vo X\nmember A kind=Partner\ncandidate A kind=Partner\n", ParseError, "duplicate member id 'A'", 3, 1),
+    ("vo X\ntask\n", ParseError, "task row needs an id", 2, 1),
+    ("vo X\ntask T type=Atomic requires\n", ParseError, "requires clause needs cap=amount", 2, 1),
+    ("vo X\ntask T type=Atomic input\n", ParseError, "input clause needs an item name", 2, 1),
+    ("vo X\ntask T type=Atomic inprocess=yes\n", ParseError, "inprocess must be true or false, got 'yes'", 2, 1),
+    ("vo X\ntask T type=Atomic color=red\n", ParseError, "unknown task attribute 'color'", 2, 1),
+    ("vo X\ntask T type=Wrong\n", ParseError, "unknown task type 'Wrong'", 2, 1),
+    ("vo X\ntask T sharing=s\n", ParseError, "task 'T' is missing type=", 2, 1),
+    ("vo X\ntask T type=Atomic\ntask T type=Atomic\n", ParseError, "duplicate task id 'T'", 3, 1),
+    ("vo\n", ParseError, "vo row needs exactly one name", 1, 1),
+    ("vo X Y\n", ParseError, "vo row needs exactly one name", 1, 1),
+    ("task T type=Atomic\n", ParseError, "model file must start with a vo row", 1, 1),
+    ("vo X\nvo Y\n", ParseError, "duplicate vo row", 2, 1),
+    ("vo X\nparam n\n", ParseError, "param row needs a name and a value", 2, 1),
+    ("vo X\nedge A\n", ParseError, "edge row needs from and to", 2, 1),
+    ("vo X\ndataflow i from=A\n", ParseError, "dataflow row needs item, from= and to=", 2, 1),
+    ("vo X\ndataflow i from=A at=B\n", ParseError, "dataflow row needs from= and to=", 2, 1),
+    ("vo X\nresource\n", ParseError, "resource row needs an id", 2, 1),
+    ("vo X\nfrobnicate A\n", ParseError, "unknown row kind 'frobnicate'", 2, 1),
+    ("", ParseError, "empty model file", 1, 1),
+    ("# only a comment\n\n", ParseError, "empty model file", 1, 1),
+    ("vo X\ntask A type=Atomic\nedge A B\n", DanglingRefError, "edge references undefined task 'B'", 3, 1),
+    ("vo X\ntask A type=Atomic\ndataflow i from=ghost to=A\n", DanglingRefError, "dataflow source 'ghost' is not a task", 3, 1),
+    ("vo X\ntask A type=Atomic\ndataflow i from=customer to=ghost\n", DanglingRefError, "dataflow target 'ghost' is not a task", 3, 1),
+    # every edge is checked before any dataflow
+    ("vo X\ntask A type=Atomic\ndataflow i from=customer to=ghost\nedge A B\n", DanglingRefError, "edge references undefined task 'B'", 4, 1),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line, col", MALFORMED_MODELS)
+def test_malformed_model_error(text, error, message, line, col):
+    with pytest.raises(ParseError) as err:
+        load_model(text)
+    assert type(err.value) is error
+    assert (err.value.bare_message, err.value.line, err.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("token", NOT_INTEGERS)
+def test_model_integers_follow_the_one_rule(token):
+    for row, what in [
+        (f"param n {token}", "param 'n'"),
+        (f"member A kind=Partner cap c={token}", "capacity of 'c'"),
+        (f"member A kind=Partner cap c=1 cost={token}", "cost"),
+        (f"task T type=Atomic requires c={token}", "requirement 'c'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            load_model(f"vo X\n{row}\n")
+        assert (err.value.bare_message, err.value.line) == (f"{what} must be an integer, got {token!r}", 2)
+
+
+def test_model_integers_take_a_sign_and_640_digits():
+    m = load_model(f"vo X\nparam n -3\nparam w {WIDEST}\nparam z -{WIDEST}\nmember A kind=Partner cap c=-3 cost=-3\n")
+    assert m.params == {"n": -3, "w": int(WIDEST), "z": -int(WIDEST)}
+    assert (m.members["A"].capabilities, m.members["A"].cost) == ({"c": -3}, {"c": -3})
 
 
 def test_comments_and_blank_lines():
@@ -266,35 +335,101 @@ MUTATORS = {
 }
 
 
-def _names_an_index(target) -> bool:
-    """``x._duties``, ``x._duties[k]``, ``x._tasks``, ``x._tasks[k]`` and so
-    on, or a tuple target holding one."""
-    if isinstance(target, (ast.Tuple, ast.List)):
-        return any(_names_an_index(t) for t in target.elts)
-    if isinstance(target, (ast.Subscript, ast.Starred)):
-        target = target.value
-    return isinstance(target, ast.Attribute) and target.attr in GUARDED
-
-
-def _writes_an_index(node) -> bool:
+def _targets(node):
+    """What an assignment or ``del`` binds, with tuples unpacked."""
     if isinstance(node, (ast.Assign, ast.Delete)):
-        return any(_names_an_index(t) for t in node.targets)
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return _names_an_index(node.target)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return node.func.attr in MUTATORS and _names_an_index(node.func.value)
-    return False
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            yield target
+
+
+def _written(node):
+    """The ``x`` that ``node`` writes by subscript (``x[k] = v``,
+    ``x[k] += v``, ``del x[k]``) or by a mutator call (``x.update(...)``)."""
+    for target in _targets(node):
+        if isinstance(target, ast.Subscript):
+            yield target.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+        yield node.func.value
+
+
+def _guarded(node) -> bool:
+    """``x._duties``, ``x._tasks`` and so on, or a conditional expression
+    with one in either branch."""
+    if isinstance(node, ast.IfExp):
+        return _guarded(node.body) or _guarded(node.orelse)
+    return isinstance(node, ast.Attribute) and node.attr in GUARDED
+
+
+def _writes(node, where="<module>", params=frozenset()):
+    """Yield (function, kind) for each write under ``node``: "index" for a
+    subscript or mutator write of a guarded container, "parameter" for one
+    of a parameter of the enclosing function, and the field's name for a
+    binding such as ``x._tasks = {}``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where, params = node.name, {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    for container in _written(node):
+        if _guarded(container):
+            yield where, "index"
+        elif isinstance(container, ast.Name) and container.id in params:
+            yield where, "parameter"
+    for target in _targets(node):
+        if isinstance(target, ast.Attribute) and target.attr in GUARDED:
+            yield where, target.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _writes(child, where, params)
+
+
+@pytest.mark.parametrize(
+    "snippet, found",
+    [
+        ("m._tasks[k] = v", "index"),
+        ("(m._members if c else m._registry)[k] = v", "index"),
+        ("(table if c else m._registry)[k] = v", "index"),
+        ("a, *m._preds[k] = v", "index"),
+        ("del m._duties[k]", "index"),
+        ("m._reserved[k] += 1", "index"),
+        ("m._flows_to.update(x)", "index"),
+        ("(c if c else m._params).pop(k)", "index"),
+        ("table[k] = v", "parameter"),
+        ("table.setdefault(k, v)", "parameter"),
+        ("m._vbe_resources = x", "_vbe_resources"),
+        ("local = {}\nlocal[k] = v\nm._tasks.get(k)\n_write(m, m._tasks, k, v)", None),
+    ],
+)
+def test_the_write_scan_finds_each_form(snippet, found):
+    tree = ast.parse("def f(m, table, k, v, c, x):\n" + "".join(f"    {line}\n" for line in snippet.splitlines()))
+    assert list(_writes(tree)) == ([("f", found)] if found else [])
+
+
+# the guarded fields that a function binds outright: load_model sets the
+# resources once, after the last row, since nothing writes them later
+BINDINGS = {("model.py", "load_model", "_vbe_resources")}
 
 
 def test_only_model_writes_the_duty_and_control_graph_indexes():
+    # no module writes a guarded container by subscript or mutator, and in
+    # model.py, which hands its containers to its writers as parameters,
+    # only _store writes through a parameter: so every write, load_model's
+    # included, goes through _write
     package = Path(vopol.model.__file__).parent
-    writes = {}
+    writes = set()
     for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        lines = [node.lineno for node in ast.walk(tree) if _writes_an_index(node)]
-        if lines:
-            writes[str(path.relative_to(package))] = lines
-    assert set(writes) == {"model.py"}, writes  # model.py's writers also show the scan finds writes
+        name = str(path.relative_to(package))
+        for where, kind in _writes(ast.parse(path.read_text(), filename=str(path))):
+            if kind != "parameter" or name == "model.py":
+                writes.add((name, where, kind))
+    assert writes == {("model.py", "_store", "parameter")} | BINDINGS
 
 
 # --- insert/remove -----------------------------------------------------------
@@ -546,13 +681,13 @@ edge A B
 edge A C
 edge B D
 edge C D
-dataflow i from=customer to=A
-dataflow i from=customer to=A
-dataflow i from=A to=B
-dataflow j from=B to=D
-dataflow j from=C to=D
-dataflow k from=X to=C
 """
+# dataflow rows over few items, sources and targets, so that items and
+# sources repeat; every third row is given twice
+flow_rows = st.lists(
+    st.tuples(st.sampled_from(["i", "j", "k"]), st.sampled_from([CUSTOMER, "A", "B", "C", "X"]), st.sampled_from("ABCD")),
+    max_size=12,
+).map(lambda rows: rows + rows[::3])
 FLOW_TASKS = ["A", "B", "C", "D", "X", "ghost"]
 flow_steps = st.one_of(
     st.tuples(st.sampled_from(["add", "remove"]), st.sampled_from(["i", "j", "k"]), st.sampled_from(FLOW_TASKS)),
@@ -584,11 +719,14 @@ def _buckets(pairs) -> dict:
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=7), flow_steps), max_size=30))
-def test_flow_indexes_match_a_full_scan_in_every_version(steps):
-    start = load_model(FLOW_MODEL)
+@given(flow_rows, st.lists(st.tuples(st.integers(min_value=0, max_value=7), flow_steps), max_size=30))
+def test_flow_indexes_match_a_full_scan_in_every_version(rows, steps):
+    start = load_model(FLOW_MODEL + "".join(f"dataflow {i} from={s} to={t}\n" for i, s, t in rows))
+    for task in FLOW_TASKS[:5]:  # the loader mirrors the flows into each target's inputs
+        assert start.tasks[task].inputs == {i for i, _, t in rows if t == task}
     # each version with a plain set mirror and its (mark, mirror) stack
-    versions = [(start, set(start.dataflows), [])]
+    versions = [(start, {DataFlow(*row) for row in rows}, [])]
+    _check_flow_indexes(versions)
     for pick, step in steps:
         # mostly the newest version; sometimes one it was copied from
         at = -1 if pick > 3 else pick % len(versions)
@@ -614,19 +752,38 @@ def test_flow_indexes_match_a_full_scan_in_every_version(steps):
                 pass
             else:
                 _mirror_flow_write(mirror, step)
-        for model, mirror, _ in versions:  # a step changes only the version it ran on
-            flows = model.dataflows
-            assert flows == mirror
-            assert model._flows_to == _buckets((f.target, f) for f in flows)
-            assert model._flows_from == _buckets((f.source, f) for f in flows if f.source != CUSTOMER)
-            assert model._flow_count == dict(Counter((f.item, f.source) for f in flows))
-            assert model._item_sources == _buckets((f.item, f.source) for f in flows)
-            for task in FLOW_TASKS:
-                assert model.flows_to(task) == {f for f in flows if f.target == task}
-                assert model.flows_from(task) == {f for f in flows if f.source == task}
-            assert all(model._flows_to.values()) and all(model._flows_from.values())
-            assert all(model._flow_count.values()) and all(model._item_sources.values())
-            assert validate_model(model) == []
+        _check_flow_indexes(versions)  # a step changes only the version it ran on
+
+
+def _check_flow_indexes(versions):
+    for model, mirror, _ in versions:
+        flows = model.dataflows
+        assert flows == mirror
+        assert model._flows_to == _buckets((f.target, f) for f in flows)
+        assert model._flows_from == _buckets((f.source, f) for f in flows if f.source != CUSTOMER)
+        assert model._flow_count == dict(Counter((f.item, f.source) for f in flows))
+        assert model._item_sources == _buckets((f.item, f.source) for f in flows)
+        for task in FLOW_TASKS:
+            assert model.flows_to(task) == {f for f in flows if f.target == task}
+            assert model.flows_from(task) == {f for f in flows if f.source == task}
+        assert all(model._flows_to.values()) and all(model._flows_from.values())
+        assert all(model._flow_count.values()) and all(model._item_sources.values())
+        assert validate_model(model) == []
+
+
+def test_clone_copies_each_dict_field_and_shares_the_rest():
+    m = load_model(VISITUS + "resource Pool\ndataflow i from=customer to=BookFlight\n")
+    _put_duty(m, ("Hotel", "HotelProv", "beds"), 3)
+    adjust_reserved_capacity(m, "Hotel", "beds", 3)
+    journal_mark(m)
+    twin = m.clone()
+    assert twin == m and twin._journal is None
+    for f in dataclasses.fields(VoModel):
+        mine, theirs = getattr(m, f.name), getattr(twin, f.name)
+        if isinstance(mine, dict):
+            assert theirs == mine and theirs is not mine, f.name
+        elif f.name != "_journal":
+            assert theirs is mine, f.name
 
 
 # --- capacity ledger ------------------------------------------------------------

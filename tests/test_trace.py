@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import VISITUS
+from conftest import NOT_INTEGERS, VISITUS
 
 from vopol.engine import Engine, ScenarioEvent
 from vopol.errors import ParseError
@@ -90,3 +90,14 @@ def test_parse_rejects_garbage():
 def test_text_format_readable():
     text = format_text([rec(12, "TRIGGER", ("trigger", "task_entry"), ("task", "T"))])
     assert "TRIGGER" in text and "task=T" in text and "[  12]" in text
+
+
+@pytest.mark.parametrize("seq", NOT_INTEGERS)
+def test_record_seq_follows_the_one_integer_rule(seq):
+    with pytest.raises(ParseError) as err:
+        parse_record(f"seq={seq} kind=STATE", 4)
+    assert (err.value.bare_message, err.value.line) == ("seq must be an integer", 4)
+
+
+def test_record_seq_takes_a_sign():
+    assert parse_record("seq=-3 kind=STATE").seq == -3
