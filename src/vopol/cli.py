@@ -16,9 +16,9 @@ from pathlib import Path
 from .policy.ast import PolicyDocument
 from .policy.parser import parse_policy_document
 from .policy.validate import THIS, validate_policies
-from .domain import VOCABULARY
+from .domain import COMPETITION, VOCABULARY
 from .engine import EVENT_ARITY, ScenarioEvent, read_text, run_scenario
-from .errors import Diagnostic, ParseError, VopolError, parse_int
+from .errors import Diagnostic, ParseError, VopolError, parse_int, quoted
 from .model import CUSTOMER, RELATIONS, MemberKind, TaskType, VoModel, load_model, validate_model
 from .trace import format_text, format_trace
 
@@ -42,9 +42,9 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
         if kind in ("consume", "release"):
             amount = parse_int(args[2])
             if amount is None:
-                raise ParseError(f"amount must be an integer, got {args[2]!r}", line_no, 1)
+                raise ParseError(f"amount must be an integer, got {quoted(args[2])}", line_no, 1)
             if amount < 0:
-                raise ParseError(f"amount must not be negative, got {args[2]!r}", line_no, 1)
+                raise ParseError(f"amount must not be negative, got {quoted(args[2])}", line_no, 1)
             events.append(ScenarioEvent(kind, (args[0], args[1], amount)))
         else:
             events.append(ScenarioEvent(kind, tuple(args)))
@@ -62,7 +62,7 @@ def model_symbols(m: VoModel) -> set[str]:
     symbols.update(t.value for t in TaskType)
     symbols.update(k.value for k in MemberKind)
     symbols.update(RELATIONS)
-    symbols.add("competition")
+    symbols.add(COMPETITION)
     for who in list(m.members.values()) + list(m.registry.values()):
         symbols.update(who.capabilities)
     for task in m.tasks.values():

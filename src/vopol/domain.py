@@ -39,7 +39,6 @@ from .errors import (
 from .model import (
     TaskType,
     VoModel,
-    _drop_duty,
     _move_member,
     _put_duty,
     _put_task,
@@ -267,11 +266,8 @@ def _set_duty(m: VoModel, ctx: EvalContext, member: str, task: str, capability: 
     released."""
     key = (member, task, capability)
     old = m.duties.get(key, 0)
-    if amount is None:
-        _drop_duty(m, key)
-        amount = 0
-    else:
-        _put_duty(m, key, amount)
+    _put_duty(m, key, amount)
+    amount = amount or 0
     if amount >= old:
         _reserve(m, member, capability, amount - old)
     elif ctx.is_active(task):

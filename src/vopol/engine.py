@@ -57,6 +57,7 @@ from .errors import (
     UnderflowError,
     VopolError,
     parse_int,
+    quoted,
 )
 from .model import (
     CUSTOMER,
@@ -487,10 +488,10 @@ class Engine:
         elif isinstance(raw, int) and not isinstance(raw, bool):  # a bool is no amount
             amount = int(raw)
         if amount is None:
-            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
+            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {quoted(raw)}", ev.kind))
             return
         if amount < 0:
-            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {raw!r}", ev.kind))
+            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {quoted(raw)}", ev.kind))
             return
         self._emit(
             "EVENT",

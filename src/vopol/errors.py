@@ -23,6 +23,15 @@ def parse_int(text: str) -> int | None:
     return int(text) if _INTEGER.fullmatch(text) else None
 
 
+def quoted(token: object) -> str:
+    """``repr(token)``, or for a string of more than 40 characters the repr
+    of its first 40 and its length, so that an overlong token refused by an
+    input rule makes no overlong message."""
+    if isinstance(token, str) and len(token) > 40:
+        return f"{token[:40]!r}... ({len(token)} characters)"
+    return repr(token)
+
+
 class VopolError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -18,18 +18,19 @@ view. Every write, from :func:`load_model`'s first row on, goes through
 :func:`_write`. From the first :func:`journal_mark` on, it journals the
 old value of the slot it overwrites, so that :func:`undo` can roll the
 model back to a mark, until :func:`commit` drops the journal.
-``_put_duty`` and ``_drop_duty`` keep each duty key filed by task and by
-member, as ``_link``/``_unlink`` keep the control graph. ``dataflows`` is
-derived from the flows filed by target; ``_add_flows``/``_drop_flow``
-also file each flow by task source and count it by (item, source), with
-the sources of each item, so a flow write or a task's completion reads
-only the flows it touches. ``_link`` and ``_add_flows`` take a batch and
-write each bucket it touches once.
+``_put_duty`` keeps each duty key filed by task and by member, as
+``_link`` keeps the control graph. ``dataflows`` is derived from the
+flows filed by target; ``_add_flows`` also files each flow by task source
+and counts it by (item, source), with the sources of each item, so a flow
+write or a task's completion reads only the flows it touches. All three
+write every index bucket through the one bucket writer ``_file``: ``_link``
+and ``_add_flows`` take a batch to add or to remove, and each bucket the
+batch touches is written once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
@@ -46,6 +47,7 @@ from .errors import (
     UnknownMemberError,
     UnknownTaskError,
     parse_int,
+    quoted,
 )
 
 CUSTOMER = "customer"
@@ -114,19 +116,18 @@ class VoModel:
     _params: dict[str, int] = field(default_factory=dict)
     _reserved: dict[tuple[str, str], int] = field(default_factory=dict)
     # the duty table and its keys by task and by member, written only by
-    # _put_duty/_drop_duty: bucket values are replaced, never mutated, and
-    # no bucket is empty
+    # _put_duty; the buckets of this and the next two groups are written only
+    # through _file: replaced, never mutated, and never empty
     _duties: dict[tuple[str, str, str], int] = field(default_factory=dict)
     _duties_on: dict[str, frozenset[tuple[str, str, str]]] = field(default_factory=dict)
     _duties_of: dict[str, frozenset[tuple[str, str, str]]] = field(default_factory=dict)
-    # the control graph, written only by _link/_unlink: values are replaced,
-    # never mutated, and no entry is empty, so equal maps mean the same graph
+    # the control graph, written only by _link; as no bucket is empty, equal
+    # maps mean the same graph
     _preds: dict[str, frozenset[str]] = field(default_factory=dict)
     _succs: dict[str, frozenset[str]] = field(default_factory=dict)
     # the data flows by target and by task source (a customer flow is filed
     # by target only), the number of flows of each (item, source) and the
-    # sources of each item, written only by _add_flows/_drop_flow: bucket
-    # values are replaced, never mutated, no bucket is empty and no count 0
+    # sources of each item, written only by _add_flows; no count is 0
     _flows_to: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
     _flows_from: dict[str, frozenset[DataFlow]] = field(default_factory=dict)
     _flow_count: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -265,78 +266,48 @@ def commit(m: VoModel):
     m._journal = None
 
 
-def _extend(m: VoModel, table: dict, added: dict[object, list]):
-    """For each key of ``added``, add the values it lists to the bucket
-    under that key in ``table``, one of ``m``'s indexes; each bucket is
-    written once."""
-    for key, values in added.items():
-        _write(m, table, key, table.get(key, frozenset()).union(values))
+def _file(m: VoModel, table: dict, pairs: Iterable[tuple[object, object]], add: bool):
+    """Add each (key, value) of ``pairs`` to the bucket under that key in
+    ``table``, one of ``m``'s indexes, or take it out (``add`` false). Each
+    bucket is written once, and one left empty is dropped."""
+    changes: dict[object, list] = {}
+    for key, value in pairs:
+        changes.setdefault(key, []).append(value)
+    for key, values in changes.items():
+        bucket = table.get(key, frozenset())
+        _write(m, table, key, (bucket.union(values) if add else bucket.difference(values)) or _ABSENT)
 
 
-def _link(m: VoModel, edges: Iterable[tuple[str, str]]):
-    """Add the control ``edges`` to ``m``."""
-    preds: dict[str, list[str]] = {}
-    succs: dict[str, list[str]] = {}
-    for p, s in edges:
-        preds.setdefault(s, []).append(p)
-        succs.setdefault(p, []).append(s)
-    _extend(m, m._preds, preds)
-    _extend(m, m._succs, succs)
+def _link(m: VoModel, edges: Collection[tuple[str, str]], add: bool = True):
+    """Add the control ``edges`` to ``m``, or remove them (``add`` false)."""
+    _file(m, m._preds, [(s, p) for p, s in edges], add)
+    _file(m, m._succs, edges, add)
 
 
-def _unlink(m: VoModel, edges: Iterable[tuple[str, str]]):
-    """Remove the control ``edges``, each present once, from ``m``."""
-    for p, s in edges:
-        for table, key, other in ((m._preds, s, p), (m._succs, p, s)):
-            _write(m, table, key, table[key] - {other} or _ABSENT)
-
-
-def _put_duty(m: VoModel, key: tuple[str, str, str], amount: int):
-    """Set the duty ``key`` of ``m`` to ``amount``."""
-    if key not in m._duties:
+def _put_duty(m: VoModel, key: tuple[str, str, str], amount: int | None):
+    """Set the duty ``key`` of ``m`` to ``amount``, or drop it (None)."""
+    add = amount is not None
+    if add != (key in m._duties):  # a new key is filed, a dropped one unfiled
         member, task, _ = key
-        _write(m, m._duties_on, task, m._duties_on.get(task, frozenset()) | {key})
-        _write(m, m._duties_of, member, m._duties_of.get(member, frozenset()) | {key})
-    _write(m, m._duties, key, amount)
+        _file(m, m._duties_on, [(task, key)], add)
+        _file(m, m._duties_of, [(member, key)], add)
+    _write(m, m._duties, key, amount if add else _ABSENT)
 
 
-def _drop_duty(m: VoModel, key: tuple[str, str, str]):
-    """Remove the duty ``key``, which must be present, from ``m``."""
-    _write(m, m._duties, key, _ABSENT)
-    member, task, _ = key
-    for table, at in ((m._duties_on, task), (m._duties_of, member)):
-        _write(m, table, at, table[at] - {key} or _ABSENT)
-
-
-def _add_flows(m: VoModel, flows: Iterable[DataFlow]):
-    """Add the distinct data ``flows``, each absent, to ``m``."""
-    to: dict[str, list[DataFlow]] = {}
-    out: dict[str, list[DataFlow]] = {}
-    sources: dict[str, list[str]] = {}
+def _add_flows(m: VoModel, flows: Collection[DataFlow], add: bool = True):
+    """Add the distinct data ``flows``, each absent, to ``m``, or remove
+    them, each present (``add`` false)."""
+    sources = []  # the (item, source) pairs whose first or last flow this is
     for flow in flows:
-        to.setdefault(flow.target, []).append(flow)
-        if flow.source != CUSTOMER:
-            out.setdefault(flow.source, []).append(flow)
         key = (flow.item, flow.source)
-        count = m._flow_count.get(key, 0)
-        if not count:
-            sources.setdefault(flow.item, []).append(flow.source)
-        _write(m, m._flow_count, key, count + 1)
-    _extend(m, m._flows_to, to)
-    _extend(m, m._flows_from, out)
-    _extend(m, m._item_sources, sources)
-
-
-def _drop_flow(m: VoModel, flow: DataFlow):
-    """Remove the data flow ``flow``, which must be present, from ``m``."""
-    _write(m, m._flows_to, flow.target, m._flows_to[flow.target] - {flow} or _ABSENT)
-    if flow.source != CUSTOMER:
-        _write(m, m._flows_from, flow.source, m._flows_from[flow.source] - {flow} or _ABSENT)
-    key = (flow.item, flow.source)
-    count = m._flow_count[key] - 1
-    _write(m, m._flow_count, key, count or _ABSENT)
-    if not count:
-        _write(m, m._item_sources, flow.item, m._item_sources[flow.item] - {flow.source} or _ABSENT)
+        old = m._flow_count.get(key, 0)
+        new = old + 1 if add else old - 1
+        _write(m, m._flow_count, key, new or _ABSENT)
+        if not (old and new):
+            sources.append(key)
+    _file(m, m._flows_to, [(f.target, f) for f in flows], add)
+    _file(m, m._flows_from, [(f.source, f) for f in flows if f.source != CUSTOMER], add)
+    _file(m, m._item_sources, sources, add)
 
 
 def _put_task(m: VoModel, task_def: TaskDef):
@@ -378,13 +349,13 @@ def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Du
 def _int(tok: str, line_no: int, what: str) -> int:
     value = parse_int(tok)
     if value is None:
-        raise ParseError(f"{what} must be an integer, got {tok!r}", line_no, 1)
+        raise ParseError(f"{what} must be an integer, got {quoted(tok)}", line_no, 1)
     return value
 
 
 def _kv(tok: str, line_no: int) -> tuple[str, str]:
     if "=" not in tok:
-        raise ParseError(f"expected key=value, got {tok!r}", line_no, 1)
+        raise ParseError(f"expected key=value, got {quoted(tok)}", line_no, 1)
     key, _, value = tok.partition("=")
     return key, value
 
@@ -677,7 +648,7 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> None:
     _need_task(m, t2, in_process=True)
     succ = m.successors(t2)
     if relation == "after":
-        _unlink(m, [(t2, s) for s in succ])
+        _link(m, [(t2, s) for s in succ], add=False)
         _link(m, [(t1, s) for s in succ] + [(t2, t1)])
     else:
         _link(m, [(p, t1) for p in m.predecessors(t2)] + [(t1, s) for s in succ])
@@ -698,7 +669,7 @@ def remove_task_node(m: VoModel, t: str) -> None:
     _need_task(m, t, in_process=True)
     preds = m.predecessors(t)
     succs = m.successors(t)
-    _unlink(m, {(p, t) for p in preds} | {(t, s) for s in succs})
+    _link(m, {(p, t) for p in preds} | {(t, s) for s in succs}, add=False)
     bridges = set()
     for p in preds:
         # walk from p until it reaches every other successor
@@ -715,10 +686,9 @@ def remove_task_node(m: VoModel, t: str) -> None:
             bridges.add((p, p))
     _link(m, bridges)
     for duty in m.duties_on(t):
-        _drop_duty(m, (duty.member, t, duty.capability))
+        _put_duty(m, (duty.member, t, duty.capability), None)
         _release(m, duty.member, duty.capability, duty.amount)
-    for flow in m.flows_from(t) | m.flows_to(t):
-        _drop_flow(m, flow)
+    _add_flows(m, m.flows_from(t) | m.flows_to(t), add=False)
     _put_task(m, replace(m.tasks[t], in_process=False))
 
 
@@ -746,8 +716,7 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
             subject=item,
             severity="warning",
         )
-    for flow in existing:
-        _drop_flow(m, flow)
+    _add_flows(m, existing, add=False)
     _put_task(m, replace(task_def, inputs=task_def.inputs - {item}))
     return None
 

@@ -47,7 +47,7 @@ from vopol.domain import (
     resolve_action,
 )
 from vopol.engine import BOOTSTRAP_POLICY, Engine, ScenarioEvent, _action_fields, ready_set
-from vopol.errors import InvalidArgumentError, ModelError, TaskFailure, UnderflowError, UnknownTaskError
+from vopol.errors import InvalidArgumentError, ModelError, TaskFailure, UnderflowError, UnknownTaskError, quoted
 from vopol.model import (
     TaskType,
     VoModel,
@@ -246,10 +246,10 @@ class NaiveEngine(Engine):
             except ValueError:
                 pass
         if amount is None:
-            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {raw!r}", ev.kind))
+            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {quoted(raw)}", ev.kind))
             return
         if amount < 0:
-            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {raw!r}", ev.kind))
+            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {quoted(raw)}", ev.kind))
             return
         self._emit(
             "EVENT", ("event", ev.kind), ("member", member), ("capability", capability), ("amount", str(amount))

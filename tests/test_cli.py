@@ -7,7 +7,7 @@ import pytest
 
 from vopol.cli import cmd_validate, main, model_symbols, parse_scenario
 from vopol.engine import ScenarioEvent
-from vopol.errors import ParseError
+from vopol.errors import ParseError, quoted
 from vopol.model import load_model
 from vopol.trace import parse_trace
 
@@ -57,7 +57,7 @@ def test_parse_arity_and_integer_errors():
 def test_scenario_amounts_follow_the_one_integer_rule(token):
     with pytest.raises(ParseError) as err:
         parse_scenario(f"start\nconsume Hotel beds {token}")
-    assert (err.value.bare_message, err.value.line) == (f"amount must be an integer, got {token!r}", 2)
+    assert (err.value.bare_message, err.value.line) == (f"amount must be an integer, got {quoted(token)}", 2)
 
 
 def test_scenario_amount_of_640_digits_parses():

@@ -4,7 +4,7 @@ import pytest
 
 from vopol.domain import DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
-from vopol.errors import InvalidModelError
+from vopol.errors import InvalidModelError, quoted
 from vopol.model import canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
 from vopol.state import Hold, Status
@@ -241,7 +241,7 @@ def test_a_text_amount_follows_the_one_integer_rule(amount):
         ("EVENT", "consume"),
         ("ERROR", "InvalidArgument"),
     ]
-    assert records[1].get("detail") == f"amount {rule}, got {amount!r}"
+    assert records[1].get("detail") == f"amount {rule}, got {quoted(amount)}"
     assert engine.model.reserved == {}
 
 

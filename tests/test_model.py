@@ -26,6 +26,7 @@ from vopol.errors import (
     UnderflowError,
     UnknownMemberError,
     UnknownTaskError,
+    quoted,
 )
 from vopol.model import (
     CUSTOMER,
@@ -34,7 +35,6 @@ from vopol.model import (
     Duty,
     MemberKind,
     VoModel,
-    _drop_duty,
     _put_duty,
     _put_task,
     _reserve,
@@ -172,7 +172,15 @@ def test_model_integers_follow_the_one_rule(token):
     ]:
         with pytest.raises(ParseError) as err:
             load_model(f"vo X\n{row}\n")
-        assert (err.value.bare_message, err.value.line) == (f"{what} must be an integer, got {token!r}", 2)
+        assert (err.value.bare_message, err.value.line) == (f"{what} must be an integer, got {quoted(token)}", 2)
+
+
+def test_a_message_quotes_an_overlong_token_by_its_start_and_length():
+    assert [quoted(t) for t in ("1_000", "a" * 40, 7)] == ["'1_000'", repr("a" * 40), "7"]
+    assert quoted("1" * 5000) == repr("1" * 40) + "... (5000 characters)"
+    with pytest.raises(ParseError) as err:
+        load_model(f"vo X\nparam n {'1' * 641}\n")
+    assert err.value.bare_message == f"param 'n' must be an integer, got '{'1' * 40}'... (641 characters)"
 
 
 def test_model_integers_take_a_sign_and_640_digits():
@@ -285,9 +293,9 @@ def test_duty_indexes_match_a_full_scan_in_every_version(steps):
         elif step[0] == "put":
             _put_duty(model, step[1], step[2])
             mirror[step[1]] = step[2]
-        elif step[1] in mirror:
-            _drop_duty(model, step[1])
-            del mirror[step[1]]
+        else:  # an absent key too
+            _put_duty(model, step[1], None)
+            mirror.pop(step[1], None)
         for model, mirror in versions:  # a step changes only the version it ran on
             assert model.duties == mirror
             for task in DUTY_TASKS:
@@ -318,7 +326,7 @@ def test_duty_table_copies_and_pickles_with_its_indexes():
     for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m
         _put_duty(twin, ("P", "U", "a"), 3)
-        _drop_duty(twin, ("Q", "T", "b"))
+        _put_duty(twin, ("Q", "T", "b"), None)
         assert twin.duties_on("U") == [Duty("P", "U", "a", 3)] and m.duties_on("U") == []
         assert twin.duties_of("P") == [Duty("P", "T", "a", 1), Duty("P", "U", "a", 3)]
         assert twin.duties_of("Q") == [] and m.duties_of("Q") == [Duty("Q", "T", "b", 2)]
@@ -530,6 +538,32 @@ def test_insert_then_remove_restores_edges():
         remove_task_node(m, "X")
         assert m.control_edges == before.control_edges, relation
         assert m == before, relation  # no empty adjacency entry is left behind
+
+
+FAN_OUT = "\n".join(
+    ["vo F", "task R type=Atomic", "task S type=Atomic", "task X type=Atomic inprocess=false", "edge R S"]
+    + [f"task T{i} type=Atomic\nedge S T{i}\ndataflow d{i} from=S to=T{i}" for i in range(50)]
+    + ["dataflow d0 from=customer to=T0"]
+)
+
+
+@pytest.mark.parametrize("primitive", [
+    lambda m: remove_task_node(m, "S"),
+    lambda m: insert_task_node(m, "X", "S", "after"),
+    lambda m: set_dataflow_edge(m, "d0", "T0", "remove"),
+], ids=["remove", "insert-after", "remove-flow"])
+def test_a_primitive_journals_each_slot_at_most_twice_on_a_fan_out(primitive):
+    # a primitive writes its edges and flows in one batch per direction, so
+    # a slot is written at most once to remove and once to add, however wide
+    # the fan-out: one write per edge or flow would make removal quadratic
+    m = load_model(FAN_OUT)
+    names = {id(getattr(m, f.name)): f.name for f in dataclasses.fields(m)}
+    mark = journal_mark(m)
+    primitive(m)
+    per_slot = Counter((names[id(table)], key) for table, key, _ in m._journal[mark:])
+    assert max(per_slot.values()) <= 2, per_slot.most_common(3)
+    undo(m, mark)
+    assert m == load_model(FAN_OUT)
 
 
 def test_remove_skips_bridges_already_ordered_by_remaining_paths():
@@ -768,6 +802,10 @@ def _check_flow_indexes(versions):
             assert model.flows_from(task) == {f for f in flows if f.source == task}
         assert all(model._flows_to.values()) and all(model._flows_from.values())
         assert all(model._flow_count.values()) and all(model._item_sources.values())
+        edges = model.control_edges
+        assert model._preds == _buckets((s, p) for p, s in edges)
+        assert model._succs == _buckets(edges)
+        assert all(model._preds.values()) and all(model._succs.values())
         assert validate_model(model) == []
 
 
