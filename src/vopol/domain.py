@@ -260,21 +260,20 @@ def remaining_shortfall(m: VoModel, task: str, capability: str) -> int:
     return max(0, required - _coverage(m, task, capability))
 
 
-def _set_duty(m: VoModel, ctx: EvalContext, member: str, task: str, capability: str, amount: int | None):
-    """Write one duty (None drops it) and move its units: added units are
-    reserved, freed ones are held until a running task finishes or else
-    released."""
-    key = (member, task, capability)
-    old = m.duties.get(key, 0)
-    _put_duty(m, key, amount)
-    amount = amount or 0
-    if amount >= old:
-        _reserve(m, member, capability, amount - old)
-    elif ctx.is_active(task):
-        # commitment to a running task remains until it finishes
-        ctx.hold_sink.append(Hold(task, member, capability, old - amount))
-    else:
-        _release(m, member, capability, old - amount)
+def _set_duty(m: VoModel, ctx: EvalContext, amounts: dict[tuple[str, str, str], int | None]):
+    """Write a batch of duties (None drops one) and move their units in
+    the batch's order: added units are reserved, freed ones are held
+    until a running task finishes or else released."""
+    for (member, task, capability), amount in amounts.items():
+        freed = m._duties.get((member, task, capability), 0) - (amount or 0)
+        if freed <= 0:
+            _reserve(m, member, capability, -freed)
+        elif ctx.is_active(task):
+            # commitment to a running task remains until it finishes
+            ctx.hold_sink.append(Hold(task, member, capability, freed))
+        else:
+            _release(m, member, capability, freed)
+    _put_duty(m, amounts)
 
 
 def materialize(m: VoModel, action: DomainAction) -> DomainAction:
@@ -304,8 +303,7 @@ def _member_action(ctx: EvalContext, action: DomainAction):
         return
     if who not in m.members:
         raise NotAMemberError(f"{who!r} is not a member", who)
-    for duty in m.duties_of(who):
-        _set_duty(m, ctx, who, duty.task, duty.capability, None)
+    _set_duty(m, ctx, dict.fromkeys(sorted(m._duties_of.get(who, ()))))
     _move_member(m, who, admit=False)
 
 
@@ -320,7 +318,7 @@ def _duty_action(ctx: EvalContext, action: DomainAction):
     if action.name == "unassign_duty":
         if (member, task, capability) not in m.duties:
             raise UnknownDutyError(f"no duty ({member}, {task}, {capability}) to unassign", member)
-        _set_duty(m, ctx, member, task, capability, None)
+        _set_duty(m, ctx, {(member, task, capability): None})
         return
 
     if member not in m.members:
@@ -346,7 +344,7 @@ def _duty_action(ctx: EvalContext, action: DomainAction):
             f"assigning {amount} of ({member}, {capability}) exceeds free capacity {free} + held {old}",
             member,
         )
-    _set_duty(m, ctx, member, task, capability, amount)
+    _set_duty(m, ctx, {(member, task, capability): amount})
 
 
 def _change_type(ctx: EvalContext, action: DomainAction):

@@ -167,6 +167,10 @@ class Engine:
     ``model`` is the engine's working model, a copy of the one it was
     given: every event writes it in place, and its journal holds the
     writes of the event under way, so a policy that raises is undone.
+    A dispatch marks the journal first and learns from it what changed:
+    each task whose predecessor bucket or task record was written since
+    the mark is re-checked for readiness, and a written member slot
+    renews the STATE record's members field. No action name is read here.
     ``instance.status`` is written only by :meth:`_set_status`, which
     keeps each task's fragment of the STATE record."""
 
@@ -266,27 +270,22 @@ class Engine:
                 self._set_status(task, Status.READY if eligible else Status.PENDING)
         self._touched.clear()
 
-    def _apply(self, ctx: EvalContext, action: DomainAction):
-        """Apply ``action`` to the working model and note what it may change:
-        the members, or the readiness of the task a graph change adds or
-        deletes with its successors in the graph that has it, or of the
-        task whose inputs changed."""
-        name = action.name
-        # a deleted task's successors, read before the delete unwires it
-        deleted_successors = self.model.successors(action.args[0]) if name == "delete_task" else ()
-        apply_action(ctx, action)
-        if name in ("add_member", "remove_member"):
-            self._members_text = None
-        elif name in ("add_task", "delete_task"):
-            task = action.args[0]
-            self._touched.add(task)
-            self._touched.update(self.model.successors(task) if name == "add_task" else deleted_successors)
-        elif name in ("provide_input", "remove_input"):
-            item, task = action.args
-            self._touched.add(task)
-            if name == "provide_input":
-                # never dropped on removal: a stale consumer costs one re-check
-                self._consumers.setdefault(item, set()).add(task)
+    def _note_writes(self, mark: int):
+        """Note what the model writes since ``mark`` may change, from the
+        slots they wrote: the readiness of a task whose predecessors or
+        record were written, the data items that task waits for, and the
+        members."""
+        m = self.model
+        for table, key, _ in m._journal[mark:]:
+            if table is m._tasks:
+                self._touched.add(key)
+                # never dropped: a stale consumer costs one re-check
+                for item in m._tasks[key].inputs:
+                    self._consumers.setdefault(item, set()).add(key)
+            elif table is m._preds:
+                self._touched.add(key)
+            elif table is m._members:
+                self._members_text = None
 
     def _release_holds(self, task: str):
         """Free the units held for ``task`` in the working model."""
@@ -296,6 +295,7 @@ class Engine:
     # dispatch -------------------------------------------------------------
 
     def dispatch_trigger(self, trig: DomainTrigger) -> list[TraceRecord]:
+        written = journal_mark(self.model)
         mark = len(self.records)
         self._emit("TRIGGER", ("trigger", trig.name), ("task", trig.task))
         event_spec = TriggerSpec(trig.name, (Ident(trig.task),))
@@ -332,7 +332,7 @@ class Engine:
                 try:
                     # every check runs before the first write, so a failed
                     # action leaves the model as it was
-                    self._apply(ctx, action)
+                    apply_action(ctx, action)
                 except ModelError as err:
                     return failed(fields, err)
                 self.instance.holds.extend(ctx.hold_sink)
@@ -350,7 +350,6 @@ class Engine:
                     policy.body, event_spec, trig.task, predicate, make_attempt(policy.name)
                 )
             except ModelError as err:
-                # roll the policy back; a task it touched costs one re-check
                 undo(self.model, saved)
                 for log, kept in zip(logs, marks):
                     del log[kept:]
@@ -384,14 +383,13 @@ class Engine:
                 bootstrap_failed = True
             else:
                 for action in performed:
-                    if action.name == "add_member":
-                        self._members_text = None
                     self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
 
         if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
             self._set_status(trig.task, Status.FAILED)
             self._release_holds(trig.task)
 
+        self._note_writes(written)
         self._refresh_readiness()
         self._emit_state()
 
@@ -403,54 +401,50 @@ class Engine:
 
     def handle_event(self, ev: ScenarioEvent) -> list[TraceRecord]:
         mark = len(self.records)
-        wanted = EVENT_ARITY.get(ev.kind)
+        kind, args = ev.kind, ev.args
+        wanted = EVENT_ARITY.get(kind) if isinstance(kind, str) else None
         if wanted is None:
-            self._reject(ev, IllegalTransitionError(f"unknown event kind {ev.kind!r}", ev.kind))
-        elif len(ev.args) != wanted:
-            self._reject(
-                ev,
-                InvalidArgumentError(
-                    f"{ev.kind} takes {wanted} argument(s), got {len(ev.args)}", ev.kind
-                ),
-            )
+            self._reject(ev, IllegalTransitionError(f"unknown event kind {quoted(kind)}", str(kind)))
+        elif not isinstance(args, tuple):
+            self._reject(ev, InvalidArgumentError(f"{kind} takes a tuple of arguments, got {quoted(args)}", kind))
+        elif len(args) != wanted:
+            self._reject(ev, InvalidArgumentError(f"{kind} takes {wanted} argument(s), got {len(args)}", kind))
         else:
-            getattr(self, "_ev_" + ev.kind.replace("-", "_"))(ev)
+            getattr(self, "_ev_" + kind.replace("-", "_"))(ev)
         commit(self.model)  # the journal holds one event's writes at most
         return self.records[mark:]
 
     def _reject(self, ev: ScenarioEvent, err: VopolError):
-        """Trace an unknown or malformed event: its kind, then the error."""
-        self._emit("EVENT", ("event", ev.kind))
+        """Trace an unknown or malformed event: its kind (quoted unless a
+        ``str``), then the error."""
+        self._emit("EVENT", ("event", ev.kind if isinstance(ev.kind, str) else quoted(ev.kind)))
         self._emit_error(err)
 
     def _ev_start(self, ev: ScenarioEvent):
         self._emit("EVENT", ("event", "start"))
 
-    def _require_status(self, task: str, wanted: Status, verb: str) -> bool:
+    def _task_event(self, ev: ScenarioEvent, wanted: Status) -> str | None:
+        """Trace a task's lifecycle event; the task, or None after an error
+        record when its status is not ``wanted``."""
+        task = str(ev.args[0])
+        self._emit("EVENT", ("event", ev.kind), ("task", task))
         current = self.instance.status.get(task)
-        if current is not wanted:
-            shown = current.value if current is not None else "not in the process"
-            self._emit_error(
-                IllegalTransitionError(
-                    f"cannot {verb} task {task!r}: status is {shown}, needs {wanted.value}",
-                    task,
-                )
-            )
-            return False
-        return True
+        if current is wanted:
+            return task
+        shown = current.value if current is not None else "not in the process"
+        message = f"cannot {ev.kind} task {task!r}: status is {shown}, needs {wanted.value}"
+        self._emit_error(IllegalTransitionError(message, task))
+        return None
 
     def _ev_activate(self, ev: ScenarioEvent):
-        task = str(ev.args[0])
-        self._emit("EVENT", ("event", "activate"), ("task", task))
-        if not self._require_status(task, Status.READY, "activate"):
-            return
-        self._set_status(task, Status.ACTIVE)
-        self.dispatch_trigger(DomainTrigger("task_entry", task))
+        task = self._task_event(ev, Status.READY)
+        if task is not None:
+            self._set_status(task, Status.ACTIVE)
+            self.dispatch_trigger(DomainTrigger("task_entry", task))
 
     def _ev_complete(self, ev: ScenarioEvent):
-        task = str(ev.args[0])
-        self._emit("EVENT", ("event", "complete"), ("task", task))
-        if not self._require_status(task, Status.ACTIVE, "complete"):
+        task = self._task_event(ev, Status.ACTIVE)
+        if task is None:
             return
         self._set_status(task, Status.COMPLETED)
         self._release_holds(task)
@@ -466,13 +460,11 @@ class Engine:
         self.dispatch_trigger(DomainTrigger("task_exit", task))
 
     def _ev_fail(self, ev: ScenarioEvent):
-        task = str(ev.args[0])
-        self._emit("EVENT", ("event", "fail"), ("task", task))
-        if not self._require_status(task, Status.ACTIVE, "fail"):
-            return
-        self._set_status(task, Status.FAILED)
-        self._release_holds(task)
-        self.dispatch_trigger(DomainTrigger("task_failure", task))
+        task = self._task_event(ev, Status.ACTIVE)
+        if task is not None:
+            self._set_status(task, Status.FAILED)
+            self._release_holds(task)
+            self.dispatch_trigger(DomainTrigger("task_failure", task))
 
     def _ev_consume(self, ev: ScenarioEvent):
         self._adjust_capacity(ev, 1)

@@ -17,20 +17,22 @@ Only this module writes the containers; each public one, such as
 view. Every write, from :func:`load_model`'s first row on, goes through
 :func:`_write`. From the first :func:`journal_mark` on, it journals the
 old value of the slot it overwrites, so that :func:`undo` can roll the
-model back to a mark, until :func:`commit` drops the journal.
-``_put_duty`` keeps each duty key filed by task and by member, as
-``_link`` keeps the control graph. ``dataflows`` is derived from the
-flows filed by target; ``_add_flows`` also files each flow by task source
-and counts it by (item, source), with the sources of each item, so a flow
-write or a task's completion reads only the flows it touches. All three
-write every index bucket through the one bucket writer ``_file``: ``_link``
-and ``_add_flows`` take a batch to add or to remove, and each bucket the
-batch touches is written once.
+model back to a mark, until :func:`commit` drops the journal; the
+engine also reads it to learn what changed. ``_put_duty`` keeps each
+duty key filed by task and by member, as ``_link`` keeps the control
+graph. ``dataflows`` is derived from the flows filed by target;
+``_add_flows`` also files each flow by task source and counts it by
+(item, source), with the sources of each item, so a flow write or a
+task's completion reads only the flows it touches. All three
+write every index bucket through the one bucket writer ``_file``:
+``_put_duty`` takes a batch of keys to set or drop, ``_link`` and
+``_add_flows`` a batch to add or to remove, and each bucket the batch
+touches is written once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
@@ -284,14 +286,19 @@ def _link(m: VoModel, edges: Collection[tuple[str, str]], add: bool = True):
     _file(m, m._succs, edges, add)
 
 
-def _put_duty(m: VoModel, key: tuple[str, str, str], amount: int | None):
-    """Set the duty ``key`` of ``m`` to ``amount``, or drop it (None)."""
-    add = amount is not None
-    if add != (key in m._duties):  # a new key is filed, a dropped one unfiled
-        member, task, _ = key
-        _file(m, m._duties_on, [(task, key)], add)
-        _file(m, m._duties_of, [(member, key)], add)
-    _write(m, m._duties, key, amount if add else _ABSENT)
+def _put_duty(m: VoModel, amounts: Mapping[tuple[str, str, str], int | None]):
+    """Set each duty key of ``amounts`` in ``m`` to its amount, or drop it
+    (None)."""
+    filed: dict[bool, list] = {True: [], False: []}  # the new keys to file, the dropped ones to unfile
+    for key, amount in amounts.items():
+        add = amount is not None
+        if add is not (key in m._duties):
+            filed[add].append(key)
+        _write(m, m._duties, key, amount if add else _ABSENT)
+    for add, keys in filed.items():
+        if keys:
+            _file(m, m._duties_on, [(k[1], k) for k in keys], add)
+            _file(m, m._duties_of, [(k[0], k) for k in keys], add)
 
 
 def _add_flows(m: VoModel, flows: Collection[DataFlow], add: bool = True):
@@ -685,8 +692,9 @@ def remove_task_node(m: VoModel, t: str) -> None:
         if p in succs:  # on cyclic input a task that is both pred and succ gets p -> p
             bridges.add((p, p))
     _link(m, bridges)
-    for duty in m.duties_on(t):
-        _put_duty(m, (duty.member, t, duty.capability), None)
+    dropped = m.duties_on(t)
+    _put_duty(m, {(d.member, t, d.capability): None for d in dropped})
+    for duty in dropped:
         _release(m, duty.member, duty.capability, duty.amount)
     _add_flows(m, m.flows_from(t) | m.flows_to(t), add=False)
     _put_task(m, replace(m.tasks[t], in_process=False))

@@ -178,7 +178,7 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
             return 0
         take = min(free, shortfall)
         new_amount = scratch.duties.get((mid, task, capability), 0) + take
-        _put_duty(scratch, (mid, task, capability), new_amount)
+        _put_duty(scratch, {(mid, task, capability): new_amount})
         _shift(scratch, mid, capability, take)
         performed.append(DomainAction("assign_duty", (mid, task, capability, new_amount)))
         return take

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from vopol.policy.ast import ActionCall, Ident, Number, Text
@@ -102,6 +104,33 @@ def test_remove_member_keeps_reservation_for_active_task():
     assert m.duties == {}
     assert m.reserved.get(("P", "a"), 0) == 2  # commitment survives the removal
     assert ctx.hold_sink == [("T", "P", "a", 2)]
+
+
+DUTY_FAN = "\n".join(
+    ["vo F", "member M kind=Partner cap c=30", "task S type=Replicable requires c=30"]
+    + [f"member P{i} kind=Partner cap c=1\ntask T{i} type=Atomic requires c=1\nedge S T{i}" for i in range(30)]
+)
+
+
+@pytest.mark.parametrize("removal", [action("delete_task", "S"), action("remove_member", "M")], ids=["task", "member"])
+def test_a_removal_writes_each_duty_bucket_once(removal):
+    # S holds a duty from each P<i> and M one on each T<i>: the removal drops
+    # them in one batch, so each index bucket is written once, not per duty
+    m = load_model(DUTY_FAN)
+    ctx = ctx_for(m)
+    for i in range(30):
+        apply_action(ctx, action("assign_duty", f"P{i}", "S", "c", 1))
+        apply_action(ctx, action("assign_duty", "M", f"T{i}", "c", 1))
+    before = canonical_dump(m)
+    mark = journal_mark(m)
+    apply_action(ctx, removal)
+    buckets = Counter(
+        (table is m._duties_on, key) for table, key, _ in m._journal[mark:] if table in (m._duties_on, m._duties_of)
+    )
+    assert len(m.duties) == 30 and max(buckets.values()) == 1, buckets.most_common(2)
+    assert validate_model(m) == []
+    undo(m, mark)
+    assert canonical_dump(m) == before
 
 
 def test_remove_nonmember_rejected(visitus_ctx, visitus):

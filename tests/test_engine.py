@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from vopol.domain import DomainTrigger
+import vopol.engine
+from vopol.domain import VOCABULARY, DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
 from vopol.errors import InvalidModelError, quoted
 from vopol.model import canonical_dump, load_model, validate_model
@@ -190,6 +194,15 @@ def test_consume_beyond_declared_is_error_record():
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["CapacityExceeded"]
 
 
+def test_the_engine_names_no_action():
+    # what an action changes is read from the model's write journal, so the
+    # engine has no branch on an action's name and a new action needs no
+    # engine change
+    tree = ast.parse(Path(vopol.engine.__file__).read_text(encoding="utf-8"))
+    named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(named & set(VOCABULARY.actions)) == []
+
+
 def test_unknown_scenario_event_is_error_record():
     final, instance, records = run(VISITUS, "policy P appliesTo X do add_member(y)\n", [ev("warp", "x")])
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["IllegalTransition"]
@@ -229,6 +242,27 @@ def test_malformed_event_is_invalid_argument_record(event):
         ("ERROR", "InvalidArgument"),
     ]
     assert engine.model.reserved == {}
+    assert format_trace(engine.records).startswith(before)
+
+
+@pytest.mark.parametrize(
+    "event, error, detail",
+    [
+        (ScenarioEvent(["x"]), "IllegalTransition", f"unknown event kind {quoted(['x'])}"),
+        (ScenarioEvent(5), "IllegalTransition", "unknown event kind 5"),
+        (ScenarioEvent("start", None), "InvalidArgument", "start takes a tuple of arguments, got None"),
+        (ScenarioEvent("start", "s" * 50), "InvalidArgument", f"start takes a tuple of arguments, got {quoted('s' * 50)}"),
+    ],
+    ids=["list-kind", "int-kind", "none-args", "text-args"],
+)
+def test_an_event_of_the_wrong_type_is_an_error_record(event, error, detail):
+    # a library event is not type-checked when built: the engine refuses it
+    engine = Engine(load_model(VISITUS), NO_POLICIES)
+    before = format_trace(engine.records)
+    records = engine.handle_event(event)
+    shown = event.kind if isinstance(event.kind, str) else quoted(event.kind)
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [("EVENT", shown), ("ERROR", error)]
+    assert records[1].get("detail") == detail
     assert format_trace(engine.records).startswith(before)
 
 

@@ -183,6 +183,12 @@ def test_a_message_quotes_an_overlong_token_by_its_start_and_length():
     assert err.value.bare_message == f"param 'n' must be an integer, got '{'1' * 40}'... (641 characters)"
 
 
+def test_quoted_keeps_40_characters_whole_and_shortens_41():
+    # the boundary itself: a threshold of 41 would leave a 41-character token whole
+    assert quoted("b" * 40) == repr("b" * 40)
+    assert quoted("b" * 41) == repr("b" * 40) + "... (41 characters)"
+
+
 def test_model_integers_take_a_sign_and_640_digits():
     m = load_model(f"vo X\nparam n -3\nparam w {WIDEST}\nparam z -{WIDEST}\nmember A kind=Partner cap c=-3 cost=-3\n")
     assert m.params == {"n": -3, "w": int(WIDEST), "z": -int(WIDEST)}
@@ -235,8 +241,8 @@ def test_atomic_two_member_duties_flagged():
         "vo X\nmember P kind=Partner cap c=5\nmember Q kind=Partner cap c=5\n"
         "task T type=Atomic requires c=4\n"
     )
-    _put_duty(m, ("P", "T", "c"), 2)
-    _put_duty(m, ("Q", "T", "c"), 2)
+    _put_duty(m, {("P", "T", "c"): 2})
+    _put_duty(m, {("Q", "T", "c"): 2})
     _reserve(m, "P", "c", 2)
     _reserve(m, "Q", "c", 2)
     codes = [d.code for d in validate_model(m)]
@@ -260,7 +266,7 @@ def test_duty_referencing_candidate_flagged():
     m = load_model(
         "vo X\ncandidate P kind=Partner cap c=5\ntask T type=Atomic requires c=1\n"
     )
-    _put_duty(m, ("P", "T", "c"), 1)
+    _put_duty(m, {("P", "T", "c"): 1})
     codes = [d.code for d in validate_model(m)]
     assert "DanglingDuty" in codes
 
@@ -271,8 +277,11 @@ DUTY_MEMBERS = ["P", "Q", "R"]
 DUTY_TASKS = ["T", "U"]
 duty_keys = st.tuples(st.sampled_from(DUTY_MEMBERS), st.sampled_from(DUTY_TASKS), st.sampled_from(["a", "b"]))
 duty_steps = st.one_of(
-    st.tuples(st.just("put"), duty_keys, st.integers(min_value=0, max_value=9)),
-    st.tuples(st.just("drop"), duty_keys),
+    # a batch that sets or drops (None) each key, absent ones too
+    st.tuples(
+        st.just("put"),
+        st.dictionaries(duty_keys, st.none() | st.integers(min_value=0, max_value=9), max_size=4),
+    ),
     st.tuples(st.just("clone")),
 )
 
@@ -290,12 +299,13 @@ def test_duty_indexes_match_a_full_scan_in_every_version(steps):
         model, mirror = versions[-1 if pick > 3 else pick % len(versions)]
         if step[0] == "clone":
             versions.append((model.clone(), dict(mirror)))
-        elif step[0] == "put":
-            _put_duty(model, step[1], step[2])
-            mirror[step[1]] = step[2]
-        else:  # an absent key too
-            _put_duty(model, step[1], None)
-            mirror.pop(step[1], None)
+        else:
+            _put_duty(model, step[1])
+            for key, amount in step[1].items():
+                if amount is None:
+                    mirror.pop(key, None)
+                else:
+                    mirror[key] = amount
         for model, mirror in versions:  # a step changes only the version it ran on
             assert model.duties == mirror
             for task in DUTY_TASKS:
@@ -307,7 +317,7 @@ def test_duty_indexes_match_a_full_scan_in_every_version(steps):
 
 def test_duty_table_refuses_a_key_that_is_not_a_triple():
     m = VoModel(name="X")
-    _put_duty(m, ("P", "T", "a"), 1)
+    _put_duty(m, {("P", "T", "a"): 1})
     for key in ["PTa", ("P", "T"), ["P", "T", "a"], ("P", "T", "a")]:  # model.duties is read-only
         with pytest.raises(TypeError):
             m.duties[key] = 2
@@ -321,12 +331,12 @@ def test_duty_table_refuses_a_key_that_is_not_a_triple():
 
 def test_duty_table_copies_and_pickles_with_its_indexes():
     m = VoModel(name="X")
-    _put_duty(m, ("P", "T", "a"), 1)
-    _put_duty(m, ("Q", "T", "b"), 2)
+    _put_duty(m, {("P", "T", "a"): 1})
+    _put_duty(m, {("Q", "T", "b"): 2})
     for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m
-        _put_duty(twin, ("P", "U", "a"), 3)
-        _put_duty(twin, ("Q", "T", "b"), None)
+        _put_duty(twin, {("P", "U", "a"): 3})
+        _put_duty(twin, {("Q", "T", "b"): None})
         assert twin.duties_on("U") == [Duty("P", "U", "a", 3)] and m.duties_on("U") == []
         assert twin.duties_of("P") == [Duty("P", "T", "a", 1), Duty("P", "U", "a", 3)]
         assert twin.duties_of("Q") == [] and m.duties_of("Q") == [Duty("Q", "T", "b", 2)]
@@ -520,7 +530,7 @@ def test_remove_drops_duties_and_flows():
         "task A type=Atomic\ntask T type=Replicable requires c=2\nedge A T\n"
         "dataflow i from=customer to=T\ndataflow j from=T to=A\n"
     )
-    _put_duty(m, ("P", "T", "c"), 2)
+    _put_duty(m, {("P", "T", "c"): 2})
     _reserve(m, "P", "c", 2)
     remove_task_node(m, "T")
     assert m.duties == {}
@@ -669,7 +679,7 @@ def test_dataflows_is_a_read_only_view():
 )
 def test_every_model_container_is_read_only(name):
     m = load_model(VISITUS + "resource Pool\ndataflow i from=customer to=BookFlight\n")
-    _put_duty(m, ("Hotel", "HotelProv", "beds"), 3)
+    _put_duty(m, {("Hotel", "HotelProv", "beds"): 3})
     adjust_reserved_capacity(m, "Hotel", "beds", 3)
     before = canonical_dump(m)
     view = getattr(m, name)
@@ -811,7 +821,7 @@ def _check_flow_indexes(versions):
 
 def test_clone_copies_each_dict_field_and_shares_the_rest():
     m = load_model(VISITUS + "resource Pool\ndataflow i from=customer to=BookFlight\n")
-    _put_duty(m, ("Hotel", "HotelProv", "beds"), 3)
+    _put_duty(m, {("Hotel", "HotelProv", "beds"): 3})
     adjust_reserved_capacity(m, "Hotel", "beds", 3)
     journal_mark(m)
     twin = m.clone()
