@@ -33,7 +33,9 @@ def detect_conflicts(actions: list[tuple[str, DomainAction]], start: int = 0) ->
     ``start`` limits the report to the pairs whose later request sits at
     index ``start`` or after; a caller that checks each request as it
     arrives passes the new request's index and gets only the pairs that
-    request closes. The default reports every pair."""
+    request closes (``Engine.dispatch_trigger`` does, for each request
+    that writes a key an earlier one wrote with another value). The
+    default reports every pair."""
     out: list[Conflict] = []
     for j in range(max(start, 1), len(actions)):
         writes = actions[j][1].writes.items()

@@ -13,7 +13,10 @@ handles each requested action once, when it is requested: the action is
 resolved and checked against every earlier request of the dispatch,
 suppressed ones included. If it conflicts with one, it is suppressed
 (first writer wins) and never applied; otherwise it is applied at once,
-so later conditions observe it. A suppressed request counts as a failed
+so later conditions observe it. The dispatch files each request's writes
+by key, so the exact check (``detect_conflicts``) runs only for a request
+that writes a key an earlier one wrote with another value; no other
+request can conflict. A suppressed request counts as a failed
 attempt, so ``andthen`` stops and ``orelse`` tries its right side. A
 policy whose evaluation raises is rolled back: its model writes are
 undone through the model's journal, and its holds, requests and
@@ -304,6 +307,8 @@ class Engine:
         # among them and the ACTION-* records, traced after the policies ran
         requests: list[tuple[str, DomainAction]] = []
         conflicts: list[Conflict] = []
+        # each key those requests wrote -> the values written there
+        filed: dict[tuple[str, object], set[object]] = {}
         outcomes: list[tuple[str, tuple[tuple[str, str], ...]]] = []
 
         def predicate(pred: Pred) -> bool:
@@ -322,7 +327,15 @@ class Engine:
                 except ModelError as err:
                     return failed(_action_fields(policy_name, call.name, call.args), err)
                 requests.append((policy_name, action))
-                clashes = detect_conflicts(requests, start=len(requests) - 1)
+                # only a key filed with another value can clash; a rolled-back
+                # policy's entries stay filed, which costs an exact call that
+                # finds nothing but never hides a conflict
+                contested = False
+                for key, value in action.writes.items():
+                    values = filed.setdefault(key, set())
+                    contested = contested or len(values) > (value in values)
+                    values.add(value)
+                clashes = contested and detect_conflicts(requests, start=len(requests) - 1)
                 if clashes:
                     # first writer wins: the later request is never applied
                     conflicts.extend(clashes)
@@ -409,6 +422,10 @@ class Engine:
             self._reject(ev, InvalidArgumentError(f"{kind} takes a tuple of arguments, got {quoted(args)}", kind))
         elif len(args) != wanted:
             self._reject(ev, InvalidArgumentError(f"{kind} takes {wanted} argument(s), got {len(args)}", kind))
+        elif wanted and not (isinstance(args[0], str) and isinstance(args[wanted > 1], str)):
+            # the names come first: one, or two before consume's and release's amount
+            odd = next(a for a in args if not isinstance(a, str))
+            self._reject(ev, InvalidArgumentError(f"{kind} takes names as str, got {quoted(odd)}", kind))
         else:
             getattr(self, "_ev_" + kind.replace("-", "_"))(ev)
         commit(self.model)  # the journal holds one event's writes at most
@@ -426,7 +443,7 @@ class Engine:
     def _task_event(self, ev: ScenarioEvent, wanted: Status) -> str | None:
         """Trace a task's lifecycle event; the task, or None after an error
         record when its status is not ``wanted``."""
-        task = str(ev.args[0])
+        task = ev.args[0]
         self._emit("EVENT", ("event", ev.kind), ("task", task))
         current = self.instance.status.get(task)
         if current is wanted:
@@ -473,7 +490,7 @@ class Engine:
         self._adjust_capacity(ev, -1)
 
     def _adjust_capacity(self, ev: ScenarioEvent, sign: int):
-        member, capability, raw = str(ev.args[0]), str(ev.args[1]), ev.args[2]
+        member, capability, raw = ev.args
         amount = None
         if isinstance(raw, str):
             amount = parse_int(raw)
@@ -522,7 +539,7 @@ class Engine:
         return claimed
 
     def _ev_load_policy(self, ev: ScenarioEvent):
-        rel = str(ev.args[0])
+        rel = ev.args[0]
         self._emit("EVENT", ("event", "load-policy"), ("path", rel))
         path = Path(rel)
         if not path.is_absolute() and self.base_dir is not None:
@@ -557,7 +574,7 @@ class Engine:
         self._activate(tuple(policies))
 
     def _ev_retract_policy(self, ev: ScenarioEvent):
-        name = str(ev.args[0])
+        name = ev.args[0]
         self._emit("EVENT", ("event", "retract-policy"), ("policy", name))
         remaining = tuple(p for p in self._policies if p.name != name)
         if len(remaining) == len(self._policies):

@@ -15,6 +15,7 @@ from vopol.state import Hold, Status
 from vopol.trace import format_trace
 
 from conftest import MOREBEDS, NOT_INTEGERS, VISITUS
+from reference import naive
 
 NO_POLICIES_TEXT = "policy Inert appliesTo Nowhere do add_member(nobody)\n"
 NO_POLICIES = parse_policy_document(NO_POLICIES_TEXT)
@@ -246,6 +247,37 @@ def test_malformed_event_is_invalid_argument_record(event):
 
 
 @pytest.mark.parametrize(
+    "event",
+    [
+        ev("activate", None),
+        ev("complete", 3),
+        ev("fail", ("BookFlight",)),
+        ev("consume", None, "3", 1),
+        ev("release", "Hotel", 3, 1),
+        ev("load-policy", Path("extra.pol")),
+        ev("retract-policy", ["Inert"]),
+    ],
+    ids=["activate", "complete", "fail", "consume-member", "release-capability", "load-policy-path", "retract-policy"],
+)
+def test_a_name_that_is_not_a_str_is_an_invalid_argument_record(tmp_path, event):
+    # str() of it would name another entity, so it is refused; a path given
+    # as a pathlib.Path is refused too, as a scenario line gives a str
+    (tmp_path / "extra.pol").write_text("policy Late do add_member(newHotel)\n")
+    engine = Engine(load_model(VISITUS), NO_POLICIES, base_dir=tmp_path)
+    before = format_trace(engine.records)
+    records = engine.handle_event(event)
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [
+        ("EVENT", event.kind),
+        ("ERROR", "InvalidArgument"),
+    ]
+    odd = next(arg for arg in event.args if not isinstance(arg, str))
+    assert records[1].get("detail") == f"{event.kind} takes names as str, got {quoted(odd)}"
+    assert engine.model.reserved == {}
+    assert engine.policies == NO_POLICIES.policies
+    assert format_trace(engine.records).startswith(before)
+
+
+@pytest.mark.parametrize(
     "event, error, detail",
     [
         (ScenarioEvent(["x"]), "IllegalTransition", f"unknown event kind {quoted(['x'])}"),
@@ -414,6 +446,124 @@ def test_policy_that_raises_is_rolled_back():
     assert outcomes == [("ACTION-APPLIED", "A", "C"), ("ACTION-APPLIED", "Q", "C,T,c,2")]
     assert final.duties == {("C", "T", "c"): 2}
     assert validate_model(final) == []
+
+
+# each request's writes are filed by key; only one that writes a key an
+# earlier request of its dispatch wrote with another value is checked
+CLASH_MODEL = (
+    "vo X\nmember M kind=Partner cap c=5\ncandidate C kind=Partner cap c=5\n"
+    "candidate D kind=Partner cap c=5\ntask T type=Replicable\ntask U type=Replicable\nedge T U\n"
+)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The index of each request the engine checks with ``detect_conflicts``."""
+    calls = []
+    exact = vopol.engine.detect_conflicts
+
+    def counting(requests, start=0):
+        calls.append(start)
+        return exact(requests, start)
+
+    monkeypatch.setattr(vopol.engine, "detect_conflicts", counting)
+    return calls
+
+
+def conflict_pairs(records):
+    return [(r.get("first_policy"), r.get("second_policy")) for r in records if r.kind == "CONFLICT"]
+
+
+def test_only_a_request_that_writes_a_contested_key_is_checked(checked):
+    # C is added on T's entry and removed on U's, another dispatch: no
+    # check; then S and W each clash with R, and E writes D's key alone
+    policy_text = (
+        "policy A appliesTo T when task_entry() do add_member(C)\n"
+        "policy B appliesTo T when task_entry() do add_member(D)\n"
+        "policy R appliesTo U when task_entry() do remove_member(C)\n"
+        "policy S appliesTo U when task_entry() do add_member(C)\n"
+        "policy E appliesTo U when task_entry() do add_member(D)\n"
+        "policy W appliesTo U when task_entry() do add_member(C)\n"
+    )
+    engine = Engine(load_model(CLASH_MODEL), parse_policy_document(policy_text))
+    seen = []
+    for event in (ev("activate", "T"), ev("complete", "T"), ev("activate", "U")):
+        records = engine.handle_event(event)
+        seen.append((checked[:], conflict_pairs(records)))
+        checked.clear()
+    assert seen == [([], []), ([], []), ([1, 3], [("R", "S"), ("R", "W")])]
+
+
+def test_a_repeated_request_is_not_checked(checked):
+    policy_text = (
+        "policy P1 appliesTo T when task_entry() do add_member(C)\n"
+        "policy P2 appliesTo T when task_entry() do add_member(C)\n"
+        "policy P3 appliesTo T when task_entry() do change_type(U, Composable)\n"
+        "policy P4 appliesTo T when task_entry() do change_type(U, Composable)\n"
+    )
+    final, _, records = run(CLASH_MODEL, policy_text, [ev("activate", "T")])
+    assert checked == []
+    assert conflict_pairs(records) == []
+    assert [r.get("policy") for r in records if r.kind == "ACTION-APPLIED"] == ["P1", "P3", "P4"]
+
+
+def test_a_suppressed_request_stays_filed(checked):
+    # P2 is suppressed by P1, and P3 then clashes with P2
+    policy_text = (
+        "policy P1 appliesTo T when task_entry() do add_member(C)\n"
+        "policy P2 appliesTo T when task_entry() do remove_member(C)\n"
+        "policy P3 appliesTo T when task_entry() do add_member(C)\n"
+    )
+    final, _, records = run(CLASH_MODEL, policy_text, [ev("activate", "T")])
+    assert checked == [1, 2]
+    assert conflict_pairs(records) == [("P1", "P2"), ("P2", "P3")]
+    assert [r.get("policy") for r in records if r.kind.startswith("ACTION")] == ["P1"]
+
+
+def test_a_request_that_clashes_with_two_earlier_ones_gets_both_records(checked):
+    policy_text = (
+        "policy P1 appliesTo T when task_entry() do unassign_duty(M, U, c)\n"
+        "policy P2 appliesTo T when task_entry() do change_type(U, Composable)\n"
+        "policy P3 appliesTo T when task_entry() do delete_task(U)\n"
+    )
+    final, _, records = run(CLASH_MODEL, policy_text, [ev("activate", "T")])
+    assert checked == [2]
+    assert conflict_pairs(records) == [("P1", "P3"), ("P2", "P3")]
+    assert {r.get("class") for r in records if r.kind == "CONFLICT"} == {"task-delete-target"}
+    assert "U" in final.tasks
+
+
+def test_a_clash_on_a_request_s_second_key_is_found(checked):
+    # assign_duty writes its duty's key first and its task's second
+    policy_text = (
+        "policy P1 appliesTo T when task_entry() do delete_task(U)\n"
+        "policy P2 appliesTo T when task_entry() do assign_duty(M, U, c, 1)\n"
+    )
+    final, _, records = run(CLASH_MODEL, policy_text, [ev("activate", "T")])
+    assert checked == [1]
+    assert conflict_pairs(records) == [("P1", "P2")]
+    assert final.duties == {}
+
+
+def test_a_rolled_back_request_stays_filed_and_hides_no_conflict(checked):
+    # P's change_type is undone when its second rule raises, but its write
+    # stays filed: Q's other type costs one exact check, which finds no
+    # conflict, so Q's change applies, as it does in the naive engine
+    policy_text = (
+        "policy P (appliesTo T when task_entry() do change_type(U, Composable))"
+        " seq (appliesTo T when task_entry() if has_capacity(ghost, c, 1) do add_member(C))\n"
+        "policy Q appliesTo T when task_entry() do change_type(U, Atomic)\n"
+    )
+    events = [ev("activate", "T")]
+    final, _, records = run(CLASH_MODEL, policy_text, events)
+    assert checked == [0]
+    assert conflict_pairs(records) == []
+    assert [(r.kind, r.get("policy")) for r in records if r.kind.startswith("ACTION")] == [("ACTION-APPLIED", "Q")]
+    assert final.tasks["U"].ttype.value == "Atomic"
+    oracle = naive.NaiveEngine(load_model(CLASH_MODEL), parse_policy_document(policy_text))
+    for event in events:
+        oracle.handle_event(event)
+    assert format_trace(oracle.records) == format_trace(records)
 
 
 def test_state_members_follow_admissions_and_their_rollback():
