@@ -8,13 +8,15 @@ the hidden bootstrap allocator that runs when a task starts.
 :func:`apply_action` and :func:`run_bootstrap` are all-or-nothing: they
 write the context's model, under its undo journal if one is open, and
 leave it passing :func:`vopol.model.validate_model`, or raise with it as
-it was. Call ``ctx.model.clone()`` first to keep a snapshot.
+it was. Call ``ctx.model.clone()`` first to keep a snapshot. Units freed
+from an active task stay reserved under a hold appended to
+``ctx.instance.holds``, which no journal undoes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .policy.ast import ActionCall, Arg, Ident, Number, Text
@@ -165,14 +167,13 @@ class DomainAction:
 @dataclass
 class EvalContext:
     """Evaluation environment for predicates and actions: the current
-    model, the running instance (may be absent for pure library use), the
-    triggering task, and a sink collecting capacity holds created by
-    removals that touch active tasks."""
+    model, the running instance (may be absent for pure library use) and
+    the triggering task. An action that frees units of an active task
+    appends their hold to ``instance.holds``."""
 
     model: VoModel
     instance: InstanceState | None = None
     this_task: str | None = None
-    hold_sink: list[Hold] = field(default_factory=list)
 
     @property
     def params(self) -> Mapping[str, int]:
@@ -270,7 +271,7 @@ def _set_duty(m: VoModel, ctx: EvalContext, amounts: dict[tuple[str, str, str], 
             _reserve(m, member, capability, -freed)
         elif ctx.is_active(task):
             # commitment to a running task remains until it finishes
-            ctx.hold_sink.append(Hold(task, member, capability, freed))
+            ctx.instance.holds.append(Hold(task, member, capability, freed))
         else:
             _release(m, member, capability, freed)
     _put_duty(m, amounts)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .policy.ast import ActionCall, Ident, Policy, PolicyDocument, Pred, TriggerSpec, iter_rules
@@ -175,7 +176,9 @@ class Engine:
     the mark is re-checked for readiness, and a written member slot
     renews the STATE record's members field. No action name is read here.
     ``instance.status`` is written only by :meth:`_set_status`, which
-    keeps each task's fragment of the STATE record."""
+    keeps each task's fragment of the STATE record. One context per
+    dispatch serves predicates, actions and the bootstrap; an action
+    appends its holds to ``instance.holds`` itself."""
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
         self.model = model.clone()
@@ -311,48 +314,44 @@ class Engine:
         filed: dict[tuple[str, object], set[object]] = {}
         outcomes: list[tuple[str, tuple[tuple[str, str], ...]]] = []
 
+        ctx = EvalContext(self.model, self.instance, trig.task)
+
         def predicate(pred: Pred) -> bool:
-            ctx = EvalContext(self.model, self.instance, trig.task)
             return eval_predicate(ctx, pred.name, pred.args)
 
         def failed(fields: tuple[tuple[str, str], ...], err: ModelError) -> bool:
             outcomes.append(("ACTION-FAILED", (*fields, ("error", err.code), ("detail", err.message))))
             return False
 
-        def make_attempt(policy_name: str):
-            def attempt(call: ActionCall) -> bool:
-                ctx = EvalContext(self.model, self.instance, trig.task)
-                try:
-                    action = resolve_action(ctx, call)
-                except ModelError as err:
-                    return failed(_action_fields(policy_name, call.name, call.args), err)
-                requests.append((policy_name, action))
-                # only a key filed with another value can clash; a rolled-back
-                # policy's entries stay filed, which costs an exact call that
-                # finds nothing but never hides a conflict
-                contested = False
-                for key, value in action.writes.items():
-                    values = filed.setdefault(key, set())
-                    contested = contested or len(values) > (value in values)
-                    values.add(value)
-                clashes = contested and detect_conflicts(requests, start=len(requests) - 1)
-                if clashes:
-                    # first writer wins: the later request is never applied
-                    conflicts.extend(clashes)
-                    return False
-                action = materialize(ctx.model, action)
-                fields = _action_fields(policy_name, action.name, action.args)
-                try:
-                    # every check runs before the first write, so a failed
-                    # action leaves the model as it was
-                    apply_action(ctx, action)
-                except ModelError as err:
-                    return failed(fields, err)
-                self.instance.holds.extend(ctx.hold_sink)
-                outcomes.append(("ACTION-APPLIED", fields))
-                return True
-
-            return attempt
+        def attempt(policy_name: str, call: ActionCall) -> bool:
+            try:
+                action = resolve_action(ctx, call)
+            except ModelError as err:
+                return failed(_action_fields(policy_name, call.name, call.args), err)
+            requests.append((policy_name, action))
+            # only a key filed with another value can clash; a rolled-back
+            # policy's entries stay filed, which costs an exact call that
+            # finds nothing but never hides a conflict
+            contested = False
+            for key, value in action.writes.items():
+                values = filed.setdefault(key, set())
+                contested = contested or len(values) > (value in values)
+                values.add(value)
+            clashes = contested and detect_conflicts(requests, start=len(requests) - 1)
+            if clashes:
+                # first writer wins: the later request is never applied
+                conflicts.extend(clashes)
+                return False
+            action = materialize(ctx.model, action)
+            fields = _action_fields(policy_name, action.name, action.args)
+            try:
+                # every check runs before the first write, so a failed
+                # action leaves the model and the holds as they were
+                apply_action(ctx, action)
+            except ModelError as err:
+                return failed(fields, err)
+            outcomes.append(("ACTION-APPLIED", fields))
+            return True
 
         logs = (self.instance.holds, requests, conflicts, outcomes)
         for policy in self._candidates(trig):
@@ -360,7 +359,7 @@ class Engine:
             marks = tuple(map(len, logs))
             try:
                 applied = evaluate_rule_group(
-                    policy.body, event_spec, trig.task, predicate, make_attempt(policy.name)
+                    policy.body, event_spec, trig.task, predicate, partial(attempt, policy.name)
                 )
             except ModelError as err:
                 undo(self.model, saved)
@@ -386,7 +385,6 @@ class Engine:
         # bootstrap, task_entry only
         bootstrap_failed = False
         if trig.name == "task_entry":
-            ctx = EvalContext(self.model, self.instance, trig.task)
             try:
                 # a failure leaves the model as it was
                 performed = run_bootstrap(ctx, trig.task)
@@ -473,7 +471,6 @@ class Engine:
         for item in arrived:
             self._touched.update(self._consumers.get(item, ()))
         self._touched.update(self.model.successors(task))
-        self._refresh_readiness()
         self.dispatch_trigger(DomainTrigger("task_exit", task))
 
     def _ev_fail(self, ev: ScenarioEvent):

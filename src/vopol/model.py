@@ -32,7 +32,7 @@ touches is written once.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Container, Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
@@ -367,6 +367,13 @@ def _kv(tok: str, line_no: int) -> tuple[str, str]:
     return key, value
 
 
+def _fresh(given: Container[str], name: str, what: str, line_no: int):
+    """Refuse ``name`` with a :class:`ParseError` when ``given`` holds it:
+    a row or file that repeats a key must not let its last value win."""
+    if name in given:
+        raise ParseError(f"repeated {what} {quoted(name)}", line_no, 1)
+
+
 def _parse_member(tokens: list[str], line_no: int) -> Member:
     if len(tokens) < 2:
         raise ParseError("member row needs an id and kind=", line_no, 1)
@@ -374,6 +381,7 @@ def _parse_member(tokens: list[str], line_no: int) -> Member:
     kind: MemberKind | None = None
     caps: dict[str, int] = {}
     costs: dict[str, int] = {}
+    given: set[str] = set()  # the attributes of the row so far
     i = 2
     while i < len(tokens):
         tok = tokens[i]
@@ -381,6 +389,7 @@ def _parse_member(tokens: list[str], line_no: int) -> Member:
             if i + 1 >= len(tokens):
                 raise ParseError("cap clause needs name=amount", line_no, 1)
             cap_name, cap_val = _kv(tokens[i + 1], line_no)
+            _fresh(caps, cap_name, "cap", line_no)
             caps[cap_name] = _int(cap_val, line_no, f"capacity of {cap_name!r}")
             i += 2
             if i < len(tokens) and tokens[i].startswith("cost="):
@@ -388,6 +397,8 @@ def _parse_member(tokens: list[str], line_no: int) -> Member:
                 i += 1
             continue
         key, value = _kv(tok, line_no)
+        _fresh(given, key, "member attribute", line_no)
+        given.add(key)
         if key == "kind":
             try:
                 kind = MemberKind(value)
@@ -410,6 +421,7 @@ def _parse_task(tokens: list[str], line_no: int) -> TaskDef:
     required: dict[str, int] = {}
     inputs: set[str] = set()
     in_process = True
+    given: set[str] = set()  # the attributes of the row so far
     i = 2
     while i < len(tokens):
         tok = tokens[i]
@@ -417,6 +429,7 @@ def _parse_task(tokens: list[str], line_no: int) -> TaskDef:
             if i + 1 >= len(tokens):
                 raise ParseError("requires clause needs cap=amount", line_no, 1)
             cap_name, cap_val = _kv(tokens[i + 1], line_no)
+            _fresh(required, cap_name, "requirement", line_no)
             required[cap_name] = _int(cap_val, line_no, f"requirement {cap_name!r}")
             i += 2
             continue
@@ -427,6 +440,8 @@ def _parse_task(tokens: list[str], line_no: int) -> TaskDef:
             i += 2
             continue
         key, value = _kv(tok, line_no)
+        _fresh(given, key, "task attribute", line_no)
+        given.add(key)
         if key == "type":
             try:
                 ttype = TaskType(value)
@@ -471,6 +486,7 @@ def load_model(text: str) -> VoModel:
         if row == "param":
             if len(tokens) != 3:
                 raise ParseError("param row needs a name and a value", line_no, 1)
+            _fresh(model._params, tokens[1], "param", line_no)
             _write(model, model._params, tokens[1], _int(tokens[2], line_no, f"param {tokens[1]!r}"))
         elif row in ("member", "candidate"):
             who = _parse_member(tokens, line_no)

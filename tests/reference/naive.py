@@ -320,7 +320,6 @@ class NaiveEngine(Engine):
             except ModelError as err:
                 return failed(fields, err)
             self.model = ctx.model
-            self.instance.holds.extend(ctx.hold_sink)
             outcomes.append(("ACTION-APPLIED", fields))
             return True
 

@@ -98,7 +98,7 @@ def _outcome(run, m, active):
     except TaskFailure as err:
         result = ("failed", err.message)
     assert validate_model(ctx.model) == []
-    return result, canonical_dump(ctx.model), ctx.hold_sink
+    return result, canonical_dump(ctx.model), ctx.instance.holds
 
 
 def test_bootstrap_matches_the_hand_written_allocator(monkeypatch):

@@ -103,7 +103,7 @@ def test_remove_member_keeps_reservation_for_active_task():
     apply_action(ctx, action("remove_member", "P"))
     assert m.duties == {}
     assert m.reserved.get(("P", "a"), 0) == 2  # commitment survives the removal
-    assert ctx.hold_sink == [("T", "P", "a", 2)]
+    assert ctx.instance.holds == [("T", "P", "a", 2)]
 
 
 DUTY_FAN = "\n".join(
@@ -213,7 +213,7 @@ def test_assign_reduction_on_active_task_keeps_commitment():
     apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
     assert m.duties[("P", "T", "a")] == 2
     assert m.reserved.get(("P", "a"), 0) == 5  # reservation unchanged until completion
-    assert ctx.hold_sink == [("T", "P", "a", 3)]
+    assert ctx.instance.holds == [("T", "P", "a", 3)]
 
 
 def test_unassign_absent_duty_rejected(visitus):
@@ -232,7 +232,7 @@ def test_unassign_releases_unless_active():
     ctx = ctx_for(busy, active={"T"})
     apply_action(ctx, action("unassign_duty", "P", "T", "a"))
     assert busy.reserved.get(("P", "a"), 0) == 5
-    assert ctx.hold_sink == [("T", "P", "a", 5)]
+    assert ctx.instance.holds == [("T", "P", "a", 5)]
 
 
 def test_duty_release_never_frees_more_than_is_reserved():

@@ -668,7 +668,6 @@ def test_removed_member_reservation_released_on_completion():
 
     ctx = EvalContext(engine.model, engine.instance, "T")
     apply_action(ctx, DomainAction("remove_member", ("P",)))
-    engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.duties == {}
     assert engine.model.reserved.get(("P", "a"), 0) == 2  # discharge obligation remains
     engine.handle_event(ev("complete", "T"))
@@ -697,7 +696,6 @@ def test_unassigned_duty_reservation_released_on_failure():
 
     ctx = EvalContext(engine.model, engine.instance, "T")
     apply_action(ctx, DomainAction("unassign_duty", ("P", "T", "a")))
-    engine.instance.holds.extend(ctx.hold_sink)
     assert engine.model.reserved.get(("P", "a"), 0) == 2  # still committed
     engine.handle_event(ev("fail", "T"))
     assert engine.model.reserved.get(("P", "a"), 0) == 0

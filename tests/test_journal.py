@@ -92,6 +92,7 @@ def test_undo_restores_every_mark_and_in_place_matches_the_new_version(steps):
     m = _model()
     # T1 runs: it cannot be deleted, and duties taken from it leave holds
     instance = InstanceState(status={"T1": Status.ACTIVE})
+    expected_instance = InstanceState(status=dict(instance.status))
     marks = [(journal_mark(m), m.clone())]
     for step in steps:
         if step == "mark":
@@ -102,7 +103,8 @@ def test_undo_restores_every_mark_and_in_place_matches_the_new_version(steps):
             _same(m, snapshot)
         else:
             before, expected = m.clone(), m.clone()  # a clone has no journal
-            expected_ctx, ctx = EvalContext(expected, instance), EvalContext(m, instance)
+            expected_ctx, ctx = EvalContext(expected, expected_instance), EvalContext(m, instance)
+            held = list(instance.holds)
             try:
                 apply_action(expected_ctx, step)
                 error = None
@@ -114,10 +116,11 @@ def test_undo_restores_every_mark_and_in_place_matches_the_new_version(steps):
             except ModelError as err:
                 assert (err.code, err.message) == error
                 _same(m, before)  # every check runs before the first write
+                assert instance.holds == held
             else:
                 assert error is None
                 _same(m, expected)
-                assert ctx.hold_sink == expected_ctx.hold_sink
+                assert instance.holds == expected_instance.holds
                 assert validate_model(m) == []
     undo(m, marks[0][0])
     _same(m, marks[0][1])

@@ -126,6 +126,15 @@ MALFORMED_MODELS = [
     ("vo X\nmember A kind=Partner color=red\n", ParseError, "unknown member attribute 'color'", 2, 1),
     ("vo X\nmember A cap c=1\n", ParseError, "member 'A' is missing kind=", 2, 1),
     ("vo X\nmember A kind=Partner\ncandidate A kind=Partner\n", ParseError, "duplicate member id 'A'", 3, 1),
+    # a repeated key is refused, not won by its last value
+    ("vo X\nparam n 1\nparam n 2\n", ParseError, "repeated param 'n'", 3, 1),
+    ("vo X\nmember A kind=Partner cap c=5 cap c=7\n", ParseError, "repeated cap 'c'", 2, 1),
+    ("vo X\ncandidate A kind=Partner cap c=5 cost=1 cap d=1 cap c=5\n", ParseError, "repeated cap 'c'", 2, 1),
+    ("vo X\nmember A kind=Partner kind=Partner\n", ParseError, "repeated member attribute 'kind'", 2, 1),
+    ("vo X\ntask T type=Atomic requires c=1 requires c=2\n", ParseError, "repeated requirement 'c'", 2, 1),
+    ("vo X\ntask T type=Atomic type=Replicable\n", ParseError, "repeated task attribute 'type'", 2, 1),
+    ("vo X\ntask T type=Atomic sharing=s sharing=t\n", ParseError, "repeated task attribute 'sharing'", 2, 1),
+    ("vo X\ntask T type=Atomic inprocess=true inprocess=false\n", ParseError, "repeated task attribute 'inprocess'", 2, 1),
     ("vo X\ntask\n", ParseError, "task row needs an id", 2, 1),
     ("vo X\ntask T type=Atomic requires\n", ParseError, "requires clause needs cap=amount", 2, 1),
     ("vo X\ntask T type=Atomic input\n", ParseError, "input clause needs an item name", 2, 1),
@@ -160,6 +169,15 @@ def test_malformed_model_error(text, error, message, line, col):
         load_model(text)
     assert type(err.value) is error
     assert (err.value.bare_message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_repeated_rows_that_lose_nothing_load():
+    # only a key whose last value would win is refused
+    once = load_model("vo X\nresource r\ntask A type=Atomic input i\ntask B type=Atomic\nedge A B\n")
+    twice = load_model(
+        "vo X\nresource r\nresource r\ntask A type=Atomic input i input i\ntask B type=Atomic\nedge A B\nedge A B\n"
+    )
+    assert twice == once and twice._vbe_resources == {"r"}
 
 
 @pytest.mark.parametrize("token", NOT_INTEGERS)
