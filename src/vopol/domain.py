@@ -9,8 +9,8 @@ the hidden bootstrap allocator that runs when a task starts.
 write the context's model, under its undo journal if one is open, and
 leave it passing :func:`vopol.model.validate_model`, or raise with it as
 it was. Call ``ctx.model.clone()`` first to keep a snapshot. Units freed
-from an active task stay reserved under a hold appended to
-``ctx.instance.holds``, which no journal undoes.
+from an active task stay reserved under a hold in ``ctx.model.holds``,
+written and undone like any other model slot.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import cached_property
 from .policy.ast import ActionCall, Arg, Ident, Number, Text
 from .policy.validate import THIS, Vocabulary
 from .errors import (
+    MAX_NUMBER_DIGITS,
     ActiveTaskError,
     AlreadyMemberError,
     AtomicityViolationError,
@@ -37,14 +38,16 @@ from .errors import (
     UnknownPredicateError,
     UnknownTaskError,
     UnresolvedIdentifierError,
+    quoted,
+    too_long,
 )
 from .model import (
     TaskType,
     VoModel,
+    _hold,
     _move_member,
     _put_duty,
     _put_task,
-    _release,
     _reserve,
     commit,
     free_capacity,
@@ -54,7 +57,7 @@ from .model import (
     set_dataflow_edge,
     undo,
 )
-from .state import Hold, InstanceState
+from .state import InstanceState
 
 TRIGGER_NAMES = ("task_entry", "task_exit", "task_failure")
 
@@ -134,11 +137,13 @@ class DomainAction:
             names, last = self.args[:-1], self.args[-1]
             if last is not None and (type(last) is bool or not isinstance(last, last_type)):
                 raise InvalidArgumentError(
-                    f"{self.name} takes a {last_type.__name__} or None last, got {last!r}", self.name
+                    f"{self.name} takes a {last_type.__name__} or None last, got {quoted(last)}", self.name
                 )
+            if last_type is int and last is not None and too_long(last):
+                raise InvalidArgumentError(f"{self.name} amount must have at most {MAX_NUMBER_DIGITS} digits", self.name)
         for arg in names:
             if not isinstance(arg, str):
-                raise InvalidArgumentError(f"{self.name} takes names as str, got {arg!r}", self.name)
+                raise InvalidArgumentError(f"{self.name} takes names as str, got {quoted(arg)}", self.name)
 
     def render(self) -> str:
         shown = ["?" if a is None else str(a) for a in self.args]
@@ -169,7 +174,7 @@ class EvalContext:
     """Evaluation environment for predicates and actions: the current
     model, the running instance (may be absent for pure library use) and
     the triggering task. An action that frees units of an active task
-    appends their hold to ``instance.holds``."""
+    holds them in ``model.holds``."""
 
     model: VoModel
     instance: InstanceState | None = None
@@ -267,13 +272,11 @@ def _set_duty(m: VoModel, ctx: EvalContext, amounts: dict[tuple[str, str, str], 
     until a running task finishes or else released."""
     for (member, task, capability), amount in amounts.items():
         freed = m._duties.get((member, task, capability), 0) - (amount or 0)
-        if freed <= 0:
-            _reserve(m, member, capability, -freed)
-        elif ctx.is_active(task):
+        if freed > 0 and ctx.is_active(task):
             # commitment to a running task remains until it finishes
-            ctx.instance.holds.append(Hold(task, member, capability, freed))
+            _hold(m, task, member, capability, freed)
         else:
-            _release(m, member, capability, freed)
+            _reserve(m, member, capability, -freed)
     _put_duty(m, amounts)
 
 

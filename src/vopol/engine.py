@@ -18,8 +18,8 @@ by key, so the exact check (``detect_conflicts``) runs only for a request
 that writes a key an earlier one wrote with another value; no other
 request can conflict. A suppressed request counts as a failed
 attempt, so ``andthen`` stops and ``orelse`` tries its right side. A
-policy whose evaluation raises is rolled back: its model writes are
-undone through the model's journal, and its holds, requests and
+policy whose evaluation raises is rolled back: its model writes, holds
+included, are undone through the model's journal, and its requests and
 conflicts are dropped. The trace lists the POLICY-FIRED (or ERROR)
 records per policy, then the CONFLICT records by (first, second) index,
 then the ACTION-APPLIED and ACTION-FAILED records in attempt order. For
@@ -52,21 +52,22 @@ from .domain import (
     run_bootstrap,
 )
 from .errors import (
+    MAX_NUMBER_DIGITS,
     IllegalTransitionError,
     InvalidArgumentError,
     InvalidModelError,
     ModelError,
     ParseError,
     TaskFailure,
-    UnderflowError,
     VopolError,
     parse_int,
     quoted,
+    too_long,
 )
 from .model import (
     CUSTOMER,
     VoModel,
-    _release,
+    _free_holds,
     adjust_reserved_capacity,
     commit,
     journal_mark,
@@ -104,11 +105,14 @@ EVENT_ARITY = {
 
 
 def read_text(path: Path) -> str:
-    """The UTF-8 text of ``path``; undecodable bytes raise ``OSError``."""
+    """The UTF-8 text of ``path``; undecodable bytes, and a path that no
+    file can have, raise ``OSError``."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise OSError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from None
+    except ValueError:  # a NUL byte in the path
+        raise OSError(f"{str(path)!r}: a path cannot hold a NUL byte") from None
 
 
 def _eligible(m: VoModel, s: InstanceState, task: str) -> bool:
@@ -178,7 +182,8 @@ class Engine:
     ``instance.status`` is written only by :meth:`_set_status`, which
     keeps each task's fragment of the STATE record. One context per
     dispatch serves predicates, actions and the bootstrap; an action
-    appends its holds to ``instance.holds`` itself."""
+    writes its holds into the model itself, and a task that finishes
+    frees them."""
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
         self.model = model.clone()
@@ -293,11 +298,6 @@ class Engine:
             elif table is m._members:
                 self._members_text = None
 
-    def _release_holds(self, task: str):
-        """Free the units held for ``task`` in the working model."""
-        for hold in self.instance.release_holds(task):
-            _release(self.model, hold.member, hold.capability, hold.amount)
-
     # dispatch -------------------------------------------------------------
 
     def dispatch_trigger(self, trig: DomainTrigger) -> list[TraceRecord]:
@@ -353,7 +353,7 @@ class Engine:
             outcomes.append(("ACTION-APPLIED", fields))
             return True
 
-        logs = (self.instance.holds, requests, conflicts, outcomes)
+        logs = (requests, conflicts, outcomes)
         for policy in self._candidates(trig):
             saved = journal_mark(self.model)
             marks = tuple(map(len, logs))
@@ -398,7 +398,7 @@ class Engine:
 
         if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
             self._set_status(trig.task, Status.FAILED)
-            self._release_holds(trig.task)
+            _free_holds(self.model, trig.task)
 
         self._note_writes(written)
         self._refresh_readiness()
@@ -462,7 +462,7 @@ class Engine:
         if task is None:
             return
         self._set_status(task, Status.COMPLETED)
-        self._release_holds(task)
+        _free_holds(self.model, task)
         arrived = {f.item for f in self.model.flows_from(task)}
         arrived -= self.instance.available_data
         if arrived:
@@ -477,7 +477,7 @@ class Engine:
         task = self._task_event(ev, Status.ACTIVE)
         if task is not None:
             self._set_status(task, Status.FAILED)
-            self._release_holds(task)
+            _free_holds(self.model, task)
             self.dispatch_trigger(DomainTrigger("task_failure", task))
 
     def _ev_consume(self, ev: ScenarioEvent):
@@ -496,6 +496,9 @@ class Engine:
         if amount is None:
             self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {quoted(raw)}", ev.kind))
             return
+        if too_long(amount):
+            self._reject(ev, InvalidArgumentError(f"amount must have at most {MAX_NUMBER_DIGITS} digits", ev.kind))
+            return
         if amount < 0:
             self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {quoted(raw)}", ev.kind))
             return
@@ -506,34 +509,10 @@ class Engine:
             ("capability", capability),
             ("amount", str(amount)),
         )
-        saved = journal_mark(self.model)
         try:
             adjust_reserved_capacity(self.model, member, capability, sign * amount)
         except ModelError as err:
             self._emit_error(err)
-            return
-        if sign < 0:
-            reserved = self.model.reserved.get((member, capability), 0) + amount  # before this release
-            unclaimed = max(0, reserved - self._claimed(member, capability))
-            if amount > unclaimed:
-                undo(self.model, saved)
-                self._emit_error(
-                    UnderflowError(
-                        f"releasing {amount} of ({member}, {capability}) would free units that duties "
-                        f"or holds claim: {unclaimed} of {reserved} reserved are unclaimed",
-                        member,
-                    )
-                )
-
-    def _claimed(self, member: str, capability: str) -> int:
-        """The units of ``member``'s ``capability`` that its duties and the
-        holds for running tasks keep reserved."""
-        duties = self.model._duties
-        claimed = sum(duties[key] for key in self.model._duties_of.get(member, ()) if key[2] == capability)
-        for hold in self.instance.holds:
-            if hold.member == member and hold.capability == capability:
-                claimed += hold.amount
-        return claimed
 
     def _ev_load_policy(self, ev: ScenarioEvent):
         rel = ev.args[0]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 # int and back on any interpreter
 MAX_NUMBER_DIGITS = 640
 _INTEGER = re.compile(f"-?[0-9]{{1,{MAX_NUMBER_DIGITS}}}")
+_TOO_LONG = 10**MAX_NUMBER_DIGITS  # the least positive int of more digits
 
 
 def parse_int(text: str) -> int | None:
@@ -23,12 +24,22 @@ def parse_int(text: str) -> int | None:
     return int(text) if _INTEGER.fullmatch(text) else None
 
 
+def too_long(value: int) -> bool:
+    """Whether the int ``value`` has more than :data:`MAX_NUMBER_DIGITS`
+    digits, the bound :func:`parse_int` puts on text; an int given in code
+    obeys it too."""
+    return not -_TOO_LONG < value < _TOO_LONG
+
+
 def quoted(token: object) -> str:
     """``repr(token)``, or for a string of more than 40 characters the repr
     of its first 40 and its length, so that an overlong token refused by an
-    input rule makes no overlong message."""
+    input rule makes no overlong message; an int of more than
+    :data:`MAX_NUMBER_DIGITS` digits is described, not spelled."""
     if isinstance(token, str) and len(token) > 40:
         return f"{token[:40]!r}... ({len(token)} characters)"
+    if isinstance(token, int) and too_long(token):
+        return f"an integer of more than {MAX_NUMBER_DIGITS} digits"
     return repr(token)
 
 

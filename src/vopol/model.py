@@ -2,7 +2,8 @@
 
 The model holds members, the task catalogue, the control-flow graph over
 in-process tasks, data flows, the candidate registry, named integer
-parameters, duty assignments and the reserved capacity. A mutating
+parameters, duty assignments, the reserved capacity and the holds that
+keep units reserved for a running task after its duty is gone. A mutating
 operation writes the model it is given; call :meth:`VoModel.clone` first
 to keep a snapshot. It runs every check before its first write, so a
 failed operation raises and leaves the model as it was, and a successful
@@ -38,6 +39,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .errors import (
+    MAX_NUMBER_DIGITS,
     AlreadyInProcessError,
     CapabilityMissingError,
     CapacityExceededError,
@@ -50,6 +52,7 @@ from .errors import (
     UnknownTaskError,
     parse_int,
     quoted,
+    too_long,
 )
 
 CUSTOMER = "customer"
@@ -117,6 +120,10 @@ class VoModel:
     _vbe_resources: frozenset[str] = frozenset()
     _params: dict[str, int] = field(default_factory=dict)
     _reserved: dict[tuple[str, str], int] = field(default_factory=dict)
+    # (task, member, capability) -> units that stay reserved for a running
+    # task after its duty shrank or went, written only by _hold and
+    # _free_holds; with the duties they are the claims on the reserved units
+    _holds: dict[tuple[str, str, str], int] = field(default_factory=dict)
     # the duty table and its keys by task and by member, written only by
     # _put_duty; the buckets of this and the next two groups are written only
     # through _file: replaced, never mutated, and never empty
@@ -157,13 +164,15 @@ class VoModel:
         # costs what a plain attribute costs: id -> member or candidate
         # (``registry``, the ones ``add_member`` can admit), id -> task,
         # name -> param, (member, capability) -> reserved units (absent for
-        # none) and (member, task, capability) -> duty amount
+        # none), (member, task, capability) -> duty amount and (task, member,
+        # capability) -> held units
         self.members = MappingProxyType(self._members)
         self.registry = MappingProxyType(self._registry)
         self.tasks = MappingProxyType(self._tasks)
         self.params = MappingProxyType(self._params)
         self.reserved = MappingProxyType(self._reserved)
         self.duties = MappingProxyType(self._duties)
+        self.holds = MappingProxyType(self._holds)
 
     def __getstate__(self):
         # the fields alone, and __setstate__ builds the views again: a
@@ -336,12 +345,18 @@ def _reserve(m: VoModel, member: str, capability: str, delta: int):
     _write(m, m._reserved, key, m._reserved.get(key, 0) + delta or _ABSENT)
 
 
-def _release(m: VoModel, member: str, capability: str, amount: int):
-    """Free ``amount`` units, or all that are left when a library call to
-    :func:`adjust_reserved_capacity` with a negative delta already freed
-    some of them (a scenario ``release`` cannot free units that a duty
-    claims)."""
-    _reserve(m, member, capability, -min(amount, m._reserved.get((member, capability), 0)))
+def _hold(m: VoModel, task: str, member: str, capability: str, units: int):
+    """Keep ``units`` of the units ``m`` reserves for ``member``'s
+    ``capability`` claimed for the running ``task`` until it finishes."""
+    key = (task, member, capability)
+    _write(m, m._holds, key, m._holds.get(key, 0) + units)
+
+
+def _free_holds(m: VoModel, task: str):
+    """Free the units held for ``task``, which has finished."""
+    for key in [key for key in m._holds if key[0] == task]:
+        _reserve(m, key[1], key[2], -m._holds[key])
+        _write(m, m._holds, key, _ABSENT)
 
 
 def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Duty]:
@@ -639,6 +654,17 @@ def validate_model(m: VoModel) -> list[Diagnostic]:
                 f"ledger entry ({mid}, {cap}): reserved {reserved} exceeds declared {declared}",
                 mid,
             )
+
+    # the reserved units cover every claim: the duties and the holds
+    claims: dict[tuple[str, str], int] = {}
+    for (mid, _, cap), units in m._duties.items():
+        claims[mid, cap] = claims.get((mid, cap), 0) + units
+    for (_, mid, cap), units in m._holds.items():
+        claims[mid, cap] = claims.get((mid, cap), 0) + units
+    for (mid, cap), claimed in sorted(claims.items()):
+        reserved = m._reserved.get((mid, cap), 0)
+        if claimed > reserved:
+            bad("UnreservedClaim", f"duties and holds claim {claimed} of ({mid}, {cap}), {reserved} reserved", mid)
     return out
 
 
@@ -711,7 +737,7 @@ def remove_task_node(m: VoModel, t: str) -> None:
     dropped = m.duties_on(t)
     _put_duty(m, {(d.member, t, d.capability): None for d in dropped})
     for duty in dropped:
-        _release(m, duty.member, duty.capability, duty.amount)
+        _reserve(m, duty.member, duty.capability, -duty.amount)
     _add_flows(m, m.flows_from(t) | m.flows_to(t), add=False)
     _put_task(m, replace(m.tasks[t], in_process=False))
 
@@ -747,10 +773,13 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
 
 def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: int) -> None:
     """Shift the reserved amount for (member, capability) by ``delta``,
-    holding 0 <= reserved <= declared; ``delta`` is an ``int`` but not a
-    ``bool``."""
+    holding 0 <= reserved <= declared and never freeing units that duties
+    or holds claim; ``delta`` is an ``int`` but not a ``bool``, of at most
+    :data:`~vopol.errors.MAX_NUMBER_DIGITS` digits."""
     if type(delta) is bool or not isinstance(delta, int):
         raise InvalidArgumentError(f"delta must be an int, got {delta!r}", member)
+    if too_long(delta):
+        raise InvalidArgumentError(f"delta must have at most {MAX_NUMBER_DIGITS} digits", member)
     declared = m.declared(member, capability)
     if m.anyone(member) is None:
         raise UnknownMemberError(f"unknown member {member!r}", member)
@@ -758,7 +787,8 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
         raise CapabilityMissingError(
             f"{member!r} declares no capability {capability!r}", capability
         )
-    new = m._reserved.get((member, capability), 0) + delta
+    reserved = m._reserved.get((member, capability), 0)
+    new = reserved + delta
     if new < 0:
         raise UnderflowError(
             f"releasing {-delta} of ({member}, {capability}) would leave {new} reserved", member
@@ -767,6 +797,16 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
         raise CapacityExceededError(
             f"reserving {delta} of ({member}, {capability}) would exceed declared {declared}", member
         )
+    if delta < 0:  # the units that duties and holds claim stay reserved
+        claimed = sum(m._duties[key] for key in m._duties_of.get(member, ()) if key[2] == capability)
+        claimed += sum(units for (_, mid, cap), units in m._holds.items() if (mid, cap) == (member, capability))
+        unclaimed = reserved - claimed
+        if -delta > unclaimed:
+            raise UnderflowError(
+                f"releasing {-delta} of ({member}, {capability}) would free units that duties "
+                f"or holds claim: {unclaimed} of {reserved} reserved are unclaimed",
+                member,
+            )
     _reserve(m, member, capability, delta)
 
 
@@ -789,8 +829,8 @@ def free_capacity(m: VoModel, member: str, capability: str) -> int | None:
 def canonical_dump(m: VoModel) -> str:
     """Deterministic full-state snapshot, suitable for hashing and diffs.
 
-    This is a superset of the input format (duties and reservations have
-    no input rows); it is not meant to be loaded back.
+    This is a superset of the input format (duties, holds and reservations
+    have no input rows); it is not meant to be loaded back.
     """
     lines = [f"vo {m.name}"]
     for name, value in sorted(m.params.items()):
@@ -823,6 +863,8 @@ def canonical_dump(m: VoModel) -> str:
         lines.append(f"resource {rid}")
     for duty in m.iter_duties():
         lines.append(f"duty {duty.member} {duty.task} {duty.capability}={duty.amount}")
+    for (task, mid, cap), units in sorted(m.holds.items()):
+        lines.append(f"hold {task} {mid} {cap}={units}")
     for (mid, cap), amount in sorted(m.reserved.items()):
         lines.append(f"reserved {mid} {cap}={amount}")
     return "\n".join(lines) + "\n"

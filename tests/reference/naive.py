@@ -18,11 +18,8 @@ form of each hook the engine optimises:
   that walks the whole population and scans every duty on a scratch
   clone (the engine applies ordinary actions over a shared ranking, reads
   duty buckets and undoes a failed walk through the model's journal), and
-  a clone taken before each policy to roll it back (the engine undoes the
-  policy's writes and truncates its logs);
-- ``_adjust_capacity`` and ``_release_holds``: the reserved units written in a
-  clone that replaces the model (the engine writes it in place and undoes
-  a refused release).
+  a clone taken before each policy to roll it back, holds included (the
+  engine undoes the policy's writes and truncates its logs).
 
 So the engine's journal is checked against copy and swap: no write of
 the naive engine ever reaches a model that a snapshot still holds.
@@ -46,17 +43,9 @@ from vopol.domain import (
     materialize,
     resolve_action,
 )
-from vopol.engine import BOOTSTRAP_POLICY, Engine, ScenarioEvent, _action_fields, ready_set
-from vopol.errors import InvalidArgumentError, ModelError, TaskFailure, UnderflowError, UnknownTaskError, quoted
-from vopol.model import (
-    TaskType,
-    VoModel,
-    _move_member,
-    _put_duty,
-    _reserve,
-    adjust_reserved_capacity,
-    free_capacity,
-)
+from vopol.engine import BOOTSTRAP_POLICY, Engine, _action_fields, ready_set
+from vopol.errors import ModelError, TaskFailure, UnknownTaskError
+from vopol.model import TaskType, VoModel, _free_holds, _move_member, _put_duty, _reserve, free_capacity
 from vopol.policy.ast import ActionCall, Ident, Policy, Pred, TriggerSpec
 from vopol.policy.evaluate import evaluate_rule_group
 from vopol.state import Status
@@ -107,15 +96,6 @@ def detect_conflicts(actions: list[tuple[str, DomainAction]], start: int = 0) ->
             if reason is not None:
                 out.append(Conflict(i, j, actions[i], actions[j], reason))
     return out
-
-
-# reserved capacity --------------------------------------------------------
-
-
-def _shift(m: VoModel, member: str, capability: str, delta: int):
-    """Shift the units ``m`` reserves by ``delta``, clamped at 0."""
-    reserved = m.reserved.get((member, capability), 0)
-    _reserve(m, member, capability, max(0, reserved + delta) - reserved)
 
 
 # bootstrap ----------------------------------------------------------------
@@ -179,7 +159,7 @@ def run_bootstrap(ctx: EvalContext, task: str) -> tuple[VoModel, list[DomainActi
         take = min(free, shortfall)
         new_amount = scratch.duties.get((mid, task, capability), 0) + take
         _put_duty(scratch, {(mid, task, capability): new_amount})
-        _shift(scratch, mid, capability, take)
+        _reserve(scratch, mid, capability, take)
         performed.append(DomainAction("assign_duty", (mid, task, capability, new_amount)))
         return take
 
@@ -229,50 +209,6 @@ class NaiveEngine(Engine):
                 status[task] = Status.PENDING
         for task in ready_set(self.model, self.instance):
             status[task] = Status.READY
-
-    def _release_holds(self, task: str):
-        holds = self.instance.release_holds(task)
-        if holds:
-            self.model = self.model.clone()
-            for hold in holds:
-                _shift(self.model, hold.member, hold.capability, -hold.amount)
-
-    def _adjust_capacity(self, ev: ScenarioEvent, sign: int):
-        member, capability, raw = str(ev.args[0]), str(ev.args[1]), ev.args[2]
-        amount = None
-        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
-            try:
-                amount = int(raw)
-            except ValueError:
-                pass
-        if amount is None:
-            self._reject(ev, InvalidArgumentError(f"amount must be an integer, got {quoted(raw)}", ev.kind))
-            return
-        if amount < 0:
-            self._reject(ev, InvalidArgumentError(f"amount must not be negative, got {quoted(raw)}", ev.kind))
-            return
-        self._emit(
-            "EVENT", ("event", ev.kind), ("member", member), ("capability", capability), ("amount", str(amount))
-        )
-        adjusted = self.model.clone()
-        try:
-            adjust_reserved_capacity(adjusted, member, capability, sign * amount)
-        except ModelError as err:
-            self._emit_error(err)
-            return
-        if sign < 0:
-            reserved = self.model.reserved.get((member, capability), 0)
-            unclaimed = max(0, reserved - self._claimed(member, capability))
-            if amount > unclaimed:
-                self._emit_error(
-                    UnderflowError(
-                        f"releasing {amount} of ({member}, {capability}) would free units that duties "
-                        f"or holds claim: {unclaimed} of {reserved} reserved are unclaimed",
-                        member,
-                    )
-                )
-                return
-        self.model = adjusted
 
     def _set_status(self, task: str, status: Status | None):
         if status is None:
@@ -324,13 +260,13 @@ class NaiveEngine(Engine):
             return True
 
         for policy in self._candidates(trig):
-            snapshot = (self.model.clone(), list(self.instance.holds), list(requests), list(outcomes))
+            snapshot = (self.model.clone(), list(requests), list(outcomes))
             try:
                 applied = evaluate_rule_group(
                     policy.body, event_spec, trig.task, predicate, partial(attempt, policy.name)
                 )
             except ModelError as err:
-                self.model, self.instance.holds, requests[:], outcomes[:] = snapshot
+                self.model, requests[:], outcomes[:] = snapshot
                 self._emit_error(err, f"policy {policy.name!r}: {err.message}")
                 continue
             for rule_idx in applied:
@@ -363,7 +299,7 @@ class NaiveEngine(Engine):
 
         if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
             self.instance.status[trig.task] = Status.FAILED
-            self._release_holds(trig.task)
+            _free_holds(self.model, trig.task)
         self._refresh_readiness()
         self._emit_state()
         if bootstrap_failed:

@@ -94,6 +94,15 @@ def test_validate_cyclic_model(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err.lower()
 
 
+def test_validate_negative_declared_capacity_exits_1(tmp_path, capsys):
+    model = tmp_path / "m.vo"
+    model.write_text("vo X\nmember P kind=Partner cap a=-1\n")
+    pol = tmp_path / "p.pol"
+    pol.write_text("policy P do add_member(P)\n")
+    assert cmd_validate(model, pol) == 1
+    assert "[NegativeCapacity] P: declared capacity a=-1 is negative" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path):
     pol = tmp_path / "p.pol"
     pol.write_text(MOREBEDS)
@@ -175,6 +184,25 @@ def test_run_empty_scenario(tmp_path):
     assert result.returncode == 0
     records = parse_trace(result.stdout)
     assert [r.kind for r in records] == ["STATE"]
+
+
+def test_run_goes_on_past_a_policy_path_with_a_nul_byte(tmp_path):
+    scenario = tmp_path / "nul.scenario"
+    scenario.write_bytes(b"load-policy a\x00b\nstart\n")
+    result = run_cli(
+        "run",
+        "--model", str(FIXTURES / "visitus.vo"),
+        "--policies", str(FIXTURES / "morebeds.pol"),
+        "--scenario", str(scenario),
+    )
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    records = parse_trace(result.stdout)
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records[1:]] == [
+        ("EVENT", "load-policy"),
+        ("ERROR", "IOError"),
+        ("EVENT", "start"),
+    ]
 
 
 def test_run_missing_scenario_exits_2():

@@ -25,6 +25,7 @@ from vopol.errors import (
     InvalidArgumentError,
     NotAMemberError,
     TaskFailure,
+    UnderflowError,
     UnknownDutyError,
     UnknownMemberError,
     UnknownPredicateError,
@@ -103,7 +104,7 @@ def test_remove_member_keeps_reservation_for_active_task():
     apply_action(ctx, action("remove_member", "P"))
     assert m.duties == {}
     assert m.reserved.get(("P", "a"), 0) == 2  # commitment survives the removal
-    assert ctx.instance.holds == [("T", "P", "a", 2)]
+    assert m.holds == {("T", "P", "a"): 2}
 
 
 DUTY_FAN = "\n".join(
@@ -213,7 +214,7 @@ def test_assign_reduction_on_active_task_keeps_commitment():
     apply_action(ctx, action("assign_duty", "P", "T", "a", 2))
     assert m.duties[("P", "T", "a")] == 2
     assert m.reserved.get(("P", "a"), 0) == 5  # reservation unchanged until completion
-    assert ctx.instance.holds == [("T", "P", "a", 3)]
+    assert m.holds == {("T", "P", "a"): 3}
 
 
 def test_unassign_absent_duty_rejected(visitus):
@@ -232,27 +233,34 @@ def test_unassign_releases_unless_active():
     ctx = ctx_for(busy, active={"T"})
     apply_action(ctx, action("unassign_duty", "P", "T", "a"))
     assert busy.reserved.get(("P", "a"), 0) == 5
-    assert ctx.instance.holds == [("T", "P", "a", 5)]
+    assert busy.holds == {("T", "P", "a"): 5}
 
 
-def test_duty_release_never_frees_more_than_is_reserved():
-    # a library call to adjust_reserved_capacity may already have freed the
-    # units a duty reserved; a scenario release cannot (it traces Underflow)
-    from vopol.model import adjust_reserved_capacity, remove_task_node
+@pytest.mark.parametrize("held", [False, True], ids=["duty", "hold"])
+def test_a_release_of_claimed_units_is_refused(held):
+    # T claims all 4 of P's units, by its duty or, once the duty is taken
+    # from running T, by a hold; a release that freed them would let U
+    # commit them again, 8 units of a capability declared as 4
+    from vopol.model import adjust_reserved_capacity
 
-    m = load_model("vo X\nmember P kind=Partner cap a=9\ntask T type=Replicable requires a=9\n")
-    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 5))
-    adjust_reserved_capacity(m, "P", "a", -4)
-    for shrink in (
-        action("assign_duty", "P", "T", "a", 0),
-        action("unassign_duty", "P", "T", "a"),
-        action("remove_member", "P"),
-    ):
-        out = m.clone()
-        apply_action(ctx_for(out), shrink)
-        assert out.reserved.get(("P", "a"), 0) == 0 and validate_model(out) == []
-    remove_task_node(m, "T")
-    assert m.reserved.get(("P", "a"), 0) == 0 and validate_model(m) == []
+    m = load_model(
+        "vo X\nmember P kind=Partner cap a=4\n"
+        "task T type=Replicable requires a=4\ntask U type=Replicable requires a=4\n"
+    )
+    apply_action(ctx_for(m), action("assign_duty", "P", "T", "a", 4))
+    if held:
+        apply_action(ctx_for(m, active={"T"}), action("unassign_duty", "P", "T", "a"))
+        assert m.holds == {("T", "P", "a"): 4}
+    before = canonical_dump(m)
+    with pytest.raises(UnderflowError) as caught:
+        adjust_reserved_capacity(m, "P", "a", -4)
+    assert caught.value.message == (
+        "releasing 4 of (P, a) would free units that duties or holds claim: 0 of 4 reserved are unclaimed"
+    )
+    assert canonical_dump(m) == before
+    with pytest.raises(CapacityExceededError):
+        apply_action(ctx_for(m), action("assign_duty", "P", "U", "a", 4))
+    assert canonical_dump(m) == before and validate_model(m) == []
 
 
 # --- change_type -----------------------------------------------------------------

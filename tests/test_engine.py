@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 
 import vopol.engine
-from vopol.domain import VOCABULARY, DomainTrigger
+from vopol.domain import VOCABULARY, DomainAction, DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
-from vopol.errors import InvalidModelError, quoted
-from vopol.model import canonical_dump, load_model, validate_model
+from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, quoted
+from vopol.model import adjust_reserved_capacity, canonical_dump, load_model, validate_model
 from vopol.policy.parser import parse_policy_document
-from vopol.state import Hold, Status
+from vopol.state import Status
 from vopol.trace import format_trace
 
 from conftest import MOREBEDS, NOT_INTEGERS, VISITUS
@@ -172,7 +172,7 @@ def test_release_frees_only_units_no_duty_or_hold_claims():
     engine.handle_event(ev("activate", "U"))
     engine.handle_event(ev("activate", "V"))  # U runs on: its 6 units are held
     assert engine.model.duties == {}
-    assert engine.instance.holds == [Hold("U", "Q", "a", 6)]
+    assert engine.model.holds == {("U", "Q", "a"): 6}
 
     def errors(event):
         return [r.get("error") for r in engine.handle_event(event) if r.kind == "ERROR"]
@@ -309,6 +309,46 @@ def test_a_text_amount_follows_the_one_integer_rule(amount):
     ]
     assert records[1].get("detail") == f"amount {rule}, got {quoted(amount)}"
     assert engine.model.reserved == {}
+
+
+def _event_refusal(kind):
+    def refusal(amount):
+        engine = Engine(load_model(VISITUS), NO_POLICIES)
+        error = engine.handle_event(ev(kind, "Hotel", "beds", amount))[-1]
+        assert engine.model.reserved == {}
+        return (error.get("error"), error.get("detail")) if error.kind == "ERROR" else None
+
+    return refusal
+
+
+def _duty_refusal(amount):
+    try:
+        DomainAction("assign_duty", ("Hotel", "HotelProv", "beds", amount))
+    except ModelError as err:
+        return err.code, err.message
+
+
+def _delta_refusal(amount):
+    try:
+        adjust_reserved_capacity(load_model(VISITUS), "Hotel", "beds", amount)
+    except ModelError as err:
+        return err.code, err.message
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "refusal",
+    [_event_refusal("consume"), _event_refusal("release"), _duty_refusal, _delta_refusal],
+    ids=["consume", "release", "assign_duty", "adjust_reserved_capacity"],
+)
+def test_an_int_of_more_than_640_digits_is_refused_unspelled(refusal, sign):
+    # an int given in code follows the digit rule of text integers, and the
+    # refusal does not spell it (from Python 3.11 on it cannot)
+    code, message = refusal(sign * 10**640)
+    assert code == InvalidArgumentError.code and "at most 640 digits" in message and len(message) < 80
+    assert code == refusal(sign * 10**5000)[0]
+    widest = refusal(sign * (10**640 - 1))  # 640 digits: refused, if at all, for its value
+    assert widest is None or "digits" not in widest[1]
 
 
 def test_a_text_amount_is_reserved_as_its_integer():
@@ -599,7 +639,7 @@ def test_rolled_back_policy_leaves_no_hold():
     events = [ev("activate", "T"), ev("activate", "U"), ev("complete", "T")]
     final, instance, records = run(model_text, policy_text, events)
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["UnresolvedIdentifier"]
-    assert instance.holds == []
+    assert final.holds == {}
     assert final.duties == {("M", "T", "c"): 2}
     assert final.reserved.get(("M", "c"), 0) == 2
 
@@ -672,7 +712,7 @@ def test_removed_member_reservation_released_on_completion():
     assert engine.model.reserved.get(("P", "a"), 0) == 2  # discharge obligation remains
     engine.handle_event(ev("complete", "T"))
     assert engine.model.reserved.get(("P", "a"), 0) == 0
-    assert engine.instance.holds == []
+    assert engine.model.holds == {}
 
 
 def test_member_removed_at_entry_is_repaired_by_bootstrap():
@@ -699,7 +739,7 @@ def test_unassigned_duty_reservation_released_on_failure():
     assert engine.model.reserved.get(("P", "a"), 0) == 2  # still committed
     engine.handle_event(ev("fail", "T"))
     assert engine.model.reserved.get(("P", "a"), 0) == 0
-    assert engine.instance.holds == []
+    assert engine.model.holds == {}
 
 
 @pytest.mark.parametrize("finish", ["complete", "fail"])
@@ -712,7 +752,7 @@ def test_releasing_holds_leaves_earlier_model_versions_alone(finish):
     engine = Engine(load_model(model_text), parse_policy_document(policy_text))
     engine.handle_event(ev("activate", "T"))
     engine.handle_event(ev("activate", "U"))
-    assert engine.instance.holds == [Hold("T", "P", "a", 2)]
+    assert engine.model.holds == {("T", "P", "a"): 2}
     working, kept = engine.model, engine.model.clone()
     before = canonical_dump(kept)
     assert kept.reserved.get(("P", "a"), 0) == 3
@@ -821,6 +861,33 @@ def test_load_policy_of_undecodable_bytes_is_error_record(tmp_path):
     errors = [r for r in records if r.kind == "ERROR"]
     assert [r.get("error") for r in errors] == ["IOError"]
     assert "bad.pol: not valid UTF-8" in errors[0].get("detail")
+
+
+def test_load_policy_of_a_path_with_a_nul_byte_is_error_record(tmp_path):
+    engine = Engine(load_model("vo X\ntask T type=Atomic\n"), NO_POLICIES, base_dir=tmp_path)
+    records = engine.handle_event(ev("load-policy", "a\x00b"))
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [
+        ("EVENT", "load-policy"),
+        ("ERROR", "IOError"),
+    ]
+    path = str(tmp_path / "a\x00b")
+    assert records[1].get("detail") == f"{path!r}: a path cannot hold a NUL byte"
+    assert [p.name for p in engine.policies] == ["Inert"]
+
+
+def test_load_policy_naming_an_unknown_action_is_error_record(tmp_path):
+    (tmp_path / "odd.pol").write_text("policy Odd appliesTo T when task_entry() do frobnicate(T)\n")
+    engine = Engine(load_model("vo X\ntask T type=Atomic\n"), NO_POLICIES, base_dir=tmp_path)
+    before = engine.policies
+    records = engine.handle_event(ev("load-policy", "odd.pol"))
+    assert [(r.kind, r.get("event") or r.get("error")) for r in records] == [
+        ("EVENT", "load-policy"),
+        ("ERROR", "InvalidPolicy"),
+    ]
+    assert records[1].get("detail").startswith("1 diagnostic(s), first: ")
+    assert "frobnicate" in records[1].get("detail")
+    assert engine.policies is before
+    assert kinds(engine.handle_event(ev("activate", "T"))) == ["EVENT", "TRIGGER", "STATE"]
 
 
 def test_load_policy_with_an_overlong_number_is_a_parse_error_record(tmp_path):

@@ -35,6 +35,7 @@ from vopol.model import (
     Duty,
     MemberKind,
     VoModel,
+    _hold,
     _put_duty,
     _put_task,
     _reserve,
@@ -207,6 +208,14 @@ def test_quoted_keeps_40_characters_whole_and_shortens_41():
     assert quoted("b" * 41) == repr("b" * 40) + "... (41 characters)"
 
 
+def test_quoted_describes_an_int_of_more_than_640_digits():
+    # from Python 3.11 on, the int-string limit leaves such an int no repr
+    widest = int(WIDEST)
+    assert [quoted(n) for n in (widest, -widest)] == [WIDEST, "-" + WIDEST]
+    assert quoted(widest + 1) == quoted(-widest - 1) == "an integer of more than 640 digits"
+    assert quoted(10**5000) == "an integer of more than 640 digits"
+
+
 def test_model_integers_take_a_sign_and_640_digits():
     m = load_model(f"vo X\nparam n -3\nparam w {WIDEST}\nparam z -{WIDEST}\nmember A kind=Partner cap c=-3 cost=-3\n")
     assert m.params == {"n": -3, "w": int(WIDEST), "z": -int(WIDEST)}
@@ -272,6 +281,41 @@ def test_ledger_over_reservation_flagged():
     _reserve(m, "P", "c", 9)
     codes = [d.code for d in validate_model(m)]
     assert "CapacityExceeded" in codes
+
+
+@pytest.mark.parametrize("claim", ["duty", "hold"])
+def test_claims_beyond_the_reserved_units_flagged(claim):
+    m = load_model("vo X\nmember P kind=Partner cap a=5\ntask T type=Replicable requires a=4\n")
+    _reserve(m, "P", "a", 2)
+    if claim == "duty":
+        _put_duty(m, {("P", "T", "a"): 3})
+    else:
+        _hold(m, "T", "P", "a", 3)
+    assert [(d.code, d.message) for d in validate_model(m)] == [
+        ("UnreservedClaim", "duties and holds claim 3 of (P, a), 2 reserved")
+    ]
+    _reserve(m, "P", "a", 1)
+    assert validate_model(m) == []
+
+
+def test_canonical_dump_lists_the_holds_after_the_duties():
+    m = load_model("vo X\nmember P kind=Partner cap a=5\ntask T type=Replicable requires a=4\n")
+    adjust_reserved_capacity(m, "P", "a", 5)
+    _put_duty(m, {("P", "T", "a"): 2})
+    _hold(m, "T", "P", "a", 3)
+    assert canonical_dump(m).splitlines()[-3:] == ["duty P T a=2", "hold T P a=3", "reserved P a=5"]
+
+
+def test_negative_declared_capacity_flagged():
+    m = load_model("vo X\nmember P kind=Partner cap a=-1\n")
+    assert [(d.code, d.message) for d in validate_model(m)] == [
+        ("NegativeCapacity", "P: declared capacity a=-1 is negative")
+    ]
+
+
+def test_flow_into_catalogue_task_flagged():
+    m = load_model("vo X\ntask A type=Atomic inprocess=false\ndataflow i from=customer to=A\n")
+    assert [(d.code, d.subject) for d in validate_model(m)] == [("FlowOutsideProcess", "A")]
 
 
 def test_edge_to_catalogue_task_flagged():
@@ -693,12 +737,16 @@ def test_dataflows_is_a_read_only_view():
 
 @pytest.mark.parametrize(
     "name",
-    ["members", "registry", "tasks", "params", "vbe_resources", "reserved", "duties", "dataflows", "control_edges"],
+    [
+        "members", "registry", "tasks", "params", "vbe_resources", "reserved", "duties", "holds", "dataflows",
+        "control_edges",
+    ],
 )
 def test_every_model_container_is_read_only(name):
     m = load_model(VISITUS + "resource Pool\ndataflow i from=customer to=BookFlight\n")
+    adjust_reserved_capacity(m, "Hotel", "beds", 4)
     _put_duty(m, {("Hotel", "HotelProv", "beds"): 3})
-    adjust_reserved_capacity(m, "Hotel", "beds", 3)
+    _hold(m, "BookFlight", "Hotel", "beds", 1)
     before = canonical_dump(m)
     view = getattr(m, name)
     key = next(iter(view))
