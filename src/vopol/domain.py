@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .policy.ast import ActionCall, Arg, Ident, Number, Text
 from .policy.validate import THIS, Vocabulary
@@ -103,6 +102,26 @@ _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9  # members without a bid sort after any real offer
 
 
+class _computed_once:
+    """An attribute computed on its first read and kept in the instance's
+    ``__dict__``, where every later read finds it first. Unlike
+    ``functools.cached_property`` before Python 3.12, it takes no lock: a
+    race computes the same value twice."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self._name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class DomainTrigger:
     name: str
@@ -149,7 +168,7 @@ class DomainAction:
         shown = ["?" if a is None else str(a) for a in self.args]
         return f"{self.name}({','.join(shown)})"
 
-    @cached_property
+    @_computed_once
     def writes(self) -> dict[tuple[str, object], object]:
         """What the request writes, as (conflict class, key) -> value. Two
         requests of one dispatch conflict when they write the same key with
@@ -204,7 +223,8 @@ def _name_arg(ctx: EvalContext, arg: Arg, what: str) -> str:
         return arg.value
     if isinstance(arg, Text):
         return arg.value
-    raise InvalidArgumentError(f"{what} must be a name, got {arg.value!r}")
+    # a hand-built policy may hold a bare value in place of an argument node
+    raise InvalidArgumentError(f"{what} must be a name, got {quoted(getattr(arg, 'value', arg))}")
 
 
 def _amount_arg(ctx: EvalContext, arg: Arg, what: str) -> int:
@@ -429,9 +449,10 @@ def can_run(m: VoModel, task: str) -> bool:
 def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
     """Evaluate one condition predicate; read-only on the model."""
     m = ctx.model
-    if name not in VOCABULARY.predicates:
+    arity = VOCABULARY.predicates.get(name)
+    if arity is None:
         raise UnknownPredicateError(f"unknown predicate {name!r}", name)
-    lo, hi = VOCABULARY.predicates[name]
+    lo, hi = arity
     if not lo <= len(args) <= hi:
         raise InvalidArgumentError(f"{name} takes {lo} argument(s), got {len(args)}", name)
 

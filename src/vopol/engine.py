@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .policy.ast import ActionCall, Ident, Policy, PolicyDocument, Pred, TriggerSpec, iter_rules
+from .policy.ast import ActionCall, GroupNode, Ident, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf, TriggerSpec
+from .policy.ast import iter_rules
 from .policy.evaluate import evaluate_rule_group
 from .policy.parser import parse_policy_document
 from .policy.validate import validate_policies
@@ -149,6 +150,20 @@ def init_instance(m: VoModel) -> InstanceState:
     return state
 
 
+def _check_body(policy: Policy):
+    """Refuse a hand-built policy whose body is not a rule group: a tree of
+    ``GroupNode`` over ``RuleLeaf`` nodes that each hold a ``PolicyRule``.
+    A parsed policy always passes."""
+    nodes = [policy.body]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, GroupNode):
+            nodes += node.left, node.right
+        elif not (isinstance(node, RuleLeaf) and isinstance(node.rule, PolicyRule)):
+            shown = type(node.rule if isinstance(node, RuleLeaf) else node).__name__
+            raise InvalidArgumentError(f"policy {policy.name!r}: a {shown} in place of a rule group", policy.name)
+
+
 def _trigger_index(policies: tuple[Policy, ...]) -> dict[tuple[str | None, str | None], list[int]]:
     """The positions of the policies with a rule filed under each (trigger
     name, location), in ascending order. A rule without triggers is filed
@@ -165,7 +180,7 @@ def _trigger_index(policies: tuple[Policy, ...]) -> dict[tuple[str | None, str |
 def _action_fields(policy: str, name: str, args: tuple) -> tuple[tuple[str, str], ...]:
     """The policy, action and args fields of an ACTION-* record: a policy
     argument shows its value, an open duty amount is left out."""
-    shown = ",".join(str(getattr(a, "value", a)) for a in args if a is not None)
+    shown = ",".join([str(getattr(a, "value", a)) for a in args if a is not None])
     return ("policy", policy), ("action", name), ("args", shown)
 
 
@@ -183,9 +198,14 @@ class Engine:
     keeps each task's fragment of the STATE record. One context per
     dispatch serves predicates, actions and the bootstrap; an action
     writes its holds into the model itself, and a task that finishes
-    frees them."""
+    frees them. A hand-built policy whose body is not a rule group is
+    refused here; any other malformed node, such as an unknown operator,
+    raises when a dispatch reaches it, and the policy is rolled back like
+    any policy that raises."""
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
+        for policy in policies.policies:
+            _check_body(policy)
         self.model = model.clone()
         self._activate(tuple(policies.policies))
         self.base_dir = base_dir
@@ -334,9 +354,12 @@ class Engine:
             # finds nothing but never hides a conflict
             contested = False
             for key, value in action.writes.items():
-                values = filed.setdefault(key, set())
-                contested = contested or len(values) > (value in values)
-                values.add(value)
+                values = filed.get(key)
+                if values is None:
+                    filed[key] = {value}
+                else:
+                    contested = contested or len(values) > (value in values)
+                    values.add(value)
             clashes = contested and detect_conflicts(requests, start=len(requests) - 1)
             if clashes:
                 # first writer wins: the later request is never applied
@@ -353,17 +376,16 @@ class Engine:
             outcomes.append(("ACTION-APPLIED", fields))
             return True
 
-        logs = (requests, conflicts, outcomes)
         for policy in self._candidates(trig):
             saved = journal_mark(self.model)
-            marks = tuple(map(len, logs))
+            marks = len(requests), len(conflicts), len(outcomes)
             try:
                 applied = evaluate_rule_group(
                     policy.body, event_spec, trig.task, predicate, partial(attempt, policy.name)
                 )
             except ModelError as err:
                 undo(self.model, saved)
-                for log, kept in zip(logs, marks):
+                for log, kept in zip((requests, conflicts, outcomes), marks):
                     del log[kept:]
                 self._emit_error(err, f"policy {policy.name!r}: {err.message}")
                 continue

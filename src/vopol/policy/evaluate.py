@@ -7,13 +7,16 @@ engine wires both to the live organisation state; unit tests wire them to
 recording stubs.
 
 Choice operators are deterministic (textual-left-first); there is no
-randomized mode, so identical inputs always evaluate identically.
+randomized mode, so identical inputs always evaluate identically. A node
+with an unknown operator, or a condition that is no condition node,
+raises :class:`vopol.errors.InvalidArgumentError` when the walk reaches it.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from ..errors import InvalidArgumentError
 from .ast import (
     Action,
     ActionCall,
@@ -59,7 +62,7 @@ def eval_condition(cond: Condition, predicate_eval: PredicateEval) -> bool:
         return eval_condition(cond.left, predicate_eval) or eval_condition(
             cond.right, predicate_eval
         )
-    raise TypeError(f"not a condition node: {cond!r}")
+    raise InvalidArgumentError(f"not a condition node: {type(cond).__name__}")
 
 
 def linearize_actions(tree: Action, attempt: ActionAttempt) -> bool:
@@ -75,17 +78,18 @@ def linearize_actions(tree: Action, attempt: ActionAttempt) -> bool:
     """
     if isinstance(tree, ActionCall):
         return bool(attempt(tree))
-    if tree.op == "andthen":
+    op = getattr(tree, "op", None)
+    if op == "andthen":
         return linearize_actions(tree.left, attempt) and linearize_actions(tree.right, attempt)
-    if tree.op == "and":
+    if op == "and":
         left_ok = linearize_actions(tree.left, attempt)
         right_ok = linearize_actions(tree.right, attempt)
         return left_ok and right_ok
-    if tree.op == "or":
+    if op == "or":
         return linearize_actions(tree.left, attempt)
-    if tree.op == "orelse":
+    if op == "orelse":
         return linearize_actions(tree.left, attempt) or linearize_actions(tree.right, attempt)
-    raise TypeError(f"unknown action operator: {tree.op!r}")
+    raise InvalidArgumentError(f"unknown action operator: {op!r}")
 
 
 def evaluate_rule_group(
@@ -98,8 +102,9 @@ def evaluate_rule_group(
     """Evaluate a policy body against one trigger event.
 
     Returns the identifiers (textual in-order leaf indices) of the rules
-    that applied. A rule applies when its trigger matches and its
-    condition holds; its action tree is then executed through
+    that applied. A rule applies when its trigger matches
+    (:func:`match_trigger`) and its condition holds
+    (:func:`eval_condition`); its action tree is then executed through
     ``action_sink`` via :func:`linearize_actions`. Group operators:
 
     - ``seq``: left then right; the right side observes whatever state
@@ -113,37 +118,51 @@ def evaluate_rule_group(
     Predicate evaluation errors propagate to the caller.
     """
     applied: list[int] = []
-
-    def visit(rule: PolicyRule, index: int):
-        if match_trigger(rule, event, location) and (
-            rule.condition is None or eval_condition(rule.condition, predicate_eval)
-        ):
-            applied.append(index)
-            linearize_actions(rule.action, action_sink)
-
-    _walk(group, 0, visit, applied)
+    _walk(group, 0, event.name, location, predicate_eval, action_sink, applied)
     return applied
 
 
 def _walk(
-    node: RuleGroup, index: int, visit: Callable[[PolicyRule, int], None], applied: list[int]
+    node: RuleGroup, index: int, name: str, location: str,
+    predicate_eval: PredicateEval, attempt: ActionAttempt, applied: list[int],
 ) -> int:
-    """Visit the leaves of ``node`` numbered from ``index``; return the next
-    free number. A subtree applied iff ``visit`` appended to ``applied``."""
+    """Evaluate the leaves of ``node``, numbered from ``index``, against the
+    trigger ``name`` raised at ``location``; return the next free number.
+    A subtree applied iff it appended to ``applied``. The state lives in
+    the arguments, so a walk leaves no cyclic garbage."""
     if isinstance(node, RuleLeaf):
-        visit(node.rule, index)
+        rule = node.rule
+        if rule.location is not None and rule.location != location:
+            return index + 1
+        if rule.triggers:  # none is the wildcard
+            for trigger in rule.triggers:
+                if trigger.name == name:
+                    break
+            else:
+                return index + 1
+        cond = rule.condition
+        if cond is not None:
+            if not (predicate_eval(cond) if isinstance(cond, Pred) else eval_condition(cond, predicate_eval)):
+                return index + 1
+        applied.append(index)
+        action = rule.action
+        if isinstance(action, ActionCall):
+            attempt(action)
+        else:
+            linearize_actions(action, attempt)
         return index + 1
-    if node.op in ("seq", "par"):
-        index = _walk(node.left, index, visit, applied)
-        return _walk(node.right, index, visit, applied)
-    if node.op in ("gchoice", "uchoice"):
+    op = node.op
+    if op == "seq" or op == "par":
+        index = _walk(node.left, index, name, location, predicate_eval, attempt, applied)
+        return _walk(node.right, index, name, location, predicate_eval, attempt, applied)
+    if op == "gchoice" or op == "uchoice":
         before = len(applied)
-        index = _walk(node.left, index, visit, applied)
+        index = _walk(node.left, index, name, location, predicate_eval, attempt, applied)
         if len(applied) > before:
             # keep leaf numbering stable across the unevaluated branch
             return index + _leaf_count(node.right)
-        return _walk(node.right, index, visit, applied)
-    raise TypeError(f"unknown group operator: {node.op!r}")
+        return _walk(node.right, index, name, location, predicate_eval, attempt, applied)
+    raise InvalidArgumentError(f"unknown group operator: {op!r}")
 
 
 def _leaf_count(node: RuleGroup) -> int:

@@ -4,9 +4,11 @@ One record per line: ``seq=<n> kind=<KIND> k1=v1 k2=v2 ...``. Keys follow
 a fixed, documented order per kind, values are quoted only when they
 contain characters outside the safe set, and identical runs produce
 byte-identical streams, which is what golden tests pin. Inside quotes a
-backslash and a double quote are escaped with a backslash, and each line
-break character (those ``str.splitlines`` splits at) is written as
-``\\uXXXX``.
+backslash and a double quote are escaped with a backslash, and each C0
+control character (U+0000 to U+001F) and each other line break character
+(U+0085, U+2028 and U+2029, the rest of those ``str.splitlines`` splits
+at) is written as ``\\uXXXX``, so a stream is plain text of one record
+per line.
 
 Key order by kind:
 
@@ -40,7 +42,7 @@ KINDS = (
 )
 
 _SAFE_VALUE = re.compile(r"[A-Za-z0-9_.:,;@()\[\]{}|/+*'<>!?~^$%&-]+\Z")
-_LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+_ESCAPED = str.maketrans({c: f"\\u{ord(c):04x}" for c in [*map(chr, range(0x20)), "\x85", "\u2028", "\u2029"]})
 _HEX4 = re.compile(r"[0-9a-f]{4}")
 
 
@@ -60,7 +62,7 @@ class TraceRecord:
 def _quote(value: str) -> str:
     if _SAFE_VALUE.match(value):
         return value
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').translate(_LINE_BREAKS)
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').translate(_ESCAPED)
     return f'"{escaped}"'
 
 

@@ -5,6 +5,10 @@ form of each hook the engine optimises:
 
 - ``_activate`` and ``_candidates``: no index, every active policy in
   order (the engine reads a trigger index);
+- ``evaluate_rule_group``: leaves numbered by ``iter_rules`` and each
+  group, condition and action operator decided by the obvious recursion
+  (the engine's walk keeps its state in arguments and matches triggers
+  inline);
 - ``_refresh_readiness``: a full sweep through ``ready_set`` over the
   in-process tasks (the engine re-checks the tasks an event touched);
 - ``_set_status`` and ``_emit_state``: a plain ``dict`` write and a fresh
@@ -46,10 +50,69 @@ from vopol.domain import (
 from vopol.engine import BOOTSTRAP_POLICY, Engine, _action_fields, ready_set
 from vopol.errors import ModelError, TaskFailure, UnknownTaskError
 from vopol.model import TaskType, VoModel, _free_holds, _move_member, _put_duty, _reserve, free_capacity
-from vopol.policy.ast import ActionCall, Ident, Policy, Pred, TriggerSpec
-from vopol.policy.evaluate import evaluate_rule_group
+from vopol.policy.ast import (
+    ActionCall,
+    AndCond,
+    Ident,
+    NotCond,
+    Policy,
+    Pred,
+    RuleLeaf,
+    TriggerSpec,
+    iter_rules,
+)
 from vopol.state import Status
 from vopol.trace import TraceRecord
+
+# policy walk --------------------------------------------------------------
+
+
+def evaluate_rule_group(group, event, location, predicate_eval, action_sink) -> list[int]:
+    """The numbers, as ``iter_rules`` gives them, of the rules of ``group``
+    that apply to ``event`` raised at ``location``; a rule that applies
+    runs its action through ``action_sink``."""
+
+    def holds(cond) -> bool:
+        if isinstance(cond, Pred):
+            return bool(predicate_eval(cond))
+        if isinstance(cond, NotCond):
+            return not holds(cond.child)
+        if isinstance(cond, AndCond):
+            return holds(cond.left) and holds(cond.right)
+        return holds(cond.left) or holds(cond.right)
+
+    def run(action) -> bool:
+        if isinstance(action, ActionCall):
+            return bool(action_sink(action))
+        left = run(action.left)
+        if action.op == "and":
+            return run(action.right) and left
+        if action.op == "andthen":
+            return left and run(action.right)
+        if action.op == "orelse":
+            return left or run(action.right)
+        return left  # "or" never runs its right operand
+
+    def applies(rule) -> bool:
+        return (
+            rule.location in (None, location)
+            and (not rule.triggers or event.name in [t.name for t in rule.triggers])
+            and (rule.condition is None or holds(rule.condition))
+        )
+
+    def walk(node, first: int) -> list[int]:
+        if isinstance(node, RuleLeaf):
+            if not applies(node.rule):
+                return []
+            run(node.rule.action)
+            return [first]
+        left = walk(node.left, first)
+        if left and node.op in ("gchoice", "uchoice"):
+            return left
+        return left + walk(node.right, first + len(list(iter_rules(node.left))))
+
+    return walk(group, 0)
+
 
 # conflicts ----------------------------------------------------------------
 

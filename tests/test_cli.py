@@ -197,6 +197,9 @@ def test_run_goes_on_past_a_policy_path_with_a_nul_byte(tmp_path):
     )
     assert result.returncode == 0
     assert "Traceback" not in result.stderr
+    # the NUL is escaped: no control character but the line ends is written raw
+    assert 'path="a\\u0000b"' in result.stdout
+    assert not any(c < " " for c in result.stdout.replace("\n", ""))
     records = parse_trace(result.stdout)
     assert [(r.kind, r.get("event") or r.get("error")) for r in records[1:]] == [
         ("EVENT", "load-policy"),

@@ -8,8 +8,9 @@ import pytest
 import vopol.engine
 from vopol.domain import VOCABULARY, DomainAction, DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
-from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, quoted
+from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, VopolError, quoted
 from vopol.model import adjust_reserved_capacity, canonical_dump, load_model, validate_model
+from vopol.policy.ast import ActionCall, ActionOp, GroupNode, Ident, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf
 from vopol.policy.parser import parse_policy_document
 from vopol.state import Status
 from vopol.trace import format_trace
@@ -674,6 +675,42 @@ def test_predicate_error_skips_policy_and_continues():
     assert [r.get("error") for r in records if r.kind == "ERROR"] == ["UnresolvedIdentifier"]
     assert [r.get("policy") for r in records if r.kind == "ACTION-APPLIED"] == ["Fine"]
     assert "C" in final.members
+
+
+ADMIT = ActionCall("add_member", (Ident("newHotel"),))
+ADMITS = RuleLeaf(PolicyRule(None, (), None, ADMIT))
+
+
+@pytest.mark.parametrize(
+    "body, detail",
+    [
+        (GroupNode("seq", ADMITS, GroupNode("xor", ADMITS, ADMITS)), "unknown group operator: 'xor'"),
+        (RuleLeaf(PolicyRule(None, (), None, ActionOp("andthen", ADMIT, ActionOp("xor", ADMIT, ADMIT)))),
+         "unknown action operator: 'xor'"),
+        (GroupNode("seq", ADMITS, RuleLeaf(PolicyRule(None, (), "no()", ADMIT))), "not a condition node: str"),
+        (GroupNode("seq", ADMITS, RuleLeaf(PolicyRule(None, (), Pred("can_run", ("BookFlight",)), ADMIT))),
+         "can_run task must be a name, got 'BookFlight'"),
+        (PolicyRule(None, (), None, ADMIT), None),
+    ],
+    ids=["group-operator", "action-operator", "condition", "bare-argument", "rule-as-body"],
+)
+def test_a_malformed_hand_built_policy_is_an_error_record_or_refused(body, detail):
+    # a walk that reaches a malformed node or a bare argument raises
+    # InvalidArgument after the policy admitted newHotel: the policy is rolled
+    # back, the journal is closed and the run goes on; a body that is no rule
+    # group is refused
+    policies = PolicyDocument((Policy("Bad", body),))
+    if detail is None:
+        with pytest.raises(VopolError, match="'Bad': a PolicyRule in place of a rule group"):
+            Engine(load_model(VISITUS), policies)
+        return
+    engine = Engine(load_model(VISITUS), policies)
+    records = engine.handle_event(ev("activate", "BookFlight"))
+    assert kinds(records) == ["EVENT", "TRIGGER", "ERROR", "STATE"]
+    assert (records[2].get("error"), records[2].get("detail")) == ("InvalidArgument", f"policy 'Bad': {detail}")
+    assert "newHotel" not in engine.model.members and engine.model._journal is None
+    assert kinds(engine.handle_event(ev("complete", "BookFlight"))) == ["EVENT", "TRIGGER", "ERROR", "STATE"]
+    assert engine.instance.status == {"BookFlight": Status.COMPLETED, "HotelProv": Status.READY}
 
 
 def test_policy_fired_records_precede_action_records():

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from vopol.policy.ast import ActionCall, Ident, Pred, TriggerSpec
+from vopol.policy.ast import ActionCall, Ident, Pred, TriggerSpec, iter_rules
 from vopol.policy.evaluate import evaluate_rule_group, linearize_actions, match_trigger
 from vopol.policy.parser import parse_policy_document
 
-from astgen import gen_rule
+from astgen import gen_document, gen_rule
 from conftest import MOREBEDS
+from reference import naive
 
 
 def body_of(text: str):
@@ -277,3 +278,35 @@ def test_guard_and_choice_exclusivity_property():
         if op == "gchoice":
             # right applies iff left did not
             assert ("b" in fired) == (not left_ok and right_ok)
+
+
+def test_walk_matches_the_naive_walk():
+    # predicates and attempts succeed at random, from one seed per pair of
+    # walks; a false condition leaves no trace record, so only the calls
+    # show a skipped or repeated evaluation
+    rng = random.Random(31)
+    tally = {"applied": 0, "calls": 0}
+    for _ in range(600):
+        doc = gen_document(rng)
+        rules = [rule for policy in doc.policies for _, rule in iter_rules(policy.body)]
+        event = TriggerSpec(rng.choice([t.name for rule in rules for t in rule.triggers] + ["other"]))
+        location = rng.choice([rule.location for rule in rules if rule.location] + ["L"])
+        for policy in doc.policies:
+            seed = rng.random()
+            runs = []
+            for walk in (evaluate_rule_group, naive.evaluate_rule_group):
+                coin, calls = random.Random(seed), []
+
+                def predicate(p: Pred) -> bool:
+                    calls.append(("predicate", id(p)))
+                    return coin.random() < 0.6
+
+                def attempt(call: ActionCall) -> bool:
+                    calls.append(("attempt", id(call)))
+                    return coin.random() < 0.6
+
+                runs.append((walk(policy.body, event, location, predicate, attempt), calls))
+            assert runs[0] == runs[1], policy
+            tally["applied"] += len(runs[0][0])
+            tally["calls"] += len(runs[0][1])
+    assert tally["applied"] >= 300 and tally["calls"] >= 1000, tally

@@ -52,6 +52,16 @@ def test_round_trip_of_tricky_values(value):
     assert parse_trace(format_trace([original, original])) == [original, original]
 
 
+def test_every_c0_control_character_is_escaped_and_round_trips():
+    values = [f"a{chr(code)}b" for code in range(0x20)] + ["a\x1b[31mb\x00c", "".join(map(chr, range(0x20)))]
+    for value in values:
+        original = rec(7, "ERROR", ("error", "E"), ("detail", value))
+        text = format_trace([original])
+        assert not any(c < " " for c in text[:-1]) and text[-1] == "\n", value
+        assert parse_trace(text) == [original], value
+    assert format_record(rec(1, "ERROR", ("detail", "a\x1b[31mb\x00c"))) == 'seq=1 kind=ERROR detail="a\\u001b[31mb\\u0000c"'
+
+
 def test_engine_trace_with_line_breaks_round_trips():
     policies = parse_policy_document(
         'policy P\n  appliesTo HotelProv\n  when task_entry()\n  do add_member("a\u2028b")\n'
