@@ -66,9 +66,11 @@ from .errors import (
     too_long,
 )
 from .model import (
+    _ABSENT,
     CUSTOMER,
     VoModel,
     _free_holds,
+    _write,
     adjust_reserved_capacity,
     commit,
     journal_mark,
@@ -141,19 +143,16 @@ def init_instance(m: VoModel) -> InstanceState:
     problems = validate_model(m)
     if problems:
         raise InvalidModelError(f"model is invalid: {problems[0].message}", m.name)
-    state = InstanceState(
-        status={t: Status.PENDING for t in m.in_process_tasks()},
-        available_data={f.item for f in m.dataflows if f.source == CUSTOMER},
-    )
-    for task in ready_set(m, state):
-        state.status[task] = Status.READY
-    return state
+    data = frozenset(f.item for f in m.dataflows if f.source == CUSTOMER)
+    pending = InstanceState(dict.fromkeys(m.in_process_tasks(), Status.PENDING), data)
+    ready = ready_set(m, pending)
+    return InstanceState({t: Status.READY if t in ready else s for t, s in pending.status.items()}, data)
 
 
 def _check_body(policy: Policy):
     """Refuse a hand-built policy whose body is not a rule group: a tree of
-    ``GroupNode`` over ``RuleLeaf`` nodes that each hold a ``PolicyRule``.
-    A parsed policy always passes."""
+    ``GroupNode`` over ``RuleLeaf`` nodes that each hold a ``PolicyRule``
+    with a tuple of ``TriggerSpec``. A parsed policy always passes."""
     nodes = [policy.body]
     while nodes:
         node = nodes.pop()
@@ -162,6 +161,9 @@ def _check_body(policy: Policy):
         elif not (isinstance(node, RuleLeaf) and isinstance(node.rule, PolicyRule)):
             shown = type(node.rule if isinstance(node, RuleLeaf) else node).__name__
             raise InvalidArgumentError(f"policy {policy.name!r}: a {shown} in place of a rule group", policy.name)
+        elif not (isinstance(node.rule.triggers, tuple) and all(isinstance(t, TriggerSpec) for t in node.rule.triggers)):
+            shown = f"triggers {quoted(node.rule.triggers)} are not a tuple of TriggerSpec"
+            raise InvalidArgumentError(f"policy {policy.name!r}: {shown}", policy.name)
 
 
 def _trigger_index(policies: tuple[Policy, ...]) -> dict[tuple[str | None, str | None], list[int]]:
@@ -190,18 +192,16 @@ class Engine:
     ``model`` is the engine's working model, a copy of the one it was
     given: every event writes it in place, and its journal holds the
     writes of the event under way, so a policy that raises is undone.
-    A dispatch marks the journal first and learns from it what changed:
-    each task whose predecessor bucket or task record was written since
-    the mark is re-checked for readiness, and a written member slot
-    renews the STATE record's members field. No action name is read here.
-    ``instance.status`` is written only by :meth:`_set_status`, which
-    keeps each task's fragment of the STATE record. One context per
-    dispatch serves predicates, actions and the bootstrap; an action
-    writes its holds into the model itself, and a task that finishes
-    frees them. A hand-built policy whose body is not a rule group is
-    refused here; any other malformed node, such as an unknown operator,
-    raises when a dispatch reaches it, and the policy is rolled back like
-    any policy that raises."""
+    ``instance.status`` and ``instance.available_data`` are journaled
+    there too, and :meth:`_emit_state` reads the journal before each
+    STATE record to learn what the record and readiness need; no action
+    name is read here. One context per dispatch serves predicates,
+    actions and the bootstrap; an action writes its holds into the model
+    itself, and a task that finishes frees them. A hand-built policy
+    whose body is not a rule group, or whose triggers are not a tuple of
+    ``TriggerSpec``, is refused here; any other malformed node, such as
+    an unknown operator, raises when a dispatch reaches it, and the
+    policy is rolled back like any policy that raises."""
 
     def __init__(self, model: VoModel, policies: PolicyDocument, base_dir: Path | None = None):
         for policy in policies.policies:
@@ -221,12 +221,11 @@ class Engine:
         for task, task_def in self.model.tasks.items():
             for item in task_def.inputs:
                 self._consumers.setdefault(item, set()).add(task)
-        # tasks whose readiness may have changed since the last refresh
-        self._touched: set[str] = set()
-        # the data and members fields of the STATE record: data changes only
-        # when an item arrives, and None marks members that may have moved
+        # how far _emit_state has read the open journal, and the data and
+        # members fields of the STATE record
+        self._read = 0
         self._data_text = ",".join(sorted(self.instance.available_data))
-        self._members_text: str | None = None
+        self._members_text = ",".join(sorted(self.model.members))
         self._emit_state()
 
     @property
@@ -258,9 +257,56 @@ class Engine:
         return rec
 
     def _emit_state(self):
-        if self._members_text is None:
-            self._members_text = ",".join(sorted(self.model.members))
-        tasks = ",".join(self._fragments)
+        """Read the journal on from where the last STATE record stopped,
+        then trace the STATE record.
+
+        A written status renews its task's STATE fragment, and a written
+        data or members slot its field. A task whose predecessor bucket or
+        record was written, a successor of a completed task and a consumer
+        of an arrived item are re-checked: one that joined the process
+        appears as pending, one that left it is dropped, a pending or ready
+        one gets the readiness rule's verdict and a started one keeps its
+        status. A re-check writes a status too, so the reader goes on until
+        it has read every entry."""
+        m, instance, journal = self.model, self.instance, self.model._journal
+        statuses, slots, catalogue, preds, members = instance.status, vars(instance), m._tasks, m._preds, m._members
+        order, fragments = self._order, self._fragments
+        while journal is not None and self._read < len(journal):
+            recheck: set[str] = set()
+            for table, key, old in journal[self._read:]:
+                if table is statuses:
+                    status = statuses.get(key)
+                    i = bisect_left(order, key)
+                    if i == len(order) or order[i] != key:
+                        order.insert(i, key)
+                        fragments.insert(i, "")
+                    if status is None:
+                        del order[i], fragments[i]
+                        continue
+                    fragments[i] = f"{key}:{status.value}"
+                    if status is Status.COMPLETED:
+                        recheck |= m.successors(key)
+                elif table is preds:
+                    recheck.add(key)
+                elif table is catalogue:
+                    recheck.add(key)
+                    # never dropped: a stale consumer costs one re-check
+                    for item in catalogue[key].inputs:
+                        self._consumers.setdefault(item, set()).add(key)
+                elif table is slots:
+                    self._data_text = ",".join(sorted(instance.available_data))
+                    for item in instance.available_data - old:
+                        recheck.update(self._consumers.get(item, ()))
+                elif table is members:
+                    self._members_text = ",".join(sorted(members))
+            self._read = len(journal)
+            for task in sorted(recheck):
+                current = statuses.get(task, Status.PENDING)
+                if not catalogue[task].in_process:
+                    self._set_status(task, None)
+                elif current is Status.PENDING or current is Status.READY:
+                    self._set_status(task, Status.READY if _eligible(m, instance, task) else Status.PENDING)
+        tasks = ",".join(fragments)
         self._emit("STATE", ("tasks", tasks), ("data", self._data_text), ("members", self._members_text))
 
     def _emit_error(self, err: VopolError, detail: str | None = None):
@@ -269,59 +315,18 @@ class Engine:
     # lifecycle helpers ----------------------------------------------------
 
     def _set_status(self, task: str, status: Status | None):
-        """Set the status of ``task``, or drop the task for None, and with it
-        its STATE fragment, found by bisection over the sorted task names."""
-        statuses = self.instance.status
-        i = bisect_left(self._order, task)
-        if status is None:
-            if statuses.pop(task, None) is not None:
-                del self._order[i], self._fragments[i]
-            return
-        if task not in statuses:
-            self._order.insert(i, task)
-            self._fragments.insert(i, "")
-        statuses[task] = status
-        self._fragments[i] = f"{task}:{status.value}"
-
-    def _refresh_readiness(self):
-        """Re-check the readiness of the touched tasks against the current
-        graph, then forget them.
-
-        A touched task that joined the process appears as pending, one that
-        left it is dropped, and a pending or ready one gets the readiness
-        rule's verdict; started tasks are never changed.
-        """
-        for task in sorted(self._touched):
-            if not self.model.tasks[task].in_process:
-                self._set_status(task, None)
-                continue
-            current = self.instance.status.get(task, Status.PENDING)
-            if current is Status.PENDING or current is Status.READY:
-                eligible = _eligible(self.model, self.instance, task)
-                self._set_status(task, Status.READY if eligible else Status.PENDING)
-        self._touched.clear()
-
-    def _note_writes(self, mark: int):
-        """Note what the model writes since ``mark`` may change, from the
-        slots they wrote: the readiness of a task whose predecessors or
-        record were written, the data items that task waits for, and the
-        members."""
-        m = self.model
-        for table, key, _ in m._journal[mark:]:
-            if table is m._tasks:
-                self._touched.add(key)
-                # never dropped: a stale consumer costs one re-check
-                for item in m._tasks[key].inputs:
-                    self._consumers.setdefault(item, set()).add(key)
-            elif table is m._preds:
-                self._touched.add(key)
-            elif table is m._members:
-                self._members_text = None
+        """Set the status of ``task``, or drop the task for None: the one
+        writer of ``instance.status``, journaled for the reader."""
+        if self.instance.status.get(task) is not status:
+            _write(self.model, self.instance.status, task, _ABSENT if status is None else status)
 
     # dispatch -------------------------------------------------------------
 
     def dispatch_trigger(self, trig: DomainTrigger) -> list[TraceRecord]:
-        written = journal_mark(self.model)
+        opened = self.model._journal is None  # a direct call's is committed below
+        # read no later than the dispatch's first write: a caller may have
+        # committed or undone the journal that _emit_state last read
+        self._read = min(self._read, journal_mark(self.model))
         mark = len(self.records)
         self._emit("TRIGGER", ("trigger", trig.name), ("task", trig.task))
         event_spec = TriggerSpec(trig.name, (Ident(trig.task),))
@@ -414,20 +419,19 @@ class Engine:
                 fields = _action_fields(BOOTSTRAP_POLICY, "bootstrap", (trig.task,))
                 self._emit("ACTION-FAILED", *fields, ("error", err.code), ("detail", err.message))
                 bootstrap_failed = True
+                if self.instance.status.get(trig.task) is Status.ACTIVE:
+                    self._set_status(trig.task, Status.FAILED)
+                    _free_holds(self.model, trig.task)
             else:
                 for action in performed:
                     self._emit("ACTION-APPLIED", *_action_fields(BOOTSTRAP_POLICY, action.name, action.args))
 
-        if bootstrap_failed and self.instance.status.get(trig.task) is Status.ACTIVE:
-            self._set_status(trig.task, Status.FAILED)
-            _free_holds(self.model, trig.task)
-
-        self._note_writes(written)
-        self._refresh_readiness()
         self._emit_state()
 
         if bootstrap_failed:
             self.dispatch_trigger(DomainTrigger("task_failure", trig.task))
+        if opened:
+            commit(self.model)
         return self.records[mark:]
 
     # events ---------------------------------------------------------------
@@ -460,13 +464,18 @@ class Engine:
     def _ev_start(self, ev: ScenarioEvent):
         self._emit("EVENT", ("event", "start"))
 
-    def _task_event(self, ev: ScenarioEvent, wanted: Status) -> str | None:
-        """Trace a task's lifecycle event; the task, or None after an error
-        record when its status is not ``wanted``."""
+    def _task_event(self, ev: ScenarioEvent, wanted: Status, new: Status) -> str | None:
+        """Trace a task's lifecycle event and move the task from ``wanted``
+        to ``new``, freeing its holds unless it starts; the task, or None
+        after an error record when its status is not ``wanted``."""
         task = ev.args[0]
         self._emit("EVENT", ("event", ev.kind), ("task", task))
         current = self.instance.status.get(task)
         if current is wanted:
+            if new is not Status.ACTIVE:
+                _free_holds(self.model, task)
+            self._read = journal_mark(self.model)  # _emit_state reads from the status write on
+            self._set_status(task, new)
             return task
         shown = current.value if current is not None else "not in the process"
         message = f"cannot {ev.kind} task {task!r}: status is {shown}, needs {wanted.value}"
@@ -474,32 +483,22 @@ class Engine:
         return None
 
     def _ev_activate(self, ev: ScenarioEvent):
-        task = self._task_event(ev, Status.READY)
+        task = self._task_event(ev, Status.READY, Status.ACTIVE)
         if task is not None:
-            self._set_status(task, Status.ACTIVE)
             self.dispatch_trigger(DomainTrigger("task_entry", task))
 
     def _ev_complete(self, ev: ScenarioEvent):
-        task = self._task_event(ev, Status.ACTIVE)
-        if task is None:
-            return
-        self._set_status(task, Status.COMPLETED)
-        _free_holds(self.model, task)
-        arrived = {f.item for f in self.model.flows_from(task)}
-        arrived -= self.instance.available_data
-        if arrived:
-            self.instance.available_data |= arrived
-            self._data_text = ",".join(sorted(self.instance.available_data))
-        for item in arrived:
-            self._touched.update(self._consumers.get(item, ()))
-        self._touched.update(self.model.successors(task))
-        self.dispatch_trigger(DomainTrigger("task_exit", task))
+        task = self._task_event(ev, Status.ACTIVE, Status.COMPLETED)
+        if task is not None:
+            data = self.instance.available_data
+            arrived = {f.item for f in self.model.flows_from(task)} - data
+            if arrived:
+                _write(self.model, vars(self.instance), "available_data", data | arrived)
+            self.dispatch_trigger(DomainTrigger("task_exit", task))
 
     def _ev_fail(self, ev: ScenarioEvent):
-        task = self._task_event(ev, Status.ACTIVE)
+        task = self._task_event(ev, Status.ACTIVE, Status.FAILED)
         if task is not None:
-            self._set_status(task, Status.FAILED)
-            _free_holds(self.model, task)
             self.dispatch_trigger(DomainTrigger("task_failure", task))
 
     def _ev_consume(self, ev: ScenarioEvent):

@@ -16,11 +16,11 @@ class Status(str, Enum):
 
 @dataclass
 class InstanceState:
-    """Lifecycle status per in-process task plus the set of data items
-    that have arrived."""
+    """Lifecycle status per in-process task plus the data items that have
+    arrived, a ``frozenset`` that an arrival replaces and never changes."""
 
     status: dict[str, Status] = field(default_factory=dict)
-    available_data: set[str] = field(default_factory=set)
+    available_data: frozenset[str] = frozenset()
 
     def is_active(self, task: str) -> bool:
         return self.status.get(task) is Status.ACTIVE

@@ -9,11 +9,12 @@ form of each hook the engine optimises:
   group, condition and action operator decided by the obvious recursion
   (the engine's walk keeps its state in arguments and matches triggers
   inline);
-- ``_refresh_readiness``: a full sweep through ``ready_set`` over the
-  in-process tasks (the engine re-checks the tasks an event touched);
-- ``_set_status`` and ``_emit_state``: a plain ``dict`` write and a fresh
-  sorted join (the engine's one status writer keeps each task's fragment
-  of the STATE record between events);
+- ``_set_status`` and ``_emit_state``: a plain ``dict`` write, then a
+  full sweep through ``ready_set`` over the in-process tasks (its own
+  ``_refresh_readiness``) and a fresh sorted join (the engine journals
+  each status write, and before each STATE record one reader of the
+  journal re-checks the tasks the writes may affect and renews the
+  fragments and fields they wrote);
 - ``dispatch_trigger``: one-pass semantics, with a request suppressed when
   the hand-written pair rules find it clashing with any earlier request
   (the engine compares what each request writes), every action applied

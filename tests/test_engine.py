@@ -8,8 +8,8 @@ import pytest
 import vopol.engine
 from vopol.domain import VOCABULARY, DomainAction, DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
-from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, VopolError, quoted
-from vopol.model import adjust_reserved_capacity, canonical_dump, load_model, validate_model
+from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, quoted
+from vopol.model import adjust_reserved_capacity, canonical_dump, commit, journal_mark, load_model, validate_model
 from vopol.policy.ast import ActionCall, ActionOp, GroupNode, Ident, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf
 from vopol.policy.parser import parse_policy_document
 from vopol.state import Status
@@ -203,6 +203,66 @@ def test_the_engine_names_no_action():
     tree = ast.parse(Path(vopol.engine.__file__).read_text(encoding="utf-8"))
     named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert sorted(named & set(VOCABULARY.actions)) == []
+
+
+# the methods that change a dict or a set in place
+MUTATORS = {
+    "add", "clear", "difference_update", "discard", "intersection_update", "pop", "popitem", "remove",
+    "setdefault", "symmetric_difference_update", "update", "__setitem__", "__delitem__", "__ior__",
+}
+
+
+def test_run_state_is_written_only_through_the_journal():
+    # the STATE record and the readiness re-checks are derived from the
+    # model's journal, so the engine writes a status or an arrived item
+    # only through model._write, never in place
+    tree = ast.parse(Path(vopol.engine.__file__).read_text(encoding="utf-8"))
+
+    def run_state(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in ("status", "available_data")
+
+    in_place, journaled = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            if any(run_state(t) for t in ast.walk(target)):  # a subscript's value is walked too
+                in_place.append(ast.unparse(node))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in MUTATORS and run_state(node.func.value):
+                in_place.append(ast.unparse(node))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_write":
+            journaled.append(ast.unparse(node.args[1]))
+    assert in_place == []
+    assert sorted(journaled) == ["self.instance.status", "vars(self.instance)"]
+
+
+def test_a_direct_dispatch_commits_the_journal_it_opened_and_reads_it_from_its_start():
+    # each dispatch's first write, an admission or a removal, is entry 0 of
+    # a new journal, after an event or a dispatch left entries in the last
+    policies = parse_policy_document(
+        "policy In appliesTo HotelProv when task_entry() do add_member(newHotel)\n"
+        "policy Out appliesTo HotelProv when task_exit() do remove_member(newHotel)\n"
+    )
+    engine = Engine(load_model(VISITUS), policies)
+    engine.handle_event(ev("activate", "BookFlight"))
+    assert engine.model._journal is None
+    for trigger, members in (("task_entry", "Hotel,newHotel"), ("task_exit", "Hotel")):
+        records = engine.dispatch_trigger(DomainTrigger(trigger, "HotelProv"))
+        assert engine.model._journal is None
+        assert [r.kind for r in records if r.get("policy") in ("In", "Out")] == ["POLICY-FIRED", "ACTION-APPLIED"]
+        assert records[-1].kind == "STATE" and records[-1].get("members") == members
+    # a journal the caller opened stays open; once the caller commits it,
+    # the next event is read from its own first write
+    journal_mark(engine.model)
+    engine.dispatch_trigger(DomainTrigger("task_entry", "HotelProv"))
+    assert engine.model._journal is not None
+    commit(engine.model)
+    assert engine.handle_event(ev("complete", "BookFlight"))[-1].get("tasks") == "BookFlight:Completed,HotelProv:Ready"
 
 
 def test_unknown_scenario_event_is_error_record():
@@ -690,19 +750,25 @@ ADMITS = RuleLeaf(PolicyRule(None, (), None, ADMIT))
         (GroupNode("seq", ADMITS, RuleLeaf(PolicyRule(None, (), "no()", ADMIT))), "not a condition node: str"),
         (GroupNode("seq", ADMITS, RuleLeaf(PolicyRule(None, (), Pred("can_run", ("BookFlight",)), ADMIT))),
          "can_run task must be a name, got 'BookFlight'"),
-        (PolicyRule(None, (), None, ADMIT), None),
+        (PolicyRule(None, (), None, ADMIT), "refused: a PolicyRule in place of a rule group"),
+        (RuleLeaf(PolicyRule(None, ("task_entry",), None, ADMIT)),
+         "refused: triggers ('task_entry',) are not a tuple of TriggerSpec"),
+        (GroupNode("seq", ADMITS, RuleLeaf(PolicyRule(None, "task_entry", None, ADMIT))),
+         "refused: triggers 'task_entry' are not a tuple of TriggerSpec"),
     ],
-    ids=["group-operator", "action-operator", "condition", "bare-argument", "rule-as-body"],
+    ids=["group-operator", "action-operator", "condition", "bare-argument", "rule-as-body", "trigger-as-str",
+         "triggers-as-str"],
 )
 def test_a_malformed_hand_built_policy_is_an_error_record_or_refused(body, detail):
     # a walk that reaches a malformed node or a bare argument raises
     # InvalidArgument after the policy admitted newHotel: the policy is rolled
     # back, the journal is closed and the run goes on; a body that is no rule
-    # group is refused
+    # group, or a rule whose triggers are no tuple of TriggerSpec, is refused
     policies = PolicyDocument((Policy("Bad", body),))
-    if detail is None:
-        with pytest.raises(VopolError, match="'Bad': a PolicyRule in place of a rule group"):
+    if detail.startswith("refused: "):
+        with pytest.raises(InvalidArgumentError) as refusal:
             Engine(load_model(VISITUS), policies)
+        assert refusal.value.message == f"policy 'Bad': {detail.removeprefix('refused: ')}"
         return
     engine = Engine(load_model(VISITUS), policies)
     records = engine.handle_event(ev("activate", "BookFlight"))

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from vopol.policy.ast import ActionCall, Ident, Pred, TriggerSpec, iter_rules
+from vopol.domain import DomainTrigger
+from vopol.engine import Engine
+from vopol.model import load_model
+from vopol.policy.ast import ActionCall, Ident, Policy, PolicyDocument, Pred, RuleLeaf, TriggerSpec, iter_rules
 from vopol.policy.evaluate import evaluate_rule_group, linearize_actions, match_trigger
 from vopol.policy.parser import parse_policy_document
 
-from astgen import gen_document, gen_rule
-from conftest import MOREBEDS
+from astgen import gen_args, gen_document, gen_rule
+from conftest import MOREBEDS, VISITUS
 from reference import naive
 
 
@@ -68,6 +73,34 @@ def test_trigger_monotonicity():
             smaller = type(rule)(rule.location, triggers, rule.condition, rule.action)
             if not before:
                 assert not match_trigger(smaller, event, location)
+
+
+def test_match_trigger_agrees_with_the_walk_and_the_engine_index():
+    # the matching rule is written three times: match_trigger, the walk's
+    # inline loop and the keys of the engine's trigger index; on every
+    # location and set of trigger names (a duplicate and a name no event
+    # raises included), a rule of astgen's shapes without a condition
+    # matches iff its one-rule policy fires iff the engine lists it
+    rng = random.Random(41)
+    names = ("task_entry", "task_exit", "task_failure")
+    sets = [c for k in range(5) for c in itertools.combinations(names + ("other",), k)]
+    sets.append(("task_exit", "task_exit"))
+    model = load_model(VISITUS)
+    tally = {True: 0, False: 0}
+    for location, chosen in itertools.product((None, "BookFlight", "HotelProv", "Nowhere"), sets):
+        triggers = tuple(TriggerSpec(name, gen_args(rng)) for name in chosen)
+        rule = replace(gen_rule(rng), location=location, triggers=triggers, condition=None)
+        policy = Policy("P", RuleLeaf(rule))
+        engine = Engine(model, PolicyDocument((policy,)))
+        for name, task in itertools.product(names, ("BookFlight", "HotelProv", "Nowhere")):
+            event = TriggerSpec(name, (Ident(task),))
+            matched = match_trigger(rule, event, task)
+            fired = evaluate_rule_group(policy.body, event, task, lambda pred: True, lambda call: True) == [0]
+            listed = engine._candidates(DomainTrigger(name, task)) == [policy]
+            assert fired is matched and listed is matched, (rule, name, task)
+            tally[matched] += 1
+    # the grid alone decides these, whatever shapes astgen draws
+    assert tally == {True: 168, False: 444}
 
 
 # --- linearize_actions ------------------------------------------------------
