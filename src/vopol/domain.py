@@ -16,7 +16,7 @@ written and undone like any other model slot.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .policy.ast import ActionCall, Arg, Ident, Number, Text
 from .policy.validate import THIS, Vocabulary
@@ -41,6 +41,7 @@ from .errors import (
     too_long,
 )
 from .model import (
+    TaskDef,
     TaskType,
     VoModel,
     _hold,
@@ -97,6 +98,11 @@ _TARGETS = {
 
 # the actions whose last argument may stay open (None), and its type when given
 _OPEN_LAST = {"assign_duty": int, "change_type": str}
+# each action's full arity and the type of an open last argument
+_SHAPES = {name: (hi, _OPEN_LAST.get(name)) for name, (_, hi) in VOCABULARY.actions.items()}
+
+# a task type by its name, as TaskType(name) finds it
+_TASK_TYPES = {t.value: t for t in TaskType}
 
 _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9  # members without a bid sort after any real offer
@@ -143,17 +149,18 @@ class DomainAction:
     args: tuple[str | int | None, ...]
 
     def __post_init__(self):
-        arity = VOCABULARY.actions.get(self.name)
-        if arity is None:
+        shape = _SHAPES.get(self.name)
+        if shape is None:
             return
-        if len(self.args) != arity[1]:
+        arity, last_type = shape
+        names = self.args
+        if len(names) != arity:
             raise InvalidArgumentError(
-                f"{self.name} needs {arity[1]} argument(s), open ones as None, got {len(self.args)}",
+                f"{self.name} needs {arity} argument(s), open ones as None, got {len(names)}",
                 self.name,
             )
-        names, last_type = self.args, _OPEN_LAST.get(self.name)
         if last_type is not None:
-            names, last = self.args[:-1], self.args[-1]
+            names, last = names[:-1], names[-1]
             if last is not None and (type(last) is bool or not isinstance(last, last_type)):
                 raise InvalidArgumentError(
                     f"{self.name} takes a {last_type.__name__} or None last, got {quoted(last)}", self.name
@@ -249,15 +256,17 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
     sharing stays None (the amount is sized by :func:`materialize`).
     """
     name = call.name
-    if name not in VOCABULARY.actions:
+    arity = VOCABULARY.actions.get(name)
+    if arity is None:
         raise UnknownActionError(f"unknown action {name!r}", name)
-    lo, hi = VOCABULARY.actions[name]
+    lo, hi = arity
     if not lo <= len(call.args) <= hi:
         want = str(lo) if lo == hi else f"{lo}..{hi}"
         raise InvalidArgumentError(f"{name} takes {want} argument(s), got {len(call.args)}", name)
 
     # every argument but assign_duty's amount (the fourth) is a name
-    args: list[str | int | None] = [_name_arg(ctx, a, f"{name} argument") for a in call.args[:3]]
+    what = f"{name} argument"
+    args: list[str | int | None] = [_name_arg(ctx, a, what) for a in call.args[:3]]
     if name in ("assign_duty", "unassign_duty") and len(args) == 2:
         if ctx.this_task is None:
             raise UnresolvedIdentifierError(f"{name} without a task needs a triggering task", name)
@@ -333,61 +342,63 @@ def _member_action(ctx: EvalContext, action: DomainAction):
 
 def _duty_action(ctx: EvalContext, action: DomainAction):
     m = ctx.model
-    member, task, capability = action.args[:3]
-    if m.anyone(member) is None:
+    member, task, capability = key = action.args[:3]
+    who = m._members.get(member)  # None for a candidate too
+    if who is None and member not in m._registry:
         raise UnknownMemberError(f"unknown member {member!r}", member)
-    if task not in m.tasks:
+    task_def = m._tasks.get(task)
+    if task_def is None:
         raise UnknownTaskError(f"unknown task {task!r}", task)
 
     if action.name == "unassign_duty":
-        if (member, task, capability) not in m.duties:
+        if key not in m._duties:
             raise UnknownDutyError(f"no duty ({member}, {task}, {capability}) to unassign", member)
-        _set_duty(m, ctx, {(member, task, capability): None})
+        _set_duty(m, ctx, {key: None})
         return
 
-    if member not in m.members:
+    if who is None:
         raise NotAMemberError(f"{member!r} is not a member", member)
-    if capability not in m.members[member].capabilities:
+    declared = who.capabilities.get(capability)
+    if declared is None:
         raise CapabilityMissingError(f"{member!r} declares no capability {capability!r}", member)
-    if capability not in m.tasks[task].required:
+    if capability not in task_def.required:
         raise CapabilityMissingError(f"task {task!r} does not require {capability!r}", task)
-    task_def = m.tasks[task]
     if task_def.ttype is TaskType.ATOMIC:
-        others = {d.member for d in m.duties_on(task)} - {member}
+        others = {held[0] for held in m._duties_on.get(task, ())} - {member}
         if others:
-            raise AtomicityViolationError(
-                f"atomic task {task!r} is already assigned to {sorted(others)[0]!r}", task
-            )
-    amount = materialize(m, action).args[3]
+            raise AtomicityViolationError(f"atomic task {task!r} is already assigned to {min(others)!r}", task)
+    amount = action.args[3]
+    if amount is None:  # the engine sizes an open amount first, a library caller may not
+        amount = remaining_shortfall(m, task, capability)
     if amount < 0:
         raise InvalidArgumentError("duty amount must be non-negative", member)
-    old = m.duties.get((member, task, capability), 0)
-    free = free_capacity(m, member, capability) or 0
+    old = m._duties.get(key, 0)
+    free = declared - m._reserved.get((member, capability), 0)
     if amount - old > free:
         raise CapacityExceededError(
             f"assigning {amount} of ({member}, {capability}) exceeds free capacity {free} + held {old}",
             member,
         )
-    _set_duty(m, ctx, {(member, task, capability): amount})
+    _set_duty(m, ctx, {key: amount})
 
 
 def _change_type(ctx: EvalContext, action: DomainAction):
     m = ctx.model
     task, new_type, sharing = action.args
-    if task not in m.tasks:
+    old = m._tasks.get(task)
+    if old is None:
         raise UnknownTaskError(f"unknown task {task!r}", task)
-    try:
-        ttype = TaskType(new_type)
-    except ValueError:
-        raise InvalidArgumentError(f"unknown task type {new_type!r}", task) from None
+    ttype = _TASK_TYPES.get(new_type)  # a name, as DomainAction checks
+    if ttype is None:
+        raise InvalidArgumentError(f"unknown task type {new_type!r}", task)
     if ttype is TaskType.ATOMIC:
-        holders = {d.member for d in m.duties_on(task)}
+        holders = {held[0] for held in m._duties_on.get(task, ())}
         if len(holders) > 1:
             raise AtomicityViolationError(
                 f"cannot make {task!r} atomic: duties from {len(holders)} members", task
             )
-    old = m.tasks[task]
-    _put_task(m, replace(old, ttype=ttype, sharing=old.sharing if sharing is None else sharing))
+    sharing = old.sharing if sharing is None else sharing
+    _put_task(m, TaskDef(task, ttype, sharing, old.required, old.inputs, old.in_process))
 
 
 def _workflow_action(ctx: EvalContext, action: DomainAction):
@@ -434,16 +445,20 @@ def apply_action(ctx: EvalContext, action: DomainAction) -> None:
 
 def can_run(m: VoModel, task: str) -> bool:
     """All required capabilities covered by duties of current members."""
-    task_def = m.tasks.get(task)
+    task_def = m._tasks.get(task)
     if task_def is None:
         raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
+    duties, members = m._duties, m._members
     covered: dict[str, int] = {}
     for key in m._duties_on.get(task, ()):
-        mid, _, cap = key
-        if mid not in m._members:
+        if key[0] not in members:
             return False
-        covered[cap] = covered.get(cap, 0) + m._duties[key]
-    return all(covered.get(cap, 0) >= need for cap, need in task_def.required.items())
+        cap = key[2]
+        covered[cap] = covered.get(cap, 0) + duties[key]
+    for cap, need in task_def.required.items():
+        if covered.get(cap, 0) < need:
+            return False
+    return True
 
 
 def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
@@ -469,8 +484,8 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
         if task not in m.tasks:
             raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
         try:
-            return m.tasks[task].ttype is TaskType(wanted)
-        except ValueError:
+            return m.tasks[task].ttype is _TASK_TYPES[wanted]
+        except (KeyError, TypeError):  # an unhashable name is no type either
             raise InvalidArgumentError(f"unknown task type {wanted!r}", wanted) from None
     if name == "has_capacity":
         member = _name_arg(ctx, args[0], "has_capacity member")

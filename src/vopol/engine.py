@@ -212,20 +212,12 @@ class Engine:
         self.records: list[TraceRecord] = []
         self._seq = 0
         self.instance = init_instance(self.model)
-        # the tasks of instance.status by name, and the name:Status fragment
-        # of the STATE record of each
-        self._order = sorted(self.instance.status)
-        self._fragments = [f"{t}:{self.instance.status[t].value}" for t in self._order]
         # data item -> catalogue tasks that declare it as an input
         self._consumers: dict[str, set[str]] = {}
         for task, task_def in self.model.tasks.items():
             for item in task_def.inputs:
                 self._consumers.setdefault(item, set()).add(task)
-        # how far _emit_state has read the open journal, and the data and
-        # members fields of the STATE record
-        self._read = 0
-        self._data_text = ",".join(sorted(self.instance.available_data))
-        self._members_text = ",".join(sorted(self.model.members))
+        self._restate()
         self._emit_state()
 
     @property
@@ -255,6 +247,19 @@ class Engine:
         rec = TraceRecord(self._seq, kind, tuple(pairs))
         self.records.append(rec)
         return rec
+
+    def _restate(self):
+        """Derive the STATE record's fields from the instance and the model
+        (the tasks of ``instance.status`` by name, the name:Status fragment
+        of each, the data and the members) and read the open journal from
+        its start. The engine does so when it starts, and when it finds the
+        journal shorter than the part it has read: a caller's commit or undo
+        cut it, and may have rolled back writes the fields show."""
+        self._order = sorted(self.instance.status)
+        self._fragments = [f"{t}:{self.instance.status[t].value}" for t in self._order]
+        self._data_text = ",".join(sorted(self.instance.available_data))
+        self._members_text = ",".join(sorted(self.model.members))
+        self._read = 0  # how far _emit_state has read the open journal
 
     def _emit_state(self):
         """Read the journal on from where the last STATE record stopped,
@@ -324,9 +329,9 @@ class Engine:
 
     def dispatch_trigger(self, trig: DomainTrigger) -> list[TraceRecord]:
         opened = self.model._journal is None  # a direct call's is committed below
-        # read no later than the dispatch's first write: a caller may have
-        # committed or undone the journal that _emit_state last read
-        self._read = min(self._read, journal_mark(self.model))
+        if journal_mark(self.model) < self._read:
+            self._restate()
+        journal = self.model._journal  # nothing the dispatch runs commits it
         mark = len(self.records)
         self._emit("TRIGGER", ("trigger", trig.name), ("task", trig.task))
         event_spec = TriggerSpec(trig.name, (Ident(trig.task),))
@@ -382,7 +387,7 @@ class Engine:
             return True
 
         for policy in self._candidates(trig):
-            saved = journal_mark(self.model)
+            saved = len(journal)
             marks = len(requests), len(conflicts), len(outcomes)
             try:
                 applied = evaluate_rule_group(
@@ -432,6 +437,7 @@ class Engine:
             self.dispatch_trigger(DomainTrigger("task_failure", trig.task))
         if opened:
             commit(self.model)
+            self._read = 0
         return self.records[mark:]
 
     # events ---------------------------------------------------------------
@@ -453,6 +459,7 @@ class Engine:
         else:
             getattr(self, "_ev_" + kind.replace("-", "_"))(ev)
         commit(self.model)  # the journal holds one event's writes at most
+        self._read = 0
         return self.records[mark:]
 
     def _reject(self, ev: ScenarioEvent, err: VopolError):
@@ -474,7 +481,8 @@ class Engine:
         if current is wanted:
             if new is not Status.ACTIVE:
                 _free_holds(self.model, task)
-            self._read = journal_mark(self.model)  # _emit_state reads from the status write on
+            if journal_mark(self.model) < self._read:
+                self._restate()
             self._set_status(task, new)
             return task
         shown = current.value if current is not None else "not in the process"

@@ -15,6 +15,10 @@ form of each hook the engine optimises:
   each status write, and before each STATE record one reader of the
   journal re-checks the tasks the writes may affect and renews the
   fragments and fields they wrote);
+- ``can_run`` and the duty writer: a sum over ``iter_duties`` per
+  required capability, and ``assign_duty``/``unassign_duty`` checked in
+  their order through ``anyone``, ``free_capacity`` and ``materialize``
+  (the engine reads each record once, from the model's tables);
 - ``dispatch_trigger``: one-pass semantics, with a request suppressed when
   the hand-written pair rules find it clashing with any earlier request
   (the engine compares what each request writes), every action applied
@@ -37,19 +41,32 @@ from __future__ import annotations
 
 from functools import partial
 
+from vopol import domain
 from vopol.conflict import Conflict
 from vopol.domain import (
     COMPETITION,
     DomainAction,
     DomainTrigger,
     EvalContext,
-    apply_action,
-    eval_predicate,
+    _name_arg,
+    _set_duty,
     materialize,
     resolve_action,
 )
 from vopol.engine import BOOTSTRAP_POLICY, Engine, _action_fields, ready_set
-from vopol.errors import ModelError, TaskFailure, UnknownTaskError
+from vopol.errors import (
+    AtomicityViolationError,
+    CapabilityMissingError,
+    CapacityExceededError,
+    InvalidArgumentError,
+    ModelError,
+    NotAMemberError,
+    TaskFailure,
+    UnknownDutyError,
+    UnknownMemberError,
+    UnknownTaskError,
+    UnresolvedIdentifierError,
+)
 from vopol.model import TaskType, VoModel, _free_holds, _move_member, _put_duty, _reserve, free_capacity
 from vopol.policy.ast import (
     ActionCall,
@@ -113,6 +130,69 @@ def evaluate_rule_group(group, event, location, predicate_eval, action_sink) -> 
         return left + walk(node.right, first + len(list(iter_rules(node.left))))
 
     return walk(group, 0)
+
+
+# requests -----------------------------------------------------------------
+
+
+def can_run(m: VoModel, task: str) -> bool:
+    """Every capability ``task`` requires is covered by the duties that
+    current members hold on it."""
+    if task not in m.tasks:
+        raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
+    duties = [d for d in m.iter_duties() if d.task == task]
+    if any(d.member not in m.members for d in duties):
+        return False
+    return all(
+        sum(d.amount for d in duties if d.capability == capability) >= need
+        for capability, need in m.tasks[task].required.items()
+    )
+
+
+def eval_predicate(ctx: EvalContext, name: str, args: tuple) -> bool:
+    if name == "can_run" and len(args) == 1:
+        return can_run(ctx.model, _name_arg(ctx, args[0], "can_run task"))
+    return domain.eval_predicate(ctx, name, args)
+
+
+def _duty_action(ctx: EvalContext, action: DomainAction):
+    m = ctx.model
+    member, task, capability = key = action.args[:3]
+    if m.anyone(member) is None:
+        raise UnknownMemberError(f"unknown member {member!r}", member)
+    if task not in m.tasks:
+        raise UnknownTaskError(f"unknown task {task!r}", task)
+    if action.name == "unassign_duty":
+        if key not in m.duties:
+            raise UnknownDutyError(f"no duty ({member}, {task}, {capability}) to unassign", member)
+        _set_duty(m, ctx, {key: None})
+        return
+    if member not in m.members:
+        raise NotAMemberError(f"{member!r} is not a member", member)
+    if m.declared(member, capability) is None:
+        raise CapabilityMissingError(f"{member!r} declares no capability {capability!r}", member)
+    if capability not in m.tasks[task].required:
+        raise CapabilityMissingError(f"task {task!r} does not require {capability!r}", task)
+    others = sorted({d.member for d in m.iter_duties() if d.task == task} - {member})
+    if m.tasks[task].ttype is TaskType.ATOMIC and others:
+        raise AtomicityViolationError(f"atomic task {task!r} is already assigned to {others[0]!r}", task)
+    amount = materialize(m, action).args[3]
+    if amount < 0:
+        raise InvalidArgumentError("duty amount must be non-negative", member)
+    old = m.duties.get(key, 0)
+    free = free_capacity(m, member, capability)
+    if amount - old > free:
+        raise CapacityExceededError(
+            f"assigning {amount} of ({member}, {capability}) exceeds free capacity {free} + held {old}", member
+        )
+    _set_duty(m, ctx, {key: amount})
+
+
+def apply_action(ctx: EvalContext, action: DomainAction):
+    if action.name in ("assign_duty", "unassign_duty"):
+        _duty_action(ctx, action)
+    else:
+        domain.apply_action(ctx, action)
 
 
 # conflicts ----------------------------------------------------------------

@@ -6,11 +6,12 @@ load generated policy documents (new names and reloads of active ones)
 and retract active and unknown policies. After every event the two
 engines must agree on the event's records, the model, the instance and
 the active policies, conflicts, policy errors and bootstrap failures
-included. So the trigger index, the readiness refresh of touched tasks,
-the kept STATE fragments, the conflicts derived from what requests write,
-the bootstrap through ordinary actions over a shared ranking, the writes
-in place and the rollback through the model's journal each match their
-naive form, which writes a clone and swaps it in instead.
+included. So the trigger index, ``can_run`` and the duty writer, the
+readiness refresh of touched tasks, the kept STATE fragments, the
+conflicts derived from what requests write, the bootstrap through
+ordinary actions over a shared ranking, the writes in place and the
+rollback through the model's journal each match their naive form, which
+writes a clone and swaps it in instead.
 """
 
 from __future__ import annotations

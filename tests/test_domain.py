@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -26,15 +27,20 @@ from vopol.errors import (
     NotAMemberError,
     TaskFailure,
     UnderflowError,
+    UnknownActionError,
     UnknownDutyError,
     UnknownMemberError,
     UnknownPredicateError,
     UnresolvedIdentifierError,
+    VopolError,
 )
 from vopol.model import (
     CUSTOMER,
     DataFlow,
     TaskType,
+    VoModel,
+    _move_member,
+    adjust_reserved_capacity,
     canonical_dump,
     journal_mark,
     load_model,
@@ -653,3 +659,207 @@ def test_a_library_built_action_needs_its_argument_types(visitus, name, args):
     with pytest.raises(InvalidArgumentError):
         apply_action(ctx_for(visitus), DomainAction(name, args))
     assert canonical_dump(visitus) == before
+
+
+# --- which error a request gets ----------------------------------------------------
+
+# M holds 3 units of a on the running Topen and has 2 more reserved outside
+# duties, so 5 of its 10 are free; O holds the Atomic Tat and 2 units of
+# Topen; N declares b only and holds Tb; C is a candidate with a
+GRID = """\
+vo Grid
+member M kind=Partner cap a=10 cap b=4
+member N kind=Partner cap b=6
+member O kind=Partner cap a=5
+candidate C kind=Partner cap a=8
+task Tb type=Replicable requires b=2
+task Tat type=Atomic requires a=3
+task Topen type=Replicable requires a=12
+"""
+GRID_MEMBERS = {"unknown": "ghost", "candidate": "C", "no-capability": "N", "member": "M"}
+GRID_TASKS = {"unknown": "nowhere", "not-required": "Tb", "atomic-held": "Tat", "open": "Topen"}
+GRID_AMOUNTS = {"open": None, "negative": -1, "over-free": 9, "fits": 4}
+# change_type names no member and no amount: it runs over the tasks and these
+GRID_TYPES = {
+    "atomic": ("Atomic", None),
+    "unknown-type": ("Bogus", None),
+    "replicable-competition": ("Replicable", "competition"),
+    "composable": ("Composable", None),
+}
+
+
+def _grid_requests() -> dict[str, DomainAction]:
+    requests = {}
+    for (mk, member), (tk, task) in product(GRID_MEMBERS.items(), GRID_TASKS.items()):
+        for ak, amount in GRID_AMOUNTS.items():
+            requests[f"assign_duty/{mk}/{tk}/{ak}"] = action("assign_duty", member, task, "a", amount)
+        requests[f"unassign_duty/{mk}/{tk}"] = action("unassign_duty", member, task, "a")
+    for (tk, task), (yk, (ttype, sharing)) in product(GRID_TASKS.items(), GRID_TYPES.items()):
+        requests[f"change_type/{tk}/{yk}"] = action("change_type", task, ttype, sharing)
+    return requests
+
+
+def _grid_model() -> tuple[VoModel, EvalContext]:
+    m = load_model(GRID)
+    ctx = ctx_for(m, active={"Topen"})
+    for duty in (("O", "Tat", "a", 3), ("O", "Topen", "a", 2), ("M", "Topen", "a", 3), ("N", "Tb", "b", 2)):
+        apply_action(ctx, action("assign_duty", *duty))
+    adjust_reserved_capacity(m, "M", "a", 2)
+    return m, ctx
+
+
+def _grid_outcome(request: DomainAction) -> tuple[str, ...]:
+    """(class, code, message) of the error ``request`` raises on the grid
+    model, or the lines of its ``canonical_dump`` that the request took out
+    (``-``) and put in (``+``)."""
+    m, ctx = _grid_model()
+    before = canonical_dump(m)
+    try:
+        apply_action(ctx, request)
+    except VopolError as err:
+        assert canonical_dump(m) == before
+        return type(err).__name__, err.code, err.message
+    assert validate_model(m) == []
+    old, new = set(before.splitlines()), set(canonical_dump(m).splitlines())
+    return (*[f"-{line}" for line in sorted(old - new)], *[f"+{line}" for line in sorted(new - old)])
+
+
+# read before the request path was rewritten to read each record once; the
+# order of the checks is the one README "Dispatch semantics" gives
+GRID_EXPECTED = {
+    "assign_duty/unknown/unknown/open": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/unknown/negative": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/unknown/over-free": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/unknown/fits": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "unassign_duty/unknown/unknown": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/not-required/open": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/not-required/negative": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/not-required/over-free": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/not-required/fits": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "unassign_duty/unknown/not-required": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/atomic-held/open": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/atomic-held/negative": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/atomic-held/over-free": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/atomic-held/fits": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "unassign_duty/unknown/atomic-held": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/open/open": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/open/negative": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/open/over-free": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/unknown/open/fits": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "unassign_duty/unknown/open": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "assign_duty/candidate/unknown/open": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/candidate/unknown/negative": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/candidate/unknown/over-free": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/candidate/unknown/fits": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "unassign_duty/candidate/unknown": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/candidate/not-required/open": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/not-required/negative": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/not-required/over-free": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/not-required/fits": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "unassign_duty/candidate/not-required": ("UnknownDutyError", "UnknownDuty", "no duty (C, Tb, a) to unassign"),
+    "assign_duty/candidate/atomic-held/open": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/atomic-held/negative": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/atomic-held/over-free": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/atomic-held/fits": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "unassign_duty/candidate/atomic-held": ("UnknownDutyError", "UnknownDuty", "no duty (C, Tat, a) to unassign"),
+    "assign_duty/candidate/open/open": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/open/negative": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/open/over-free": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "assign_duty/candidate/open/fits": ("NotAMemberError", "NotAMember", "'C' is not a member"),
+    "unassign_duty/candidate/open": ("UnknownDutyError", "UnknownDuty", "no duty (C, Topen, a) to unassign"),
+    "assign_duty/no-capability/unknown/open": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/no-capability/unknown/negative": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/no-capability/unknown/over-free": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/no-capability/unknown/fits": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "unassign_duty/no-capability/unknown": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/no-capability/not-required/open": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/not-required/negative": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/not-required/over-free": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/not-required/fits": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "unassign_duty/no-capability/not-required": ("UnknownDutyError", "UnknownDuty", "no duty (N, Tb, a) to unassign"),
+    "assign_duty/no-capability/atomic-held/open": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/atomic-held/negative": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/atomic-held/over-free": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/atomic-held/fits": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "unassign_duty/no-capability/atomic-held": ("UnknownDutyError", "UnknownDuty", "no duty (N, Tat, a) to unassign"),
+    "assign_duty/no-capability/open/open": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/open/negative": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/open/over-free": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "assign_duty/no-capability/open/fits": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "unassign_duty/no-capability/open": ("UnknownDutyError", "UnknownDuty", "no duty (N, Topen, a) to unassign"),
+    "assign_duty/member/unknown/open": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/member/unknown/negative": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/member/unknown/over-free": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/member/unknown/fits": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "unassign_duty/member/unknown": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "assign_duty/member/not-required/open": ("CapabilityMissingError", "CapabilityMissing", "task 'Tb' does not require 'a'"),
+    "assign_duty/member/not-required/negative": ("CapabilityMissingError", "CapabilityMissing", "task 'Tb' does not require 'a'"),
+    "assign_duty/member/not-required/over-free": ("CapabilityMissingError", "CapabilityMissing", "task 'Tb' does not require 'a'"),
+    "assign_duty/member/not-required/fits": ("CapabilityMissingError", "CapabilityMissing", "task 'Tb' does not require 'a'"),
+    "unassign_duty/member/not-required": ("UnknownDutyError", "UnknownDuty", "no duty (M, Tb, a) to unassign"),
+    "assign_duty/member/atomic-held/open": ("AtomicityViolationError", "AtomicityViolation", "atomic task 'Tat' is already assigned to 'O'"),
+    "assign_duty/member/atomic-held/negative": ("AtomicityViolationError", "AtomicityViolation", "atomic task 'Tat' is already assigned to 'O'"),
+    "assign_duty/member/atomic-held/over-free": ("AtomicityViolationError", "AtomicityViolation", "atomic task 'Tat' is already assigned to 'O'"),
+    "assign_duty/member/atomic-held/fits": ("AtomicityViolationError", "AtomicityViolation", "atomic task 'Tat' is already assigned to 'O'"),
+    "unassign_duty/member/atomic-held": ("UnknownDutyError", "UnknownDuty", "no duty (M, Tat, a) to unassign"),
+    "assign_duty/member/open/open": ("-duty M Topen a=3", "-reserved M a=5", "+duty M Topen a=7", "+reserved M a=9"),
+    "assign_duty/member/open/negative": ("InvalidArgumentError", "InvalidArgument", "duty amount must be non-negative"),
+    "assign_duty/member/open/over-free": ("CapacityExceededError", "CapacityExceeded", "assigning 9 of (M, a) exceeds free capacity 5 + held 3"),
+    "assign_duty/member/open/fits": ("-duty M Topen a=3", "-reserved M a=5", "+duty M Topen a=4", "+reserved M a=6"),
+    "unassign_duty/member/open": ("-duty M Topen a=3", "+hold Topen M a=3"),
+    "change_type/unknown/atomic": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "change_type/unknown/unknown-type": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "change_type/unknown/replicable-competition": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "change_type/unknown/composable": ("UnknownTaskError", "UnknownTask", "unknown task 'nowhere'"),
+    "change_type/not-required/atomic": ("-task Tb type=Replicable requires b=2 inprocess=true", "+task Tb type=Atomic requires b=2 inprocess=true"),
+    "change_type/not-required/unknown-type": ("InvalidArgumentError", "InvalidArgument", "unknown task type 'Bogus'"),
+    "change_type/not-required/replicable-competition": ("-task Tb type=Replicable requires b=2 inprocess=true", "+task Tb type=Replicable sharing=competition requires b=2 inprocess=true"),
+    "change_type/not-required/composable": ("-task Tb type=Replicable requires b=2 inprocess=true", "+task Tb type=Composable requires b=2 inprocess=true"),
+    "change_type/atomic-held/atomic": (),
+    "change_type/atomic-held/unknown-type": ("InvalidArgumentError", "InvalidArgument", "unknown task type 'Bogus'"),
+    "change_type/atomic-held/replicable-competition": ("-task Tat type=Atomic requires a=3 inprocess=true", "+task Tat type=Replicable sharing=competition requires a=3 inprocess=true"),
+    "change_type/atomic-held/composable": ("-task Tat type=Atomic requires a=3 inprocess=true", "+task Tat type=Composable requires a=3 inprocess=true"),
+    "change_type/open/atomic": ("AtomicityViolationError", "AtomicityViolation", "cannot make 'Topen' atomic: duties from 2 members"),
+    "change_type/open/unknown-type": ("InvalidArgumentError", "InvalidArgument", "unknown task type 'Bogus'"),
+    "change_type/open/replicable-competition": ("-task Topen type=Replicable requires a=12 inprocess=true", "+task Topen type=Replicable sharing=competition requires a=12 inprocess=true"),
+    "change_type/open/composable": ("-task Topen type=Replicable requires a=12 inprocess=true", "+task Topen type=Composable requires a=12 inprocess=true"),
+}
+
+
+def test_each_duty_and_type_request_gets_its_pinned_outcome():
+    assert {key: _grid_outcome(request) for key, request in _grid_requests().items()} == GRID_EXPECTED
+
+
+def test_can_run_counts_the_duties_of_current_members_only():
+    m, _ = _grid_model()
+    assert {task: can_run(m, task) for task in ("Tb", "Tat", "Topen")} == {"Tb": True, "Tat": True, "Topen": False}
+    _move_member(m, "O", admit=False)  # O's duties stay, as no action leaves them
+    assert {task: can_run(m, task) for task in ("Tb", "Tat", "Topen")} == {"Tb": True, "Tat": False, "Topen": False}
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        pytest.param("assign_duty", ("M", "Topen", "a"), "assign_duty needs 4 argument(s), open ones as None, got 3", id="too-few"),
+        pytest.param("add_member", ("C", "M"), "add_member needs 1 argument(s), open ones as None, got 2", id="too-many"),
+        pytest.param("assign_duty", ("M", "Topen", "a", True), "assign_duty takes a int or None last, got True", id="bool-amount"),
+        pytest.param("assign_duty", ("M", "Topen", "a", "3"), "assign_duty takes a int or None last, got '3'", id="str-amount"),
+        pytest.param("assign_duty", ("M", "Topen", "a", int("1" * 641)), "assign_duty amount must have at most 640 digits", id="641-digit-amount"),
+        pytest.param("add_member", (5,), "add_member takes names as str, got 5", id="int-name"),
+        pytest.param("assign_duty", ("M", None, "a", 1), "assign_duty takes names as str, got None", id="none-task"),
+        pytest.param("change_type", ("Topen", None, None), "change_type takes names as str, got None", id="none-type"),
+        pytest.param("change_type", ("Topen", "Replicable", 7), "change_type takes a str or None last, got 7", id="int-sharing"),
+    ],
+)
+def test_a_malformed_action_is_refused_where_it_is_built(name, args, message):
+    with pytest.raises(InvalidArgumentError) as caught:
+        DomainAction(name, args)
+    assert (caught.value.code, caught.value.message) == ("InvalidArgument", message)
+
+
+def test_an_unknown_action_name_takes_any_arguments(visitus):
+    odd = DomainAction("frobnicate", (1, None, True))
+    assert odd.writes == {}
+    with pytest.raises(UnknownActionError) as caught:
+        apply_action(ctx_for(visitus), odd)
+    assert caught.value.message == "unknown action 'frobnicate'"

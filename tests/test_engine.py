@@ -9,7 +9,7 @@ import vopol.engine
 from vopol.domain import VOCABULARY, DomainAction, DomainTrigger
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
 from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, quoted
-from vopol.model import adjust_reserved_capacity, canonical_dump, commit, journal_mark, load_model, validate_model
+from vopol.model import adjust_reserved_capacity, canonical_dump, commit, journal_mark, load_model, undo, validate_model
 from vopol.policy.ast import ActionCall, ActionOp, GroupNode, Ident, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf
 from vopol.policy.parser import parse_policy_document
 from vopol.state import Status
@@ -263,6 +263,25 @@ def test_a_direct_dispatch_commits_the_journal_it_opened_and_reads_it_from_its_s
     assert engine.model._journal is not None
     commit(engine.model)
     assert engine.handle_event(ev("complete", "BookFlight"))[-1].get("tasks") == "BookFlight:Completed,HotelProv:Ready"
+
+
+def test_a_state_record_after_a_callers_undo_shows_the_model():
+    # the caller rolls back a direct dispatch that admitted newHotel; the
+    # next STATE record is derived again, as the naive engine derives each
+    policies = parse_policy_document("policy Admit appliesTo HotelProv when task_entry() do add_member(newHotel)\n")
+    engine, oracle = Engine(load_model(VISITUS), policies), naive.NaiveEngine(load_model(VISITUS), policies)
+    for cut in (commit, None):  # the caller commits the journal, or leaves it open
+        mark = journal_mark(engine.model)
+        engine.dispatch_trigger(DomainTrigger("task_entry", "HotelProv"))
+        assert "newHotel" in engine.model.members
+        undo(engine.model, mark)
+        if cut:
+            cut(engine.model)
+        oracle.dispatch_trigger(DomainTrigger("task_entry", "HotelProv"))  # so the records keep one numbering
+        oracle.model, oracle.instance = load_model(VISITUS), init_instance(load_model(VISITUS))
+    records = engine.handle_event(ev("activate", "BookFlight"))
+    assert records[-1].get("members") == "Hotel" and sorted(engine.model.members) == ["Hotel"]
+    assert records == oracle.handle_event(ev("activate", "BookFlight"))
 
 
 def test_unknown_scenario_event_is_error_record():
