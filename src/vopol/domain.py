@@ -44,13 +44,13 @@ from .model import (
     TaskDef,
     TaskType,
     VoModel,
+    _TASK_TYPES,
     _hold,
     _move_member,
     _put_duty,
     _put_task,
     _reserve,
     commit,
-    free_capacity,
     insert_task_node,
     journal_mark,
     remove_task_node,
@@ -100,9 +100,6 @@ _TARGETS = {
 _OPEN_LAST = {"assign_duty": int, "change_type": str}
 # each action's full arity and the type of an open last argument
 _SHAPES = {name: (hi, _OPEN_LAST.get(name)) for name, (_, hi) in VOCABULARY.actions.items()}
-
-# a task type by its name, as TaskType(name) finds it
-_TASK_TYPES = {t.value: t for t in TaskType}
 
 _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9  # members without a bid sort after any real offer
@@ -491,16 +488,18 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
         member = _name_arg(ctx, args[0], "has_capacity member")
         capability = _name_arg(ctx, args[1], "has_capacity capability")
         amount = _amount_arg(ctx, args[2], "has_capacity amount")
-        if m.anyone(member) is None:
+        who = m.anyone(member)
+        if who is None:
             raise UnresolvedIdentifierError(f"unknown member {member!r}", member)
-        free = free_capacity(m, member, capability)
-        return free is not None and free >= amount
+        declared = who.capabilities.get(capability)  # the free units are declared - reserved
+        return declared is not None and declared - m._reserved.get((member, capability), 0) >= amount
     # has_capability: declaration is required, reservations are irrelevant
     member = _name_arg(ctx, args[0], "has_capability member")
     capability = _name_arg(ctx, args[1], "has_capability capability")
-    if m.anyone(member) is None:
+    who = m.anyone(member)
+    if who is None:
         raise UnresolvedIdentifierError(f"unknown member {member!r}", member)
-    return m.declared(member, capability) is not None
+    return who.capabilities.get(capability) is not None
 
 
 # ---------------------------------------------------------------------------

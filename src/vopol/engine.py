@@ -82,6 +82,12 @@ from .trace import TraceRecord
 
 BOOTSTRAP_POLICY = "@bootstrap"
 
+# the statuses as plain module globals, and the STATE text of each: either
+# read costs a fraction of an Enum member or ``value`` lookup
+_PENDING, _READY, _ACTIVE = Status.PENDING, Status.READY, Status.ACTIVE
+_COMPLETED, _FAILED = Status.COMPLETED, Status.FAILED
+_STATUS_TEXT = {status: status.value for status in Status}
+
 
 @dataclass(frozen=True)
 class ScenarioEvent:
@@ -121,10 +127,11 @@ def read_text(path: Path) -> str:
 def _eligible(m: VoModel, s: InstanceState, task: str) -> bool:
     """The readiness rule: every in-process predecessor of ``task`` is
     completed and every input of ``task`` has arrived."""
-    if not m.tasks[task].inputs <= s.available_data:
+    tasks = m._tasks
+    if not tasks[task].inputs <= s.available_data:
         return False
     for p in m.predecessors(task):
-        if s.status.get(p) is not Status.COMPLETED and m.tasks[p].in_process:
+        if s.status.get(p) is not _COMPLETED and tasks[p].in_process:
             return False
     return True
 
@@ -133,7 +140,7 @@ def ready_set(m: VoModel, s: InstanceState) -> set[str]:
     """Pending tasks whose in-process predecessors are all completed and
     whose inputs have arrived."""
     return {
-        t for t, status in s.status.items() if status is Status.PENDING and _eligible(m, s, t)
+        t for t, status in s.status.items() if status is _PENDING and _eligible(m, s, t)
     }
 
 
@@ -144,9 +151,9 @@ def init_instance(m: VoModel) -> InstanceState:
     if problems:
         raise InvalidModelError(f"model is invalid: {problems[0].message}", m.name)
     data = frozenset(f.item for f in m.dataflows if f.source == CUSTOMER)
-    pending = InstanceState(dict.fromkeys(m.in_process_tasks(), Status.PENDING), data)
+    pending = InstanceState(dict.fromkeys(m.in_process_tasks(), _PENDING), data)
     ready = ready_set(m, pending)
-    return InstanceState({t: Status.READY if t in ready else s for t, s in pending.status.items()}, data)
+    return InstanceState({t: _READY if t in ready else s for t, s in pending.status.items()}, data)
 
 
 def _check_body(policy: Policy):
@@ -255,15 +262,22 @@ class Engine:
         its start. The engine does so when it starts, and when it finds the
         journal shorter than the part it has read: a caller's commit or undo
         cut it, and may have rolled back writes the fields show."""
-        self._order = sorted(self.instance.status)
-        self._fragments = [f"{t}:{self.instance.status[t].value}" for t in self._order]
+        statuses = self.instance.status
+        self._order = sorted(statuses)
+        self._fragments = [f"{t}:{_STATUS_TEXT[statuses[t]]}" for t in self._order]
         self._data_text = ",".join(sorted(self.instance.available_data))
         self._members_text = ",".join(sorted(self.model.members))
-        self._read = 0  # how far _emit_state has read the open journal
+        self._read = 0  # how far _read_journal has read the open journal
 
     def _emit_state(self):
         """Read the journal on from where the last STATE record stopped,
-        then trace the STATE record.
+        then trace the STATE record."""
+        self._read_journal()
+        tasks = ",".join(self._fragments)
+        self._emit("STATE", ("tasks", tasks), ("data", self._data_text), ("members", self._members_text))
+
+    def _read_journal(self):
+        """Read the open journal on from where the reader stopped.
 
         A written status renews its task's STATE fragment, and a written
         data or members slot its field. A task whose predecessor bucket or
@@ -288,8 +302,8 @@ class Engine:
                     if status is None:
                         del order[i], fragments[i]
                         continue
-                    fragments[i] = f"{key}:{status.value}"
-                    if status is Status.COMPLETED:
+                    fragments[i] = f"{key}:{_STATUS_TEXT[status]}"
+                    if status is _COMPLETED:
                         recheck |= m.successors(key)
                 elif table is preds:
                     recheck.add(key)
@@ -306,13 +320,11 @@ class Engine:
                     self._members_text = ",".join(sorted(members))
             self._read = len(journal)
             for task in sorted(recheck):
-                current = statuses.get(task, Status.PENDING)
+                current = statuses.get(task, _PENDING)
                 if not catalogue[task].in_process:
                     self._set_status(task, None)
-                elif current is Status.PENDING or current is Status.READY:
-                    self._set_status(task, Status.READY if _eligible(m, instance, task) else Status.PENDING)
-        tasks = ",".join(fragments)
-        self._emit("STATE", ("tasks", tasks), ("data", self._data_text), ("members", self._members_text))
+                elif current is _PENDING or current is _READY:
+                    self._set_status(task, _READY if _eligible(m, instance, task) else _PENDING)
 
     def _emit_error(self, err: VopolError, detail: str | None = None):
         self._emit("ERROR", ("error", err.code), ("detail", detail or err.message))
@@ -424,8 +436,8 @@ class Engine:
                 fields = _action_fields(BOOTSTRAP_POLICY, "bootstrap", (trig.task,))
                 self._emit("ACTION-FAILED", *fields, ("error", err.code), ("detail", err.message))
                 bootstrap_failed = True
-                if self.instance.status.get(trig.task) is Status.ACTIVE:
-                    self._set_status(trig.task, Status.FAILED)
+                if self.instance.status.get(trig.task) is _ACTIVE:
+                    self._set_status(trig.task, _FAILED)
                     _free_holds(self.model, trig.task)
             else:
                 for action in performed:
@@ -444,6 +456,10 @@ class Engine:
 
     def handle_event(self, ev: ScenarioEvent) -> list[TraceRecord]:
         mark = len(self.records)
+        # a journal open before the event holds writes a caller made since
+        # the last one; they are read before the commit below, whether or
+        # not the event traces a STATE record
+        journaled = self.model._journal is not None
         kind, args = ev.kind, ev.args
         wanted = EVENT_ARITY.get(kind) if isinstance(kind, str) else None
         if wanted is None:
@@ -458,6 +474,8 @@ class Engine:
             self._reject(ev, InvalidArgumentError(f"{kind} takes names as str, got {quoted(odd)}", kind))
         else:
             getattr(self, "_ev_" + kind.replace("-", "_"))(ev)
+        if journaled:
+            self._read_journal()
         commit(self.model)  # the journal holds one event's writes at most
         self._read = 0
         return self.records[mark:]
@@ -479,7 +497,7 @@ class Engine:
         self._emit("EVENT", ("event", ev.kind), ("task", task))
         current = self.instance.status.get(task)
         if current is wanted:
-            if new is not Status.ACTIVE:
+            if new is not _ACTIVE:
                 _free_holds(self.model, task)
             if journal_mark(self.model) < self._read:
                 self._restate()
@@ -491,12 +509,12 @@ class Engine:
         return None
 
     def _ev_activate(self, ev: ScenarioEvent):
-        task = self._task_event(ev, Status.READY, Status.ACTIVE)
+        task = self._task_event(ev, _READY, _ACTIVE)
         if task is not None:
             self.dispatch_trigger(DomainTrigger("task_entry", task))
 
     def _ev_complete(self, ev: ScenarioEvent):
-        task = self._task_event(ev, Status.ACTIVE, Status.COMPLETED)
+        task = self._task_event(ev, _ACTIVE, _COMPLETED)
         if task is not None:
             data = self.instance.available_data
             arrived = {f.item for f in self.model.flows_from(task)} - data
@@ -505,7 +523,7 @@ class Engine:
             self.dispatch_trigger(DomainTrigger("task_exit", task))
 
     def _ev_fail(self, ev: ScenarioEvent):
-        task = self._task_event(ev, Status.ACTIVE, Status.FAILED)
+        task = self._task_event(ev, _ACTIVE, _FAILED)
         if task is not None:
             self.dispatch_trigger(DomainTrigger("task_failure", task))
 

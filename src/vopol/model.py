@@ -15,25 +15,29 @@ private containers that each clone owns alone.
 
 Only this module writes the containers; each public one, such as
 ``members``, ``reserved``, ``duties`` or ``dataflows``, is a read-only
-view. Every write, from :func:`load_model`'s first row on, goes through
-:func:`_write`. From the first :func:`journal_mark` on, it journals the
-old value of the slot it overwrites, so that :func:`undo` can roll the
-model back to a mark, until :func:`commit` drops the journal; the
-engine also reads it to learn what changed. ``_put_duty`` keeps each
-duty key filed by task and by member, as ``_link`` keeps the control
-graph. ``dataflows`` is derived from the flows filed by target;
-``_add_flows`` also files each flow by task source and counts it by
-(item, source), with the sources of each item, so a flow write or a
-task's completion reads only the flows it touches. All three
-write every index bucket through the one bucket writer ``_file``:
-``_put_duty`` takes a batch of keys to set or drop, ``_link`` and
-``_add_flows`` a batch to add or to remove, and each bucket the batch
-touches is written once.
+view. :func:`load_model` reads each line once: it cuts the comment,
+splits the rest and parses the row in one pass over its clauses, finding
+member kinds and task types by name in a table and telling a repeated
+attribute by the value it already set. The rows go into plain tables,
+and the model is made from them after the last row. Every write to a
+model from then on goes through :func:`_write`. From the first
+:func:`journal_mark` on, it journals the old value of the slot it
+overwrites, so that :func:`undo` can roll the model back to a mark,
+until :func:`commit` drops the journal; the engine also reads it to
+learn what changed. ``_put_duty`` keeps each duty key filed by task and
+by member, as ``_link`` keeps the control graph. ``dataflows`` is
+derived from the flows filed by target; ``_add_flows`` also files each
+flow by task source and counts it by (item, source), with the sources of
+each item, so a flow write or a task's completion reads only the flows
+it touches. All three write every index bucket through the one bucket
+writer ``_file``: ``_put_duty`` takes a batch of keys to set or drop,
+``_link`` and ``_add_flows`` a batch to add or to remove, and each
+bucket the batch touches is written once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Container, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
@@ -283,10 +287,18 @@ def _file(m: VoModel, table: dict, pairs: Iterable[tuple[object, object]], add: 
     bucket is written once, and one left empty is dropped."""
     changes: dict[object, list] = {}
     for key, value in pairs:
-        changes.setdefault(key, []).append(value)
+        values = changes.get(key)
+        if values is None:
+            changes[key] = [value]
+        else:
+            values.append(value)
     for key, values in changes.items():
-        bucket = table.get(key, frozenset())
-        _write(m, table, key, (bucket.union(values) if add else bucket.difference(values)) or _ABSENT)
+        bucket = table.get(key)
+        if bucket is None:  # a new bucket, or nothing to take out of
+            new = frozenset(values) if add else None
+        else:
+            new = bucket.union(values) if add else bucket.difference(values)
+        _write(m, table, key, new or _ABSENT)
 
 
 def _link(m: VoModel, edges: Collection[tuple[str, str]], add: bool = True):
@@ -368,186 +380,224 @@ def _sorted_duties(items: Iterable[tuple[tuple[str, str, str], int]]) -> list[Du
 # ---------------------------------------------------------------------------
 
 
-def _int(tok: str, line_no: int, what: str) -> int:
-    value = parse_int(tok)
-    if value is None:
-        raise ParseError(f"{what} must be an integer, got {quoted(tok)}", line_no, 1)
-    return value
+# a member kind and a task type by name, as MemberKind(name) and
+# TaskType(name) find them
+_MEMBER_KINDS = {k.value: k for k in MemberKind}
+_TASK_TYPES = {t.value: t for t in TaskType}
 
 
-def _kv(tok: str, line_no: int) -> tuple[str, str]:
-    if "=" not in tok:
-        raise ParseError(f"expected key=value, got {quoted(tok)}", line_no, 1)
-    key, _, value = tok.partition("=")
-    return key, value
+def _not_int(what: str, tok: str, line_no: int) -> ParseError:
+    return ParseError(f"{what} must be an integer, got {quoted(tok)}", line_no, 1)
 
 
-def _fresh(given: Container[str], name: str, what: str, line_no: int):
-    """Refuse ``name`` with a :class:`ParseError` when ``given`` holds it:
-    a row or file that repeats a key must not let its last value win."""
-    if name in given:
-        raise ParseError(f"repeated {what} {quoted(name)}", line_no, 1)
+def _not_kv(tok: str, line_no: int) -> ParseError:
+    return ParseError(f"expected key=value, got {quoted(tok)}", line_no, 1)
+
+
+def _repeated(what: str, name: str, line_no: int) -> ParseError:
+    """A row or file that repeats a key must not let its last value win."""
+    return ParseError(f"repeated {what} {quoted(name)}", line_no, 1)
 
 
 def _parse_member(tokens: list[str], line_no: int) -> Member:
-    if len(tokens) < 2:
+    n = len(tokens)
+    if n < 2:
         raise ParseError("member row needs an id and kind=", line_no, 1)
     mid = tokens[1]
-    kind: MemberKind | None = None
+    kind: MemberKind | None = None  # set at most once: a repeated kind= is refused
     caps: dict[str, int] = {}
     costs: dict[str, int] = {}
-    given: set[str] = set()  # the attributes of the row so far
     i = 2
-    while i < len(tokens):
+    while i < n:
         tok = tokens[i]
+        i += 1
         if tok == "cap":
-            if i + 1 >= len(tokens):
+            if i == n:
                 raise ParseError("cap clause needs name=amount", line_no, 1)
-            cap_name, cap_val = _kv(tokens[i + 1], line_no)
-            _fresh(caps, cap_name, "cap", line_no)
-            caps[cap_name] = _int(cap_val, line_no, f"capacity of {cap_name!r}")
-            i += 2
-            if i < len(tokens) and tokens[i].startswith("cost="):
-                costs[cap_name] = _int(tokens[i][5:], line_no, "cost")
+            cap, eq, text = tokens[i].partition("=")
+            if not eq:
+                raise _not_kv(tokens[i], line_no)
+            if cap in caps:
+                raise _repeated("cap", cap, line_no)
+            amount = parse_int(text)
+            if amount is None:
+                raise _not_int(f"capacity of {cap!r}", text, line_no)
+            caps[cap] = amount
+            i += 1
+            if i < n and tokens[i].startswith("cost="):
+                text = tokens[i][5:]
+                amount = parse_int(text)
+                if amount is None:
+                    raise _not_int("cost", text, line_no)
+                costs[cap] = amount
                 i += 1
             continue
-        key, value = _kv(tok, line_no)
-        _fresh(given, key, "member attribute", line_no)
-        given.add(key)
-        if key == "kind":
-            try:
-                kind = MemberKind(value)
-            except ValueError:
-                raise ParseError(f"unknown member kind {value!r}", line_no, 1) from None
-        else:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise _not_kv(tok, line_no)
+        if key != "kind":
             raise ParseError(f"unknown member attribute {key!r}", line_no, 1)
-        i += 1
+        if kind is not None:
+            raise _repeated("member attribute", key, line_no)
+        kind = _MEMBER_KINDS.get(value)
+        if kind is None:
+            raise ParseError(f"unknown member kind {value!r}", line_no, 1)
     if kind is None:
         raise ParseError(f"member {mid!r} is missing kind=", line_no, 1)
     return Member(mid, kind, caps, costs)
 
 
 def _parse_task(tokens: list[str], line_no: int) -> TaskDef:
-    if len(tokens) < 2:
+    n = len(tokens)
+    if n < 2:
         raise ParseError("task row needs an id", line_no, 1)
     tid = tokens[1]
+    # each attribute is set at most once: a repeated one is refused
     ttype: TaskType | None = None
-    sharing = None
+    sharing: str | None = None
+    inprocess: str | None = None
     required: dict[str, int] = {}
     inputs: set[str] = set()
-    in_process = True
-    given: set[str] = set()  # the attributes of the row so far
     i = 2
-    while i < len(tokens):
+    while i < n:
         tok = tokens[i]
+        i += 1
         if tok == "requires":
-            if i + 1 >= len(tokens):
+            if i == n:
                 raise ParseError("requires clause needs cap=amount", line_no, 1)
-            cap_name, cap_val = _kv(tokens[i + 1], line_no)
-            _fresh(required, cap_name, "requirement", line_no)
-            required[cap_name] = _int(cap_val, line_no, f"requirement {cap_name!r}")
-            i += 2
+            cap, eq, text = tokens[i].partition("=")
+            if not eq:
+                raise _not_kv(tokens[i], line_no)
+            if cap in required:
+                raise _repeated("requirement", cap, line_no)
+            amount = parse_int(text)
+            if amount is None:
+                raise _not_int(f"requirement {cap!r}", text, line_no)
+            required[cap] = amount
+            i += 1
             continue
         if tok == "input":
-            if i + 1 >= len(tokens):
+            if i == n:
                 raise ParseError("input clause needs an item name", line_no, 1)
-            inputs.add(tokens[i + 1])
-            i += 2
+            inputs.add(tokens[i])
+            i += 1
             continue
-        key, value = _kv(tok, line_no)
-        _fresh(given, key, "task attribute", line_no)
-        given.add(key)
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise _not_kv(tok, line_no)
         if key == "type":
-            try:
-                ttype = TaskType(value)
-            except ValueError:
-                raise ParseError(f"unknown task type {value!r}", line_no, 1) from None
+            if ttype is not None:
+                raise _repeated("task attribute", key, line_no)
+            ttype = _TASK_TYPES.get(value)
+            if ttype is None:
+                raise ParseError(f"unknown task type {value!r}", line_no, 1)
         elif key == "sharing":
+            if sharing is not None:
+                raise _repeated("task attribute", key, line_no)
             sharing = value
         elif key == "inprocess":
-            if value not in ("true", "false"):
+            if inprocess is not None:
+                raise _repeated("task attribute", key, line_no)
+            if value != "true" and value != "false":
                 raise ParseError(f"inprocess must be true or false, got {value!r}", line_no, 1)
-            in_process = value == "true"
+            inprocess = value
         else:
             raise ParseError(f"unknown task attribute {key!r}", line_no, 1)
-        i += 1
     if ttype is None:
         raise ParseError(f"task {tid!r} is missing type=", line_no, 1)
-    return TaskDef(tid, ttype, sharing, required, frozenset(inputs), in_process)
+    return TaskDef(tid, ttype, sharing, required, frozenset(inputs), inprocess != "false")
 
 
 def load_model(text: str) -> VoModel:
     """Parse a model file. Raises :class:`ParseError` on malformed rows and
     :class:`DanglingRefError` when a row references an undefined id."""
-    model: VoModel | None = None
-    pending_edges: list[tuple[int, str, str]] = []
-    pending_flows: list[tuple[int, str, str, str]] = []
+    name: str | None = None
+    params: dict[str, int] = {}
+    members: dict[str, Member] = {}
+    registry: dict[str, Member] = {}
+    tasks: dict[str, TaskDef] = {}
     resources: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    edges: list[tuple[str, str]] = []
+    edge_lines: list[int] = []
+    pending_flows: list[tuple[int, str, str, str]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         tokens = line.split()
+        if not tokens:
+            continue
         row = tokens[0]
-        if model is None:
+        if name is None:
             if row != "vo":
                 raise ParseError("model file must start with a vo row", line_no, 1)
             if len(tokens) != 2:
                 raise ParseError("vo row needs exactly one name", line_no, 1)
-            model = VoModel(name=tokens[1])
-            continue
-        if row == "vo":
-            raise ParseError("duplicate vo row", line_no, 1)
-        if row == "param":
-            if len(tokens) != 3:
-                raise ParseError("param row needs a name and a value", line_no, 1)
-            _fresh(model._params, tokens[1], "param", line_no)
-            _write(model, model._params, tokens[1], _int(tokens[2], line_no, f"param {tokens[1]!r}"))
-        elif row in ("member", "candidate"):
-            who = _parse_member(tokens, line_no)
-            if model.anyone(who.id) is not None:
-                raise ParseError(f"duplicate member id {who.id!r}", line_no, 1)
-            _write(model, model._members if row == "member" else model._registry, who.id, who)
-        elif row == "task":
-            task = _parse_task(tokens, line_no)
-            if task.id in model._tasks:
-                raise ParseError(f"duplicate task id {task.id!r}", line_no, 1)
-            _put_task(model, task)
+            name = tokens[1]
         elif row == "edge":
             if len(tokens) != 3:
                 raise ParseError("edge row needs from and to", line_no, 1)
-            pending_edges.append((line_no, tokens[1], tokens[2]))
+            edges.append((tokens[1], tokens[2]))
+            edge_lines.append(line_no)
+        elif row == "task":
+            task = _parse_task(tokens, line_no)
+            if task.id in tasks:
+                raise ParseError(f"duplicate task id {task.id!r}", line_no, 1)
+            tasks[task.id] = task
+        elif row == "member" or row == "candidate":
+            who = _parse_member(tokens, line_no)
+            if who.id in members or who.id in registry:
+                raise ParseError(f"duplicate member id {who.id!r}", line_no, 1)
+            (members if row == "member" else registry)[who.id] = who
+        elif row == "param":
+            if len(tokens) != 3:
+                raise ParseError("param row needs a name and a value", line_no, 1)
+            if tokens[1] in params:
+                raise _repeated("param", tokens[1], line_no)
+            value = parse_int(tokens[2])
+            if value is None:
+                raise _not_int(f"param {tokens[1]!r}", tokens[2], line_no)
+            params[tokens[1]] = value
         elif row == "dataflow":
             if len(tokens) != 4:
                 raise ParseError("dataflow row needs item, from= and to=", line_no, 1)
-            attrs = dict(_kv(tok, line_no) for tok in tokens[2:])
-            if set(attrs) != {"from", "to"}:
+            attrs = {}
+            for tok in tokens[2:]:
+                key, eq, value = tok.partition("=")
+                if not eq:
+                    raise _not_kv(tok, line_no)
+                attrs[key] = value
+            if attrs.keys() != {"from", "to"}:
                 raise ParseError("dataflow row needs from= and to=", line_no, 1)
             pending_flows.append((line_no, tokens[1], attrs["from"], attrs["to"]))
         elif row == "resource":
             if len(tokens) != 2:
                 raise ParseError("resource row needs an id", line_no, 1)
             resources.add(tokens[1])
+        elif row == "vo":
+            raise ParseError("duplicate vo row", line_no, 1)
         else:
             raise ParseError(f"unknown row kind {row!r}", line_no, 1)
-    if model is None:
+    if name is None:
         raise ParseError("empty model file", 1, 1)
-    model._vbe_resources = frozenset(resources)
-    for line_no, src, dst in pending_edges:
-        for tid in (src, dst):
-            if tid not in model.tasks:
-                raise DanglingRefError(f"edge references undefined task {tid!r}", line_no, 1)
-    _link(model, [(src, dst) for _, src, dst in pending_edges])
+    for line_no, (src, dst) in zip(edge_lines, edges):
+        if src not in tasks:
+            raise DanglingRefError(f"edge references undefined task {src!r}", line_no, 1)
+        if dst not in tasks:
+            raise DanglingRefError(f"edge references undefined task {dst!r}", line_no, 1)
+    model = VoModel(
+        name, _members=members, _registry=registry, _tasks=tasks, _vbe_resources=frozenset(resources), _params=params
+    )
+    _link(model, edges)
     rows: dict[tuple[str, str, str], None] = {}  # identical rows load as one flow
     for line_no, item, source, target in pending_flows:
-        if source != CUSTOMER and source not in model.tasks:
+        if source != CUSTOMER and source not in tasks:
             raise DanglingRefError(f"dataflow source {source!r} is not a task", line_no, 1)
-        if target not in model.tasks:
+        if target not in tasks:
             raise DanglingRefError(f"dataflow target {target!r} is not a task", line_no, 1)
         rows[item, source, target] = None
     _add_flows(model, [DataFlow(*row) for row in rows])
     for target, into in model._flows_to.items():
-        task = model._tasks[target]
+        task = tasks[target]
         _put_task(model, replace(task, inputs=task.inputs | {f.item for f in into}))
     return model
 
@@ -557,15 +607,17 @@ def load_model(text: str) -> VoModel:
 # ---------------------------------------------------------------------------
 
 
-def _acyclic(m: VoModel, tasks: list[str]) -> bool:
+def _acyclic(m: VoModel, tasks: Collection[str]) -> bool:
     """Kahn's algorithm: true iff every task can be taken off in
     topological order. Every edge of ``m`` must join two of ``tasks``."""
-    indeg = {t: len(m.predecessors(t)) for t in tasks}
+    preds, succs = m._preds, m._succs
+    indeg = {t: len(preds.get(t, ())) for t in tasks}
     queue = [t for t, d in indeg.items() if d == 0]
     for node in queue:  # the queue grows while it is read
-        for s in m.successors(node):
-            indeg[s] -= 1
-            if indeg[s] == 0:
+        for s in succs.get(node, ()):
+            left = indeg[s] - 1
+            indeg[s] = left
+            if left == 0:
                 queue.append(s)
     return len(queue) == len(tasks)
 
@@ -577,28 +629,31 @@ def validate_model(m: VoModel) -> list[Diagnostic]:
     def bad(code: str, message: str, subject: str):
         out.append(Diagnostic(code=code, message=message, subject=subject))
 
-    overlap = sorted(set(m.members) & set(m.registry))
-    for mid in overlap:
+    for mid in sorted(m._members.keys() & m._registry.keys()):
         bad("DuplicateId", f"id {mid!r} is both a member and a registry candidate", mid)
-    for who in list(m.members.values()) + list(m.registry.values()):
-        for cap, amount in sorted(who.capabilities.items()):
-            if amount < 0:
-                bad("NegativeCapacity", f"{who.id}: declared capacity {cap}={amount} is negative", who.id)
+    for population in (m._members, m._registry):
+        for who in population.values():
+            caps = who.capabilities
+            if caps and min(caps.values()) < 0:  # sorted only to order the diagnostics
+                for cap, amount in sorted(caps.items()):
+                    if amount < 0:
+                        bad("NegativeCapacity", f"{who.id}: declared capacity {cap}={amount} is negative", who.id)
 
-    in_process = m.in_process_tasks()
-    in_process_set = set(in_process)
+    in_process = {t for t, d in m._tasks.items() if d.in_process}
+    edge_problems = len(out)
     for p, s in sorted(m.control_edges):
         for tid in (p, s):
-            if tid not in m.tasks:
+            if tid in in_process:
+                continue
+            if tid not in m._tasks:
                 bad("DanglingEdge", f"edge ({p} -> {s}) references undefined task {tid!r}", tid)
-            elif tid not in in_process_set:
+            else:
                 bad("EdgeOutsideProcess", f"edge ({p} -> {s}) touches catalogue-only task {tid!r}", tid)
 
     # An acyclic graph also satisfies the entry/exit rule: walking back
     # (or forward) from any task must stop, and it can only stop at an
     # entry (or exit) task, so no separate reachability check is needed.
-    edges_ok = not any(d.code in ("DanglingEdge", "EdgeOutsideProcess") for d in out)
-    if edges_ok and not _acyclic(m, in_process):
+    if len(out) == edge_problems and not _acyclic(m, in_process):
         bad("CycleError", "control graph contains a cycle", m.name)
 
     for flow in sorted(m.dataflows, key=lambda f: (f.item, f.source, f.target)):
@@ -780,9 +835,10 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
         raise InvalidArgumentError(f"delta must be an int, got {delta!r}", member)
     if too_long(delta):
         raise InvalidArgumentError(f"delta must have at most {MAX_NUMBER_DIGITS} digits", member)
-    declared = m.declared(member, capability)
-    if m.anyone(member) is None:
+    who = m.anyone(member)
+    if who is None:
         raise UnknownMemberError(f"unknown member {member!r}", member)
+    declared = who.capabilities.get(capability)
     if declared is None:
         raise CapabilityMissingError(
             f"{member!r} declares no capability {capability!r}", capability
@@ -813,9 +869,10 @@ def adjust_reserved_capacity(m: VoModel, member: str, capability: str, delta: in
 def free_capacity(m: VoModel, member: str, capability: str) -> int | None:
     """Declared minus reserved; ``None`` when the capability is not
     declared at all (distinguishable from declared-but-exhausted)."""
-    if m.anyone(member) is None:
+    who = m.anyone(member)
+    if who is None:
         raise UnknownMemberError(f"unknown member {member!r}", member)
-    declared = m.declared(member, capability)
+    declared = who.capabilities.get(capability)
     if declared is None:
         return None
     return declared - m._reserved.get((member, capability), 0)

@@ -20,11 +20,15 @@ as identifiers. A NUMBER has at most :data:`MAX_NUMBER_DIGITS` digits.
 
 One compiled regular expression scans the text, one token (after any
 blanks) per match, into four flat lists: the kind, value, line and column
-of each token. A stray character or a malformed string goes to a slow
-path that names the error. The parser walks the lists by index. An error
-points at its token's line and column; a column counts characters from 1
-and a comment does not advance it, so the end of input after a trailing
-comment sits at the comment's column.
+of each token. Each token class is a numbered group, the most common
+first; a name or punctuation token is looked up once in the table of the
+tokens that are their own kind (the keywords and punctuation), and any
+other name is an IDENT. A stray character or a malformed string goes to
+a slow path that names the error. The parser walks the lists by index
+and reads a call's arguments in place. An error points at its token's
+line and column; a column counts characters from 1 and a comment does
+not advance it, so the end of input after a trailing comment sits at
+the comment's column.
 """
 
 from __future__ import annotations
@@ -63,23 +67,27 @@ KEYWORDS = frozenset(
     + list(GROUP_OPS)
 )
 
-# One alternative per token class, tried in this order at each offset
-# after any blanks. A string matches only when it is well formed; "bad"
-# takes any other character, and _scan_error says what is wrong there.
+# One group per token class, tried in this order at each offset after any
+# blanks. The first five begin with distinct characters, so their order
+# does not change what matches, and the most common come first. A string
+# matches only when it is well formed; the last group takes any other
+# character, and _scan_error says what is wrong there.
 _SCAN = re.compile(
     r"""[ \t\r]*
     (?:
-        (?P<newline>\n)
-      | (?P<comment>\#[^\n]*)
-      | (?P<punct>[(),])
-      | (?P<NUMBER>[0-9]+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<STRING>"(?:[^"\\\n]|\\["\\])*")
-      | (?P<bad>[^ \t\r])
+        ([A-Za-z_][A-Za-z0-9_]*|[(),])    # 1: a name or punctuation
+      | (\n)                              # 2: a line break
+      | ([0-9]+)                          # 3: NUMBER
+      | ("(?:[^"\\\n]|\\["\\])*")         # 4: STRING
+      | (\#[^\n]*)                        # 5: a comment, to the end of its line
+      | ([^ \t\r])                        # 6: any other character
     )""",
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
+_NAME, _NEWLINE, _NUMBER, _STRING, _COMMENT = 1, 2, 3, 4, 5
 _ESCAPE = re.compile(r"\\(.)")
+# a keyword or punctuation token is its own kind; any other name is an IDENT
+_OWN_KIND = {word: word for word in (*KEYWORDS, "(", ")", ",")}
 
 
 @dataclass(frozen=True)
@@ -110,34 +118,37 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
     lists ending with the EOF token. A column counts characters from 1 and
     a comment does not advance it: the EOF after a trailing comment sits at
     the comment's column."""
-    kinds, values, lines, cols = [], [], [], []
+    kinds: list[str] = []
+    values: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    kind_of, value_of, line_of, col_of = kinds.append, values.append, lines.append, cols.append
     line, line_start = 1, 0
     end = len(text)
     for m in _SCAN.finditer(text):
-        group = m.lastgroup
-        value = m.group(group)
-        if group == "name":
-            kinds.append(value if value in KEYWORDS else "IDENT")
-        elif group == "punct":
-            kinds.append(value)
-        elif group == "newline":
+        group = m.lastindex
+        value = m[group]
+        if group == _NAME:
+            kind_of(_OWN_KIND.get(value, "IDENT"))
+        elif group == _NEWLINE:
             line += 1
             line_start = m.end()
             continue
-        elif group == "comment":
+        elif group == _NUMBER:
+            kind_of("NUMBER")
+        elif group == _STRING:
+            kind_of("STRING")
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif group == _COMMENT:
             end = m.start(group)  # a comment runs to the end of its line
             continue
-        elif group == "bad":
-            raise _scan_error(text, m.start(group), line, m.start(group) - line_start + 1)
         else:
-            kinds.append(group)
-            if group == "STRING":
-                value = value[1:-1]
-                if "\\" in value:
-                    value = _ESCAPE.sub(r"\1", value)
-        values.append(value)
-        lines.append(line)
-        cols.append(m.start(group) - line_start + 1)
+            raise _scan_error(text, m.start(group), line, m.start(group) - line_start + 1)
+        value_of(value)
+        line_of(line)
+        col_of(m.start(group) - line_start + 1)
     if end < line_start:  # the last comment sits on an earlier line
         end = len(text)
     kinds.append("EOF")
@@ -149,6 +160,10 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
 
 def tokenize(text: str) -> list[Token]:
     return [Token(*t) for t in zip(*_scan(text))]
+
+
+def _condition_node(op: str, left: Condition, right: Condition) -> Condition:
+    return (AndCond if op == "and" else OrCond)(left, right)
 
 
 class _Parser:
@@ -220,20 +235,40 @@ class _Parser:
 
     def call(self, node_type, *expected):
         """``IDENT "(" [arglist] ")"`` as a ``node_type``; a current token
-        that is no IDENT fails with the ``expected`` set."""
+        that is no IDENT fails with the ``expected`` set. An argument is an
+        IDENT, a NUMBER of at most MAX_NUMBER_DIGITS digits or a STRING."""
+        kinds, values = self.kinds, self.values
         name = self.k
-        if self.kinds[name] != "IDENT":
+        if kinds[name] != "IDENT":
             self.fail(*expected)
-        self.k = name + 1
-        self.expect("(")
+        self.k = k = name + 1
+        if kinds[k] != "(":
+            self.fail("(")
         args: list[Arg] = []
-        if self.kinds[self.k] != ")":
-            args.append(self.arg())
-            while self.kinds[self.k] == ",":
-                self.k += 1
-                args.append(self.arg())
-        self.expect(")")
-        return node_type(self.values[name], tuple(args), pos=self.pos(name))
+        k += 1
+        if kinds[k] != ")":
+            while True:
+                kind, value = kinds[k], values[k]
+                if kind == "IDENT":
+                    args.append(Ident(value))
+                elif kind == "NUMBER":
+                    if len(value) > MAX_NUMBER_DIGITS:
+                        raise ParseError(f"number literal has more than {MAX_NUMBER_DIGITS} digits", *self.pos(k))
+                    args.append(Number(int(value)))
+                elif kind == "STRING":
+                    args.append(Text(value))
+                else:
+                    self.k = k
+                    self.fail("IDENT", "NUMBER", "STRING")
+                k += 1
+                if kinds[k] != ",":
+                    break
+                k += 1
+            if kinds[k] != ")":
+                self.k = k
+                self.fail(")")
+        self.k = k + 1
+        return node_type(values[name], tuple(args), pos=self.pos(name))
 
     # rule groups --------------------------------------------------------
 
@@ -271,18 +306,16 @@ class _Parser:
     # conditions ---------------------------------------------------------
 
     def condition(self) -> Condition:
-        return self.chain(("and", "or"), self.cterm, lambda op, *pair: (AndCond if op == "and" else OrCond)(*pair))
+        return self.chain(("and", "or"), self.cterm, _condition_node)
 
     def cterm(self) -> Condition:
-        if self.kinds[self.k] == "not":
-            self.k += 1
-            return NotCond(self.cterm_base())
-        return self.cterm_base()
-
-    def cterm_base(self) -> Condition:
+        negated = self.kinds[self.k] == "not"
+        self.k += negated
         if self.kinds[self.k] == "(":
-            return self.nested(self.condition)
-        return self.call(Pred, "IDENT", "(", "not")
+            node = self.nested(self.condition)
+        else:
+            node = self.call(Pred, "IDENT", "(", "not")
+        return NotCond(node) if negated else node
 
     # actions --------------------------------------------------------------
 
@@ -293,27 +326,6 @@ class _Parser:
         if self.kinds[self.k] == "(":
             return self.nested(self.action)
         return self.call(ActionCall, "IDENT", "(")
-
-    # arguments --------------------------------------------------------------
-
-    def arg(self) -> Arg:
-        k = self.k
-        kind, value = self.kinds[k], self.values[k]
-        if kind == "IDENT":
-            self.k += 1
-            return Ident(value)
-        if kind == "NUMBER":
-            if len(value) > MAX_NUMBER_DIGITS:
-                raise ParseError(
-                    f"number literal has more than {MAX_NUMBER_DIGITS} digits", *self.pos(k)
-                )
-            self.k += 1
-            return Number(int(value))
-        if kind == "STRING":
-            self.k += 1
-            return Text(value)
-        self.fail("IDENT", "NUMBER", "STRING")
-        raise AssertionError("unreachable")
 
 
 def parse_policy_document(text: str) -> PolicyDocument:

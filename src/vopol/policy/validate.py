@@ -1,12 +1,17 @@
-"""Static validation of policy documents against a domain vocabulary."""
+"""Static validation of policy documents against a domain vocabulary.
+
+One walk over each rule collects its predicates and its action calls in
+textual order; the arity checks, the ``or`` warnings and the symbol checks
+all read those lists.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from ..errors import Diagnostic
-from .ast import Action, ActionCall, Ident, Policy, PolicyDocument
-from .ast import iter_action_calls, iter_predicates, iter_rules
+from .ast import Action, ActionCall, Condition, Ident, NotCond, PolicyDocument, Pred
+from .ast import iter_rules
 
 # Identifier bound to the triggering task inside conditions and actions.
 THIS = "this"
@@ -22,75 +27,51 @@ class Vocabulary:
     actions: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
-def _check_arity(
-    kind: str,
-    name: str,
-    nargs: int,
-    table: dict[str, tuple[int, int]],
-    pos: tuple[int, int] | None,
-    out: list[Diagnostic],
-):
-    line, col = pos if pos else (None, None)
-    if name not in table:
-        out.append(
-            Diagnostic(
-                code=f"Unknown{kind.capitalize()}",
-                message=f"unknown {kind} {name!r}",
-                line=line,
-                col=col,
-                subject=name,
-            )
+def _arity_problem(kind: str, call, arity: tuple[int, int] | None) -> Diagnostic:
+    """The diagnostic for a ``call`` whose name has no entry (``arity`` None)
+    or whose argument count is outside ``arity``."""
+    line, col = call.pos if call.pos else (None, None)
+    if arity is None:
+        return Diagnostic(
+            code=f"Unknown{kind.capitalize()}",
+            message=f"unknown {kind} {call.name!r}",
+            line=line,
+            col=col,
+            subject=call.name,
         )
-        return
-    lo, hi = table[name]
-    if not lo <= nargs <= hi:
-        want = str(lo) if lo == hi else f"{lo}..{hi}"
-        out.append(
-            Diagnostic(
-                code="ArityError",
-                message=f"{kind} {name!r} takes {want} argument(s), got {nargs}",
-                line=line,
-                col=col,
-                subject=name,
-            )
-        )
+    lo, hi = arity
+    want = str(lo) if lo == hi else f"{lo}..{hi}"
+    return Diagnostic(
+        code="ArityError",
+        message=f"{kind} {call.name!r} takes {want} argument(s), got {len(call.args)}",
+        line=line,
+        col=col,
+        subject=call.name,
+    )
 
 
-def _check_or(action: Action, out: list[Diagnostic]):
-    """Warn once per ``or``: it always runs its left operand, so the right
-    one never runs. The warning sits at the right operand's first call."""
+def _collect_predicates(cond: Condition, out: list[Pred]):
+    """Append every predicate leaf of ``cond`` to ``out`` in textual order."""
+    if isinstance(cond, Pred):
+        out.append(cond)
+    elif isinstance(cond, NotCond):
+        _collect_predicates(cond.child, out)
+    else:
+        _collect_predicates(cond.left, out)
+        _collect_predicates(cond.right, out)
+
+
+def _collect_calls(action: Action, out: list[ActionCall], ors: list[int]):
+    """Append every action leaf of ``action`` to ``out`` in textual order,
+    and to ``ors``, for each ``or`` in textual order, the index in ``out``
+    of its right operand's first call."""
     if isinstance(action, ActionCall):
+        out.append(action)
         return
-    _check_or(action.left, out)  # in textual order
+    _collect_calls(action.left, out, ors)
     if action.op == "or":
-        first = next(iter_action_calls(action.right))
-        line, col = first.pos if first.pos else (None, None)
-        message = f"{first.name} never runs: 'or' always takes its left operand"
-        out.append(Diagnostic("UnreachableAlternative", message, line, col, first.name, "warning"))
-    _check_or(action.right, out)
-
-
-def _check_symbols(policy: Policy, symbols: set[str], out: list[Diagnostic]):
-    for _, rule in iter_rules(policy.body):
-        calls = list(iter_action_calls(rule.action))
-        if rule.condition is not None:
-            calls.extend(iter_predicates(rule.condition))
-        for call in calls:
-            for arg in call.args:
-                if isinstance(arg, Ident) and arg.value not in symbols and arg.value != THIS:
-                    line, col = call.pos if call.pos else (None, None)
-                    out.append(
-                        Diagnostic(
-                            code="UnresolvedIdentifier",
-                            message=(
-                                f"identifier {arg.value!r} in {call.name} is neither "
-                                "a model entity nor a declared parameter"
-                            ),
-                            line=line,
-                            col=col,
-                            subject=arg.value,
-                        )
-                    )
+        ors.append(len(out))
+    _collect_calls(action.right, out, ors)
 
 
 def validate_policies(
@@ -100,18 +81,50 @@ def validate_policies(
 ) -> list[Diagnostic]:
     """Flag unknown names, wrong arities and, when the caller supplies a
     symbol table, identifier arguments that resolve to nothing; warn about
-    the right operand of every ``or``, which never runs."""
+    the right operand of every ``or``, which never runs (the warning sits at
+    that operand's first call). A policy's unresolved identifiers follow
+    the rest of its diagnostics."""
     out: list[Diagnostic] = []
     for policy in doc.policies:
+        unresolved: list[Diagnostic] = []
         for _, rule in iter_rules(policy.body):
-            for trig in rule.triggers:
-                _check_arity("trigger", trig.name, len(trig.args), vocabulary.triggers, trig.pos, out)
+            preds: list[Pred] = []
             if rule.condition is not None:
-                for pred in iter_predicates(rule.condition):
-                    _check_arity("predicate", pred.name, len(pred.args), vocabulary.predicates, pred.pos, out)
-            for call in iter_action_calls(rule.action):
-                _check_arity("action", call.name, len(call.args), vocabulary.actions, call.pos, out)
-            _check_or(rule.action, out)
-        if symbols is not None:
-            _check_symbols(policy, symbols, out)
+                _collect_predicates(rule.condition, preds)
+            calls: list[ActionCall] = []
+            ors: list[int] = []
+            _collect_calls(rule.action, calls, ors)
+            for kind, table, items in (
+                ("trigger", vocabulary.triggers, rule.triggers),
+                ("predicate", vocabulary.predicates, preds),
+                ("action", vocabulary.actions, calls),
+            ):
+                for item in items:
+                    arity = table.get(item.name)
+                    if arity is None or not arity[0] <= len(item.args) <= arity[1]:
+                        out.append(_arity_problem(kind, item, arity))
+            for i in ors:
+                first = calls[i]
+                line, col = first.pos if first.pos else (None, None)
+                message = f"{first.name} never runs: 'or' always takes its left operand"
+                out.append(Diagnostic("UnreachableAlternative", message, line, col, first.name, "warning"))
+            if symbols is None:
+                continue
+            for call in calls + preds:
+                for arg in call.args:
+                    if isinstance(arg, Ident) and arg.value not in symbols and arg.value != THIS:
+                        line, col = call.pos if call.pos else (None, None)
+                        unresolved.append(
+                            Diagnostic(
+                                code="UnresolvedIdentifier",
+                                message=(
+                                    f"identifier {arg.value!r} in {call.name} is neither "
+                                    "a model entity nor a declared parameter"
+                                ),
+                                line=line,
+                                col=col,
+                                subject=arg.value,
+                            )
+                        )
+        out += unresolved
     return out

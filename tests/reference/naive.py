@@ -30,6 +30,15 @@ form of each hook the engine optimises:
   a clone taken before each policy to roll it back, holds included (the
   engine undoes the policy's writes and truncates its logs).
 
+It also keeps the first form of the input readers, which the loader
+differential holds the tuned ones to: ``scan`` and ``NaiveParser`` (named
+regex groups read per token, one method per argument and condition term;
+the engine's scanner reads numbered groups and its parser reads a call's
+arguments inline), and the model row parsers with ``load_model`` (one
+helper call per attribute, an ``Enum`` call per kind and type, a model
+written row by row; the engine's loader parses rows into plain tables and
+makes the model from them).
+
 So the engine's journal is checked against copy and swap: no write of
 the naive engine ever reaches a model that a snapshot still holds.
 
@@ -39,6 +48,8 @@ copy of the code it replaces.
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from functools import partial
 
 from vopol import domain
@@ -55,27 +66,53 @@ from vopol.domain import (
 )
 from vopol.engine import BOOTSTRAP_POLICY, Engine, _action_fields, ready_set
 from vopol.errors import (
+    MAX_NUMBER_DIGITS,
     AtomicityViolationError,
     CapabilityMissingError,
     CapacityExceededError,
+    DanglingRefError,
     InvalidArgumentError,
     ModelError,
     NotAMemberError,
+    ParseError,
     TaskFailure,
     UnknownDutyError,
     UnknownMemberError,
     UnknownTaskError,
     UnresolvedIdentifierError,
+    parse_int,
+    quoted,
 )
-from vopol.model import TaskType, VoModel, _free_holds, _move_member, _put_duty, _reserve, free_capacity
+from vopol.model import (
+    CUSTOMER,
+    DataFlow,
+    Member,
+    MemberKind,
+    TaskDef,
+    TaskType,
+    VoModel,
+    _add_flows,
+    _free_holds,
+    _link,
+    _move_member,
+    _put_duty,
+    _put_task,
+    _reserve,
+    _write,
+    free_capacity,
+)
+from vopol.policy import parser
 from vopol.policy.ast import (
     ActionCall,
     AndCond,
     Ident,
     NotCond,
+    Number,
     Policy,
+    PolicyDocument,
     Pred,
     RuleLeaf,
+    Text,
     TriggerSpec,
     iter_rules,
 )
@@ -449,3 +486,308 @@ class NaiveEngine(Engine):
         if bootstrap_failed:
             self.dispatch_trigger(DomainTrigger("task_failure", trig.task))
         return self.records[mark:]
+
+
+# loading inputs -------------------------------------------------------------
+#
+# The scanner, the parser's argument and condition terms and the model row
+# parsers in their first form: named regex groups read per token, one
+# helper call per argument and per attribute, an Enum call per kind and
+# type, and a model written row by row. The loader differential
+# (test_load_differential.py) holds the tuned forms to these.
+
+_SCAN = re.compile(
+    r"""[ \t\r]*
+    (?:
+        (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | (?P<punct>[(),])
+      | (?P<NUMBER>[0-9]+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<STRING>"(?:[^"\\\n]|\\["\\])*")
+      | (?P<bad>[^ \t\r])
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def scan(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The kind, value, line and column of every token of ``text``, as four
+    lists ending with the EOF token."""
+    kinds, values, lines, cols = [], [], [], []
+    line, line_start = 1, 0
+    end = len(text)
+    for m in _SCAN.finditer(text):
+        group = m.lastgroup
+        value = m.group(group)
+        if group == "name":
+            kinds.append(value if value in parser.KEYWORDS else "IDENT")
+        elif group == "punct":
+            kinds.append(value)
+        elif group == "newline":
+            line += 1
+            line_start = m.end()
+            continue
+        elif group == "comment":
+            end = m.start(group)  # a comment runs to the end of its line
+            continue
+        elif group == "bad":
+            raise parser._scan_error(text, m.start(group), line, m.start(group) - line_start + 1)
+        else:
+            kinds.append(group)
+            if group == "STRING":
+                value = value[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(r"\1", value)
+        values.append(value)
+        lines.append(line)
+        cols.append(m.start(group) - line_start + 1)
+    if end < line_start:  # the last comment sits on an earlier line
+        end = len(text)
+    kinds.append("EOF")
+    values.append("")
+    lines.append(line)
+    cols.append(end - line_start + 1)
+    return kinds, values, lines, cols
+
+
+def tokenize(text: str) -> list[parser.Token]:
+    return [parser.Token(*t) for t in zip(*scan(text))]
+
+
+class NaiveParser(parser._Parser):
+    """The parser over :func:`scan`, with an argument, a call and a
+    condition term each read by its own method."""
+
+    def __init__(self, text: str):
+        self.kinds, self.values, self.lines, self.cols = scan(text)
+        self.k = 0
+
+    def call(self, node_type, *expected):
+        name = self.k
+        if self.kinds[name] != "IDENT":
+            self.fail(*expected)
+        self.k = name + 1
+        self.expect("(")
+        args = []
+        if self.kinds[self.k] != ")":
+            args.append(self.arg())
+            while self.kinds[self.k] == ",":
+                self.k += 1
+                args.append(self.arg())
+        self.expect(")")
+        return node_type(self.values[name], tuple(args), pos=self.pos(name))
+
+    def cterm(self):
+        if self.kinds[self.k] == "not":
+            self.k += 1
+            return NotCond(self.cterm_base())
+        return self.cterm_base()
+
+    def cterm_base(self):
+        if self.kinds[self.k] == "(":
+            return self.nested(self.condition)
+        return self.call(Pred, "IDENT", "(", "not")
+
+    def arg(self):
+        k = self.k
+        kind, value = self.kinds[k], self.values[k]
+        if kind == "IDENT":
+            self.k += 1
+            return Ident(value)
+        if kind == "NUMBER":
+            if len(value) > MAX_NUMBER_DIGITS:
+                raise ParseError(f"number literal has more than {MAX_NUMBER_DIGITS} digits", *self.pos(k))
+            self.k += 1
+            return Number(int(value))
+        if kind == "STRING":
+            self.k += 1
+            return Text(value)
+        self.fail("IDENT", "NUMBER", "STRING")
+        raise AssertionError("unreachable")
+
+
+def parse_policy_document(text: str) -> PolicyDocument:
+    return NaiveParser(text).document()
+
+
+def _int(tok: str, line_no: int, what: str) -> int:
+    value = parse_int(tok)
+    if value is None:
+        raise ParseError(f"{what} must be an integer, got {quoted(tok)}", line_no, 1)
+    return value
+
+
+def _kv(tok: str, line_no: int) -> tuple[str, str]:
+    if "=" not in tok:
+        raise ParseError(f"expected key=value, got {quoted(tok)}", line_no, 1)
+    key, _, value = tok.partition("=")
+    return key, value
+
+
+def _fresh(given, name: str, what: str, line_no: int):
+    if name in given:
+        raise ParseError(f"repeated {what} {quoted(name)}", line_no, 1)
+
+
+def _parse_member(tokens: list[str], line_no: int) -> Member:
+    if len(tokens) < 2:
+        raise ParseError("member row needs an id and kind=", line_no, 1)
+    mid = tokens[1]
+    kind = None
+    caps: dict[str, int] = {}
+    costs: dict[str, int] = {}
+    given: set[str] = set()
+    i = 2
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok == "cap":
+            if i + 1 >= len(tokens):
+                raise ParseError("cap clause needs name=amount", line_no, 1)
+            cap_name, cap_val = _kv(tokens[i + 1], line_no)
+            _fresh(caps, cap_name, "cap", line_no)
+            caps[cap_name] = _int(cap_val, line_no, f"capacity of {cap_name!r}")
+            i += 2
+            if i < len(tokens) and tokens[i].startswith("cost="):
+                costs[cap_name] = _int(tokens[i][5:], line_no, "cost")
+                i += 1
+            continue
+        key, value = _kv(tok, line_no)
+        _fresh(given, key, "member attribute", line_no)
+        given.add(key)
+        if key == "kind":
+            try:
+                kind = MemberKind(value)
+            except ValueError:
+                raise ParseError(f"unknown member kind {value!r}", line_no, 1) from None
+        else:
+            raise ParseError(f"unknown member attribute {key!r}", line_no, 1)
+        i += 1
+    if kind is None:
+        raise ParseError(f"member {mid!r} is missing kind=", line_no, 1)
+    return Member(mid, kind, caps, costs)
+
+
+def _parse_task(tokens: list[str], line_no: int) -> TaskDef:
+    if len(tokens) < 2:
+        raise ParseError("task row needs an id", line_no, 1)
+    tid = tokens[1]
+    ttype = None
+    sharing = None
+    required: dict[str, int] = {}
+    inputs: set[str] = set()
+    in_process = True
+    given: set[str] = set()
+    i = 2
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok == "requires":
+            if i + 1 >= len(tokens):
+                raise ParseError("requires clause needs cap=amount", line_no, 1)
+            cap_name, cap_val = _kv(tokens[i + 1], line_no)
+            _fresh(required, cap_name, "requirement", line_no)
+            required[cap_name] = _int(cap_val, line_no, f"requirement {cap_name!r}")
+            i += 2
+            continue
+        if tok == "input":
+            if i + 1 >= len(tokens):
+                raise ParseError("input clause needs an item name", line_no, 1)
+            inputs.add(tokens[i + 1])
+            i += 2
+            continue
+        key, value = _kv(tok, line_no)
+        _fresh(given, key, "task attribute", line_no)
+        given.add(key)
+        if key == "type":
+            try:
+                ttype = TaskType(value)
+            except ValueError:
+                raise ParseError(f"unknown task type {value!r}", line_no, 1) from None
+        elif key == "sharing":
+            sharing = value
+        elif key == "inprocess":
+            if value not in ("true", "false"):
+                raise ParseError(f"inprocess must be true or false, got {value!r}", line_no, 1)
+            in_process = value == "true"
+        else:
+            raise ParseError(f"unknown task attribute {key!r}", line_no, 1)
+        i += 1
+    if ttype is None:
+        raise ParseError(f"task {tid!r} is missing type=", line_no, 1)
+    return TaskDef(tid, ttype, sharing, required, frozenset(inputs), in_process)
+
+
+def load_model(text: str) -> VoModel:
+    """A model file read row by row into a model made at its vo row."""
+    model = None
+    pending_edges: list[tuple[int, str, str]] = []
+    pending_flows: list[tuple[int, str, str, str]] = []
+    resources: set[str] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        row = tokens[0]
+        if model is None:
+            if row != "vo":
+                raise ParseError("model file must start with a vo row", line_no, 1)
+            if len(tokens) != 2:
+                raise ParseError("vo row needs exactly one name", line_no, 1)
+            model = VoModel(name=tokens[1])
+            continue
+        if row == "vo":
+            raise ParseError("duplicate vo row", line_no, 1)
+        if row == "param":
+            if len(tokens) != 3:
+                raise ParseError("param row needs a name and a value", line_no, 1)
+            _fresh(model._params, tokens[1], "param", line_no)
+            _write(model, model._params, tokens[1], _int(tokens[2], line_no, f"param {tokens[1]!r}"))
+        elif row in ("member", "candidate"):
+            who = _parse_member(tokens, line_no)
+            if model.anyone(who.id) is not None:
+                raise ParseError(f"duplicate member id {who.id!r}", line_no, 1)
+            _write(model, model._members if row == "member" else model._registry, who.id, who)
+        elif row == "task":
+            task = _parse_task(tokens, line_no)
+            if task.id in model._tasks:
+                raise ParseError(f"duplicate task id {task.id!r}", line_no, 1)
+            _put_task(model, task)
+        elif row == "edge":
+            if len(tokens) != 3:
+                raise ParseError("edge row needs from and to", line_no, 1)
+            pending_edges.append((line_no, tokens[1], tokens[2]))
+        elif row == "dataflow":
+            if len(tokens) != 4:
+                raise ParseError("dataflow row needs item, from= and to=", line_no, 1)
+            attrs = dict(_kv(tok, line_no) for tok in tokens[2:])
+            if set(attrs) != {"from", "to"}:
+                raise ParseError("dataflow row needs from= and to=", line_no, 1)
+            pending_flows.append((line_no, tokens[1], attrs["from"], attrs["to"]))
+        elif row == "resource":
+            if len(tokens) != 2:
+                raise ParseError("resource row needs an id", line_no, 1)
+            resources.add(tokens[1])
+        else:
+            raise ParseError(f"unknown row kind {row!r}", line_no, 1)
+    if model is None:
+        raise ParseError("empty model file", 1, 1)
+    model._vbe_resources = frozenset(resources)
+    for line_no, src, dst in pending_edges:
+        for tid in (src, dst):
+            if tid not in model.tasks:
+                raise DanglingRefError(f"edge references undefined task {tid!r}", line_no, 1)
+    _link(model, [(src, dst) for _, src, dst in pending_edges])
+    rows: dict[tuple[str, str, str], None] = {}
+    for line_no, item, source, target in pending_flows:
+        if source != CUSTOMER and source not in model.tasks:
+            raise DanglingRefError(f"dataflow source {source!r} is not a task", line_no, 1)
+        if target not in model.tasks:
+            raise DanglingRefError(f"dataflow target {target!r} is not a task", line_no, 1)
+        rows[item, source, target] = None
+    _add_flows(model, [DataFlow(*row) for row in rows])
+    for target, into in model._flows_to.items():
+        task = model._tasks[target]
+        _put_task(model, replace(task, inputs=task.inputs | {f.item for f in into}))
+    return model

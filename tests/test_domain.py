@@ -863,3 +863,91 @@ def test_an_unknown_action_name_takes_any_arguments(visitus):
     with pytest.raises(UnknownActionError) as caught:
         apply_action(ctx_for(visitus), odd)
     assert caught.value.message == "unknown action 'frobnicate'"
+
+
+# the capacity reads over member (unknown, candidate, member without the
+# capability, member whose units are all reserved) x amount, on the grid
+# model: O declares a=5 and reserves all 5 for its duties
+CAPACITY_MEMBERS = {"unknown": "ghost", "candidate": "C", "no-capability": "N", "exhausted": "O"}
+CAPACITY_AMOUNTS = {"negative": -1, "zero": 0, "one": 1, "all-of-C": 8, "over-C": 9}
+
+
+def _capacity_outcome(read) -> object:
+    """What ``read`` returns on the grid model, or the (class, code,
+    message) of its error, which leaves the model as it was."""
+    m, ctx = _grid_model()
+    before = canonical_dump(m)
+    try:
+        return read(m, ctx)
+    except VopolError as err:
+        assert canonical_dump(m) == before
+        return type(err).__name__, err.code, err.message
+
+
+def _capacity_outcomes() -> dict[str, object]:
+    out = {}
+    for (who, member), (size, amount) in product(CAPACITY_MEMBERS.items(), CAPACITY_AMOUNTS.items()):
+        args = (Ident(member), Ident("a"), Number(amount))
+        out[f"has_capacity/{who}/{size}"] = _capacity_outcome(lambda m, ctx: eval_predicate(ctx, "has_capacity", args))
+        out[f"adjust/{who}/{size}"] = _capacity_outcome(
+            lambda m, ctx: adjust_reserved_capacity(m, member, "a", amount) or m.reserved.get((member, "a"), 0)
+        )
+    for who, member in CAPACITY_MEMBERS.items():
+        out[f"has_capability/{who}"] = _capacity_outcome(
+            lambda m, ctx: eval_predicate(ctx, "has_capability", (Ident(member), Ident("a")))
+        )
+    return out
+
+
+# read before the capacity predicates and adjust_reserved_capacity were
+# rewritten to read each member record once
+CAPACITY_EXPECTED = {
+    "has_capacity/unknown/negative": ("UnresolvedIdentifierError", "UnresolvedIdentifier", "unknown member 'ghost'"),
+    "adjust/unknown/negative": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "has_capacity/unknown/zero": ("UnresolvedIdentifierError", "UnresolvedIdentifier", "unknown member 'ghost'"),
+    "adjust/unknown/zero": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "has_capacity/unknown/one": ("UnresolvedIdentifierError", "UnresolvedIdentifier", "unknown member 'ghost'"),
+    "adjust/unknown/one": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "has_capacity/unknown/all-of-C": ("UnresolvedIdentifierError", "UnresolvedIdentifier", "unknown member 'ghost'"),
+    "adjust/unknown/all-of-C": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "has_capacity/unknown/over-C": ("UnresolvedIdentifierError", "UnresolvedIdentifier", "unknown member 'ghost'"),
+    "adjust/unknown/over-C": ("UnknownMemberError", "UnknownMember", "unknown member 'ghost'"),
+    "has_capacity/candidate/negative": True,
+    "adjust/candidate/negative": ("UnderflowError", "Underflow", "releasing 1 of (C, a) would leave -1 reserved"),
+    "has_capacity/candidate/zero": True,
+    "adjust/candidate/zero": 0,
+    "has_capacity/candidate/one": True,
+    "adjust/candidate/one": 1,
+    "has_capacity/candidate/all-of-C": True,
+    "adjust/candidate/all-of-C": 8,
+    "has_capacity/candidate/over-C": False,
+    "adjust/candidate/over-C": ("CapacityExceededError", "CapacityExceeded", "reserving 9 of (C, a) would exceed declared 8"),
+    "has_capacity/no-capability/negative": False,
+    "adjust/no-capability/negative": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "has_capacity/no-capability/zero": False,
+    "adjust/no-capability/zero": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "has_capacity/no-capability/one": False,
+    "adjust/no-capability/one": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "has_capacity/no-capability/all-of-C": False,
+    "adjust/no-capability/all-of-C": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "has_capacity/no-capability/over-C": False,
+    "adjust/no-capability/over-C": ("CapabilityMissingError", "CapabilityMissing", "'N' declares no capability 'a'"),
+    "has_capacity/exhausted/negative": True,
+    "adjust/exhausted/negative": ("UnderflowError", "Underflow", "releasing 1 of (O, a) would free units that duties or holds claim: 0 of 5 reserved are unclaimed"),
+    "has_capacity/exhausted/zero": True,
+    "adjust/exhausted/zero": 5,
+    "has_capacity/exhausted/one": False,
+    "adjust/exhausted/one": ("CapacityExceededError", "CapacityExceeded", "reserving 1 of (O, a) would exceed declared 5"),
+    "has_capacity/exhausted/all-of-C": False,
+    "adjust/exhausted/all-of-C": ("CapacityExceededError", "CapacityExceeded", "reserving 8 of (O, a) would exceed declared 5"),
+    "has_capacity/exhausted/over-C": False,
+    "adjust/exhausted/over-C": ("CapacityExceededError", "CapacityExceeded", "reserving 9 of (O, a) would exceed declared 5"),
+    "has_capability/unknown": ("UnresolvedIdentifierError", "UnresolvedIdentifier", "unknown member 'ghost'"),
+    "has_capability/candidate": True,
+    "has_capability/no-capability": False,
+    "has_capability/exhausted": True,
+}
+
+
+def test_each_capacity_read_gets_its_pinned_outcome():
+    assert _capacity_outcomes() == CAPACITY_EXPECTED

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import vopol.engine
-from vopol.domain import VOCABULARY, DomainAction, DomainTrigger
+from vopol.domain import VOCABULARY, DomainAction, DomainTrigger, EvalContext, apply_action
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
 from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, quoted
 from vopol.model import adjust_reserved_capacity, canonical_dump, commit, journal_mark, load_model, undo, validate_model
@@ -282,6 +282,35 @@ def test_a_state_record_after_a_callers_undo_shows_the_model():
     records = engine.handle_event(ev("activate", "BookFlight"))
     assert records[-1].get("members") == "Hotel" and sorted(engine.model.members) == ["Hotel"]
     assert records == oracle.handle_event(ev("activate", "BookFlight"))
+
+
+@pytest.mark.parametrize(
+    "journaled, first, members",
+    [
+        (True, None, "Hotel,newHotel"),
+        (True, ev("consume", "Hotel", "beds", "1"), "Hotel,newHotel"),
+        (True, ev("start"), "Hotel,newHotel"),
+        (False, None, "Hotel"),
+    ],
+    ids=["marked", "marked-then-consume", "marked-then-start", "unmarked"],
+)
+def test_a_state_record_shows_a_library_write_between_events_only_through_the_journal(journaled, first, members):
+    # a write to engine.model between events reaches the STATE fields only
+    # through the journal: made under a mark the caller leaves open, the
+    # next event reads it, whether or not it traces a STATE record, and
+    # commits the journal; made with no journal open, it is never read,
+    # and STATE goes on showing the members before it
+    engine = Engine(load_model(VISITUS), PolicyDocument(()))
+    if journaled:
+        journal_mark(engine.model)
+    apply_action(EvalContext(engine.model), DomainAction("add_member", ("newHotel",)))
+    if first is not None:
+        engine.handle_event(first)
+        assert engine.model._journal is None
+    records = engine.handle_event(ev("activate", "BookFlight"))
+    assert sorted(engine.model.members) == ["Hotel", "newHotel"]
+    assert records[-1].kind == "STATE" and records[-1].get("members") == members
+    assert engine.model._journal is None
 
 
 def test_unknown_scenario_event_is_error_record():

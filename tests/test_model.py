@@ -492,16 +492,12 @@ def test_the_write_scan_finds_each_form(snippet, found):
     assert list(_writes(tree)) == ([("f", found)] if found else [])
 
 
-# the guarded fields that a function binds outright: load_model sets the
-# resources once, after the last row, since nothing writes them later
-BINDINGS = {("model.py", "load_model", "_vbe_resources")}
-
-
 def test_only_model_writes_the_duty_and_control_graph_indexes():
-    # no module writes a guarded container by subscript or mutator, and in
-    # model.py, which hands its containers to its writers as parameters,
-    # only _store writes through a parameter: so every write, load_model's
-    # included, goes through _write
+    # no module writes a guarded container by subscript or mutator or binds
+    # a guarded field outright, and in model.py, which hands its containers
+    # to its writers as parameters, only _store writes through a parameter:
+    # so every write to a model, from the one load_model builds out of its
+    # parsed rows on, goes through _write
     package = Path(vopol.model.__file__).parent
     writes = set()
     for path in sorted(package.rglob("*.py")):
@@ -509,7 +505,7 @@ def test_only_model_writes_the_duty_and_control_graph_indexes():
         for where, kind in _writes(ast.parse(path.read_text(), filename=str(path))):
             if kind != "parameter" or name == "model.py":
                 writes.add((name, where, kind))
-    assert writes == {("model.py", "_store", "parameter")} | BINDINGS
+    assert writes == {("model.py", "_store", "parameter")}
 
 
 # --- insert/remove -----------------------------------------------------------
