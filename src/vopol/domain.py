@@ -45,6 +45,7 @@ from .model import (
     TaskType,
     VoModel,
     _TASK_TYPES,
+    _frontier,
     _hold,
     _move_member,
     _put_duty,
@@ -515,13 +516,17 @@ class _Ranking:
     action writes a :class:`Member` record, ``add_member`` and
     ``remove_member`` only move one between ``members`` and ``registry``,
     and no caller can write those. So one ranking of the whole population
-    serves a model through every action, and its clones too; a walk
-    filters it by current membership.
+    serves a model through every action, and its clones too. Each order
+    comes with its position map (id -> index in the order), by which the
+    model's frontier (``VoModel._live``) names the entries of an order
+    that a walk can take from; the frontier, unlike the ranking, is model
+    state, since it follows membership and the reserved units.
     """
 
     def __init__(self, m: VoModel):
         self.people = {**m._registry, **m._members}
         self._orders: dict[tuple[str, bool], tuple[list[tuple[str, int]], ...]] = {}
+        self._positions: dict[tuple[str, bool], tuple[dict[str, int], ...]] = {}
 
     def orders(self, capability: str, competition: bool) -> tuple[list[tuple[str, int]], ...]:
         """(id, declared amount) of everyone who declares ``capability``,
@@ -536,11 +541,17 @@ class _Ranking:
             }
             as_member = sorted(bids, key=bids.__getitem__)
             as_candidate = sorted(bids, key=lambda mid: (_KIND_RANK[self.people[mid].kind.value], bids[mid]))
+            orders = (as_member, as_candidate)
             self._orders[key] = tuple(
-                [(mid, self.people[mid].capabilities[capability]) for mid in order]
-                for order in (as_member, as_candidate)
+                [(mid, self.people[mid].capabilities[capability]) for mid in order] for order in orders
             )
+            self._positions[key] = tuple({mid: i for i, mid in enumerate(order)} for order in orders)
         return self._orders[key]
+
+    def positions(self, capability: str, competition: bool) -> tuple[dict[str, int], ...]:
+        """id -> index in each of the two orders of :meth:`orders`, which
+        must have been built."""
+        return self._positions[capability, competition]
 
 
 def run_bootstrap(ctx: EvalContext, task: str) -> list[DomainAction]:
@@ -573,7 +584,17 @@ def run_bootstrap(ctx: EvalContext, task: str) -> list[DomainAction]:
 
 def _allocate(ctx: EvalContext, task: str) -> list[DomainAction]:
     """The bootstrap's walk over ``ctx.model``, under its journal; raises
-    :class:`TaskFailure` at the first capability it cannot cover."""
+    :class:`TaskFailure` at the first capability it cannot cover.
+
+    For each capability it walks the members' order, then the
+    candidates', and visits only the entries of the model's frontier for
+    that order (``VoModel._live``): the people in the pool with free
+    units, in rank order. These are exactly the entries a walk of the
+    whole order would not skip, so it takes from the same people. The
+    walk builds a key it finds missing; ``model._reserve`` and
+    ``model._move_member`` keep every built key true, and all of it is
+    written through the journal, so the walk's own undo, a rollback and a
+    clone need nothing more."""
     m = ctx.model
     task_def = m.tasks[task]
     if m._ranking is None:  # clones taken from here on share it
@@ -584,13 +605,21 @@ def _allocate(ctx: EvalContext, task: str) -> list[DomainAction]:
     for capability in sorted(task_def.required):
         shortfall = remaining_shortfall(m, task, capability)
         orders = ranking.orders(capability, competition) if shortfall else ()
-        # members first, then candidates, each filtered by membership; a
-        # walk admits only the candidates it visits, each of them once
+        # members first, then candidates; a walk admits only the
+        # candidates it visits, each of them once. It iterates the frontier
+        # it read, which the steps below replace in the model as they
+        # reserve units and admit candidates. No entry after the one being
+        # visited can gain units or join the pool in the meantime: a step
+        # writes only its own entry's membership and reserved units, and
+        # it only takes units. So the tuple read stays the walk's to follow.
         for as_candidate, order in enumerate(orders):
+            if shortfall == 0:
+                break
             pool = m._registry if as_candidate else m._members
-            for mid, declared in order:
+            for position in _frontier(m, (capability, competition, as_candidate), order):
                 if shortfall == 0:
                     break
+                mid, declared = order[position]
                 if mid not in pool:
                     continue
                 free = declared - m._reserved.get((mid, capability), 0)

@@ -280,7 +280,8 @@ class Engine:
         """Read the open journal on from where the reader stopped.
 
         A written status renews its task's STATE fragment, and a written
-        data or members slot its field. A task whose predecessor bucket or
+        data or members slot its field, which is rebuilt once after the
+        reader has read every entry. A task whose predecessor bucket or
         record was written, a successor of a completed task and a consumer
         of an arrived item are re-checked: one that joined the process
         appears as pending, one that left it is dropped, a pending or ready
@@ -290,6 +291,7 @@ class Engine:
         m, instance, journal = self.model, self.instance, self.model._journal
         statuses, slots, catalogue, preds, members = instance.status, vars(instance), m._tasks, m._preds, m._members
         order, fragments = self._order, self._fragments
+        data_written = members_written = False
         while journal is not None and self._read < len(journal):
             recheck: set[str] = set()
             for table, key, old in journal[self._read:]:
@@ -313,11 +315,11 @@ class Engine:
                     for item in catalogue[key].inputs:
                         self._consumers.setdefault(item, set()).add(key)
                 elif table is slots:
-                    self._data_text = ",".join(sorted(instance.available_data))
+                    data_written = True
                     for item in instance.available_data - old:
                         recheck.update(self._consumers.get(item, ()))
                 elif table is members:
-                    self._members_text = ",".join(sorted(members))
+                    members_written = True
             self._read = len(journal)
             for task in sorted(recheck):
                 current = statuses.get(task, _PENDING)
@@ -325,6 +327,10 @@ class Engine:
                     self._set_status(task, None)
                 elif current is _PENDING or current is _READY:
                     self._set_status(task, _READY if _eligible(m, instance, task) else _PENDING)
+        if data_written:
+            self._data_text = ",".join(sorted(instance.available_data))
+        if members_written:
+            self._members_text = ",".join(sorted(members))
 
     def _emit_error(self, err: VopolError, detail: str | None = None):
         self._emit("ERROR", ("error", err.code), ("detail", detail or err.message))

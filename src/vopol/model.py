@@ -10,8 +10,8 @@ failed operation raises and leaves the model as it was, and a successful
 one always leaves a model that satisfies :func:`validate_model`.
 
 Clones share their records: :class:`Member` and :class:`TaskDef` are
-frozen, so a change puts a new record (``dataclasses.replace``) into the
-private containers that each clone owns alone.
+frozen, so a change puts a new record, built by its constructor, into
+the private containers that each clone owns alone.
 
 Only this module writes the containers; each public one, such as
 ``members``, ``reserved``, ``duties`` or ``dataflows``, is a read-only
@@ -37,8 +37,9 @@ bucket the batch touches is written once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Collection, Iterable, Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 
@@ -148,6 +149,17 @@ class VoModel:
     # the bootstrap's ranking of members and candidates (vopol.domain), a
     # cache that clones share: the population is fixed after load_model
     _ranking: object = field(default=None, compare=False, repr=False)
+    # the bootstrap's frontier: (capability, competition, side) -> the
+    # sorted positions, in the ranking's order for the side (0 members, 1
+    # candidates), of the people in that side's pool with free units of
+    # the capability. A walk builds a key (_frontier) when it first needs
+    # it; from then on _reserve and _move_member, the only writers of the
+    # reserved units and the pools past load_model, keep every built key
+    # true. All of it is written through _write, so undo restores it with
+    # the rest of the model, and clone copies it like the other dicts (the
+    # tuples are replaced, never changed). It is derived from the model,
+    # so equality and canonical_dump leave it out.
+    _live: dict[tuple[str, bool, int], tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     # (container, key, old value) of every write since the first mark, in
     # write order, or None when nothing can be undone; see _write
     _journal: list | None = field(default=None, compare=False, repr=False)
@@ -281,10 +293,12 @@ def commit(m: VoModel):
     m._journal = None
 
 
-def _file(m: VoModel, table: dict, pairs: Iterable[tuple[object, object]], add: bool):
+def _file(m: VoModel, table: dict, pairs: Collection[tuple[object, object]], add: bool):
     """Add each (key, value) of ``pairs`` to the bucket under that key in
     ``table``, one of ``m``'s indexes, or take it out (``add`` false). Each
     bucket is written once, and one left empty is dropped."""
+    if not pairs:
+        return
     changes: dict[object, list] = {}
     for key, value in pairs:
         values = changes.get(key)
@@ -338,6 +352,20 @@ def _add_flows(m: VoModel, flows: Collection[DataFlow], add: bool = True):
     _file(m, m._item_sources, sources, add)
 
 
+def _retask(task: TaskDef, inputs: frozenset[str] | None = None, in_process: bool | None = None) -> TaskDef:
+    """``task`` with new ``inputs`` or ``in_process`` (None keeps a field),
+    built by the constructor, which costs a fraction of
+    ``dataclasses.replace``."""
+    return TaskDef(
+        task.id,
+        task.ttype,
+        task.sharing,
+        task.required,
+        task.inputs if inputs is None else inputs,
+        task.in_process if in_process is None else in_process,
+    )
+
+
 def _put_task(m: VoModel, task_def: TaskDef):
     """File ``task_def`` in ``m``'s catalogue under its id."""
     _write(m, m._tasks, task_def.id, task_def)
@@ -346,8 +374,11 @@ def _put_task(m: VoModel, task_def: TaskDef):
 def _move_member(m: VoModel, who: str, admit: bool):
     """Move ``who`` from the registry into the members (``admit``) or back."""
     source, target = (m._registry, m._members) if admit else (m._members, m._registry)
-    _write(m, target, who, source[who])
+    record = source[who]
+    _write(m, target, who, record)
     _write(m, source, who, _ABSENT)
+    if m._live:
+        _relive(m, who, record.capabilities)
 
 
 def _reserve(m: VoModel, member: str, capability: str, delta: int):
@@ -355,6 +386,49 @@ def _reserve(m: VoModel, member: str, capability: str, delta: int):
     by ``delta``; the caller keeps them between 0 and the declared amount."""
     key = (member, capability)
     _write(m, m._reserved, key, m._reserved.get(key, 0) + delta or _ABSENT)
+    if m._live:
+        _relive(m, member, (capability,))
+
+
+def _frontier(m: VoModel, key: tuple[str, bool, int], order: list[tuple[str, int]]) -> tuple[int, ...]:
+    """The frontier under ``key`` = (capability, competition, side), whose
+    ranked (id, declared amount) ``order`` is given; built from the model
+    and written when it is missing."""
+    live = m._live.get(key)
+    if live is None:
+        capability, _, side = key
+        pool, reserved = m._registry if side else m._members, m._reserved
+        live = tuple(
+            i for i, (who, declared) in enumerate(order)
+            if who in pool and declared - reserved.get((who, capability), 0) > 0
+        )
+        _write(m, m._live, key, live)
+    return live
+
+
+def _relive(m: VoModel, who: str, capabilities: Iterable[str]):
+    """Bring the built frontier keys of ``capabilities`` up to date with
+    ``who``'s pool and free units: only ``who``'s entry can change."""
+    live, ranking = m._live, m._ranking
+    side = 0 if who in m._members else 1
+    record = m._members.get(who) or m._registry[who]
+    for capability in capabilities:
+        declared = record.capabilities.get(capability)
+        if declared is None:  # the ranking holds no entry of ``who`` for it
+            continue
+        free = declared - m._reserved.get((who, capability), 0)
+        for competition in (False, True):
+            for s in (0, 1):
+                key = (capability, competition, s)
+                entries = live.get(key)
+                if entries is None:
+                    continue
+                position = ranking.positions(capability, competition)[s][who]
+                i = bisect_left(entries, position)
+                present = i < len(entries) and entries[i] == position
+                if present != (s == side and free > 0):
+                    kept = entries[i + 1:] if present else (position, *entries[i:])
+                    _write(m, live, key, entries[:i] + kept)
 
 
 def _hold(m: VoModel, task: str, member: str, capability: str, units: int):
@@ -598,7 +672,7 @@ def load_model(text: str) -> VoModel:
     _add_flows(model, [DataFlow(*row) for row in rows])
     for target, into in model._flows_to.items():
         task = tasks[target]
-        _put_task(model, replace(task, inputs=task.inputs | {f.item for f in into}))
+        _put_task(model, _retask(task, inputs=task.inputs | {f.item for f in into}))
     return model
 
 
@@ -756,7 +830,7 @@ def insert_task_node(m: VoModel, t1: str, t2: str, relation: str) -> None:
         _link(m, [(t1, s) for s in succ] + [(t2, t1)])
     else:
         _link(m, [(p, t1) for p in m.predecessors(t2)] + [(t1, s) for s in succ])
-    _put_task(m, replace(m.tasks[t1], in_process=True))
+    _put_task(m, _retask(m.tasks[t1], in_process=True))
 
 
 def remove_task_node(m: VoModel, t: str) -> None:
@@ -794,7 +868,7 @@ def remove_task_node(m: VoModel, t: str) -> None:
     for duty in dropped:
         _reserve(m, duty.member, duty.capability, -duty.amount)
     _add_flows(m, m.flows_from(t) | m.flows_to(t), add=False)
-    _put_task(m, replace(m.tasks[t], in_process=False))
+    _put_task(m, _retask(m.tasks[t], in_process=False))
 
 
 def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | None:
@@ -812,7 +886,7 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
         if not existing:
             sources = m._item_sources.get(item)
             _add_flows(m, [DataFlow(item, min(sources) if sources else CUSTOMER, t)])
-        _put_task(m, replace(task_def, inputs=task_def.inputs | {item}))
+        _put_task(m, _retask(task_def, inputs=task_def.inputs | {item}))
         return None
     if not existing:
         return Diagnostic(
@@ -822,7 +896,7 @@ def set_dataflow_edge(m: VoModel, item: str, t: str, mode: str) -> Diagnostic | 
             severity="warning",
         )
     _add_flows(m, existing, add=False)
-    _put_task(m, replace(task_def, inputs=task_def.inputs - {item}))
+    _put_task(m, _retask(task_def, inputs=task_def.inputs - {item}))
     return None
 
 

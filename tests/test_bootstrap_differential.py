@@ -13,7 +13,11 @@ The allocator ranks the population once and shares the ranking between
 a model and its clones, so they are also run on successive clones of one
 model: each bootstrap writes the model the next one clones, with
 memberships moved by actions in between and, once, a write straight
-into the registry, which the read-only registry refuses.
+into the registry, which the read-only registry refuses. In between,
+entries the walks exhausted also regain units, by a release of reserved
+units, an ``unassign_duty`` and a ``remove_member`` followed by the
+member's re-admission, so they re-enter the walk's frontier, which must
+equal its rebuild from the model after every step.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import pytest
 
 from reference import naive
 from test_domain import ctx_for
+from test_frontier import rebuilt_frontier
 
 from vopol import domain
 from vopol.domain import DomainAction, apply_action, run_bootstrap
@@ -34,6 +39,7 @@ from vopol.model import (
     MemberKind,
     adjust_reserved_capacity,
     canonical_dump,
+    free_capacity,
     journal_mark,
     load_model,
     undo,
@@ -150,13 +156,51 @@ def test_bootstrap_in_place_matches_the_new_version():
         assert working._journal is not None
         undo(working, mark)
         assert working == m and canonical_dump(working) == canonical_dump(m)
+        assert working._live == m._live == {}  # the keys the walk built are undone too
         failures += expected[0][0] == "failed"
     assert failures >= 60, failures
 
 
+def _regain(rng: random.Random, m, people: list[str]) -> str | None:
+    """Give an entry units back, or take them: release reserved units no
+    duty claims, unassign a duty, remove a member and re-admit it, or
+    reserve someone's free units. Returns which, or None for no step."""
+    roll = rng.random()
+    if roll < 0.25 and m.duties:
+        key = rng.choice(sorted(m.duties))
+        apply_action(ctx_for(m), DomainAction("unassign_duty", key))
+        return "unassign"
+    if roll < 0.5:
+        holders = sorted({key[0] for key in m.duties})
+        if holders:
+            who = rng.choice(holders)
+            apply_action(ctx_for(m), DomainAction("remove_member", (who,)))
+            apply_action(ctx_for(m), DomainAction("add_member", (who,)))
+            return "readmit"
+        return None
+    if roll < 0.75:
+        unclaimed = dict(m.reserved)
+        for (who, _, cap), amount in m.duties.items():
+            unclaimed[who, cap] -= amount
+        releasable = sorted(key for key, units in unclaimed.items() if units > 0)
+        if not releasable:
+            return None
+        who, cap = key = rng.choice(releasable)
+        adjust_reserved_capacity(m, who, cap, -rng.randint(1, unclaimed[key]))
+        return "release"
+    who, cap = rng.choice(people), rng.choice(CAPS)
+    free = free_capacity(m, who, cap)
+    if not free or free <= 0:
+        return None
+    adjust_reserved_capacity(m, who, cap, free)
+    return "exhaust"
+
+
 def test_successive_versions_share_one_ranking_until_the_registry_is_written():
     rng = random.Random(11)
+    regain_rng = random.Random(13)  # apart, so the versions above stay as they were
     shared = admitted = 0
+    reentries: dict[str, int] = dict.fromkeys(["unassign", "readmit", "release"], 0)
     # the cheapest Partner there is, which a ranking that missed it would skip
     cheapest = "candidate B0 kind=Partner" + "".join(f" cap {cap}=9 cost=0" for cap in CAPS) + "\n"
     for _ in range(80):
@@ -173,6 +217,12 @@ def test_successive_versions_share_one_ranking_until_the_registry_is_written():
                 move = DomainAction("add_member" if who in m.registry else "remove_member", (who,))
                 with suppress(ModelError):
                     apply_action(ctx_for(m), move)
+            for _ in range(regain_rng.randint(0, 3)):
+                live = dict(m._live)
+                step_kind = _regain(regain_rng, m, people)
+                assert m._live == rebuilt_frontier(m) and validate_model(m) == []
+                if step_kind in reentries:
+                    reentries[step_kind] += any(set(entries) - set(live.get(key, ())) for key, entries in m._live.items())
             before = m._ranking
             if step == write_at:
                 with pytest.raises(TypeError):
@@ -188,7 +238,9 @@ def test_successive_versions_share_one_ranking_until_the_registry_is_written():
                 assert (canonical_dump(m), performed) == (canonical_dump(expected[0]), expected[1])
                 assert validate_model(m) == []
                 admitted += DomainAction("add_member", ("B0",)) in performed
+            assert m._live == rebuilt_frontier(m)
             if before is not None:
                 assert m._ranking is before
                 shared += 1
     assert shared >= 350 and admitted >= 60, (shared, admitted)
+    assert min(reentries.values()) >= 20, reentries

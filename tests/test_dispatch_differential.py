@@ -11,7 +11,9 @@ readiness refresh of touched tasks, the kept STATE fragments, the
 conflicts derived from what requests write, the bootstrap through
 ordinary actions over a shared ranking, the writes in place and the
 rollback through the model's journal each match their naive form, which
-writes a clone and swaps it in instead.
+writes a clone and swaps it in instead. The bootstrap's frontier must
+equal its rebuild from the model after every event and after every
+rollback of a policy that raised.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from astgen import gen_action, gen_condition, gen_group
 from reference import naive
 from test_engine import ev
+from test_frontier import rebuilt_frontier
 
 import vopol.engine
 from vopol.domain import TRIGGER_NAMES, VOCABULARY
@@ -142,6 +145,7 @@ def _same(new: Engine, ref: naive.NaiveEngine):
     assert new.instance == ref.instance
     assert new.policies == ref.policies
     assert validate_model(new.model) == []
+    assert new.model._live == rebuilt_frontier(new.model)
 
 
 def run_naive_differential(tmp_path: Path) -> tuple[Counter[str], Counter[str]]:
@@ -163,8 +167,16 @@ def _run(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> tuple[Counter[str],
             return _evaluate(*args)
 
         monkeypatch.setattr(module, "evaluate_rule_group", counted)
-    rng = random.Random(2025)
     tally: Counter[str] = Counter()
+
+    def checked_undo(model, mark, _undo=vopol.engine.undo):
+        # the engine undoes only a policy that raised
+        _undo(model, mark)
+        assert model._live == rebuilt_frontier(model)
+        tally["frontier rollbacks"] += bool(model._live)
+
+    monkeypatch.setattr(vopol.engine, "undo", checked_undo)
+    rng = random.Random(2025)
     applied: Counter[str] = Counter()
     for _ in range(200):
         model_text, tasks, spare, items = _soup_model(rng)
@@ -219,6 +231,7 @@ def _run(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> tuple[Counter[str],
         tally["conflicted"] += conflicted
         tally["clean"] += not conflicted and not rolled_back
         tally["reshaped"] += set(new.instance.status) != set(model.in_process_tasks())
+        tally["frontiers"] += bool(new.model._live)
         for r in records:
             bootstrap = r.get("policy") == BOOTSTRAP_POLICY
             tally["rollbacks"] += _rollback(r)
@@ -258,3 +271,9 @@ def test_engine_matches_the_naive_engine_after_every_event(naive_differential):
     tally, applied = naive_differential
     assert tally["admissions"] >= 80 and tally["bootstrap failures"] >= 25, tally
     assert len(applied) == 9, applied
+
+
+def test_frontier_matches_its_rebuild_after_every_event_and_rollback(naive_differential):
+    # most runs build a frontier, and some roll back a policy after it
+    tally, _ = naive_differential
+    assert tally["frontiers"] >= 120 and tally["frontier rollbacks"] >= 25, tally

@@ -34,11 +34,14 @@ from vopol.model import (
     DataFlow,
     Duty,
     MemberKind,
+    TaskDef,
+    TaskType,
     VoModel,
     _hold,
     _put_duty,
     _put_task,
     _reserve,
+    _retask,
     adjust_reserved_capacity,
     canonical_dump,
     free_capacity,
@@ -406,9 +409,10 @@ def test_duty_table_copies_and_pickles_with_its_indexes():
 
 
 # the model's contents, every private field that equality compares (the
-# ranking cache and the journal are not contents): only model.py writes
-# them, and its writers journal every write, so no write escapes undo
-GUARDED = {f.name for f in dataclasses.fields(VoModel) if f.name.startswith("_") and f.compare}
+# ranking cache and the journal are not contents), and the bootstrap's
+# frontier, which undo must restore with them: only model.py writes them,
+# and its writers journal every write, so no write escapes undo
+GUARDED = {f.name for f in dataclasses.fields(VoModel) if f.name.startswith("_") and f.compare} | {"_live"}
 MUTATORS = {
     "add", "clear", "difference_update", "discard", "intersection_update", "pop", "popitem",
     "remove", "setdefault", "symmetric_difference_update", "update",
@@ -879,6 +883,25 @@ def _check_flow_indexes(versions):
         assert model._succs == _buckets(edges)
         assert all(model._preds.values()) and all(model._succs.values())
         assert validate_model(model) == []
+
+
+def test_retask_builds_what_replace_builds():
+    # _retask names every field of TaskDef: a field added to the record
+    # must be added there too, or the edits would drop it
+    assert [f.name for f in dataclasses.fields(TaskDef)] == ["id", "ttype", "sharing", "required", "inputs", "in_process"]
+    task = TaskDef("T", TaskType.COMPOSABLE, "competition", {"a": 2}, frozenset({"x"}), True)
+    assert _retask(task) == task
+    for changes in ({"inputs": frozenset({"y"})}, {"inputs": frozenset()}, {"in_process": False},
+                    {"inputs": frozenset(), "in_process": False}):
+        assert _retask(task, **changes) == replace(task, **changes), changes
+    # no module of the package rebuilds a record through dataclasses.replace
+    package = Path(vopol.model.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                assert "replace" not in {alias.name for alias in node.names}, path
+            assert not (isinstance(node, ast.Attribute) and node.attr == "replace"
+                        and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"), path
 
 
 def test_clone_copies_each_dict_field_and_shares_the_rest():
