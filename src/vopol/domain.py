@@ -101,6 +101,12 @@ _TARGETS = {
 _OPEN_LAST = {"assign_duty": int, "change_type": str}
 # each action's full arity and the type of an open last argument
 _SHAPES = {name: (hi, _OPEN_LAST.get(name)) for name, (_, hi) in VOCABULARY.actions.items()}
+# each action's full arity and the types its last argument has when it
+# plainly passes the checks: a name, or the open argument's type or None
+_PLAIN = {
+    name: (arity, frozenset({str} if last_type is None else {last_type, type(None)}))
+    for name, (arity, last_type) in _SHAPES.items()
+}
 
 _KIND_RANK = {"Partner": 0, "Associate": 1, "ExtEntity": 2}
 _NO_BID = 10**9  # members without a bid sort after any real offer
@@ -193,6 +199,31 @@ class DomainAction:
         return out
 
 
+_new, _setattr = object.__new__, object.__setattr__
+
+
+def _request(name: str, args: tuple[str | int | None, ...]) -> DomainAction:
+    """``DomainAction(name, args)`` for a vocabulary action whose arguments
+    this module read itself. The constructor's checks are skipped only when
+    a cheap test shows that they pass: the arity is the action's, every
+    name is a ``str``, and an amount is None or an ``int`` (not a ``bool``)
+    of at most :data:`MAX_NUMBER_DIGITS` digits. Anything else goes through
+    the constructor, which raises with its own message."""
+    arity, plain = _PLAIN[name]
+    if len(args) == arity:
+        last = args[-1]
+        if type(last) in plain and (type(last) is not int or not too_long(last)):
+            for arg in args[:-1]:
+                if type(arg) is not str:
+                    break
+            else:
+                action = _new(DomainAction)
+                _setattr(action, "name", name)  # as the frozen dataclass's __init__ does
+                _setattr(action, "args", args)
+                return action
+    return DomainAction(name, args)
+
+
 @dataclass
 class EvalContext:
     """Evaluation environment for predicates and actions: the current
@@ -217,9 +248,10 @@ class EvalContext:
 # ---------------------------------------------------------------------------
 
 
-def _name_arg(ctx: EvalContext, arg: Arg, what: str) -> str:
-    """Entity-position argument: an identifier (``this`` resolves to the
-    triggering task) or a quoted string used verbatim."""
+def _name_arg(ctx: EvalContext, arg: Arg, owner: str, role: str = "argument") -> str:
+    """Entity-position argument of ``owner``: an identifier (``this``
+    resolves to the triggering task) or a quoted string used verbatim. An
+    error names the argument as ``owner role``."""
     if isinstance(arg, Ident):
         if arg.value == THIS:
             if ctx.this_task is None:
@@ -229,21 +261,21 @@ def _name_arg(ctx: EvalContext, arg: Arg, what: str) -> str:
     if isinstance(arg, Text):
         return arg.value
     # a hand-built policy may hold a bare value in place of an argument node
-    raise InvalidArgumentError(f"{what} must be a name, got {quoted(getattr(arg, 'value', arg))}")
+    raise InvalidArgumentError(f"{owner} {role} must be a name, got {quoted(getattr(arg, 'value', arg))}")
 
 
-def _amount_arg(ctx: EvalContext, arg: Arg, what: str) -> int:
-    """Amount-position argument: an integer literal or a declared model
-    parameter."""
+def _amount_arg(ctx: EvalContext, arg: Arg, owner: str) -> int:
+    """Amount-position argument of ``owner``: an integer literal or a
+    declared model parameter."""
     if isinstance(arg, Number):
         return arg.value
     if isinstance(arg, Ident):
         if arg.value in ctx.params:
             return ctx.params[arg.value]
         raise UnresolvedIdentifierError(
-            f"{what}: {arg.value!r} is not a declared parameter", arg.value
+            f"{owner} amount: {arg.value!r} is not a declared parameter", arg.value
         )
-    raise InvalidArgumentError(f"{what} must be an integer or parameter")
+    raise InvalidArgumentError(f"{owner} amount must be an integer or parameter")
 
 
 def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
@@ -263,16 +295,15 @@ def resolve_action(ctx: EvalContext, call: ActionCall) -> DomainAction:
         raise InvalidArgumentError(f"{name} takes {want} argument(s), got {len(call.args)}", name)
 
     # every argument but assign_duty's amount (the fourth) is a name
-    what = f"{name} argument"
-    args: list[str | int | None] = [_name_arg(ctx, a, what) for a in call.args[:3]]
+    args: list[str | int | None] = [_name_arg(ctx, a, name) for a in call.args[:3]]
     if name in ("assign_duty", "unassign_duty") and len(args) == 2:
         if ctx.this_task is None:
             raise UnresolvedIdentifierError(f"{name} without a task needs a triggering task", name)
         args.insert(1, ctx.this_task)
     if len(call.args) == 4:
-        args.append(_amount_arg(ctx, call.args[3], f"{name} amount"))
+        args.append(_amount_arg(ctx, call.args[3], name))
     # an omitted amount or sharing stays open
-    return DomainAction(name, (*args, *[None] * (hi - len(args))))
+    return _request(name, (*args, *[None] * (hi - len(args))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +345,7 @@ def materialize(m: VoModel, action: DomainAction) -> DomainAction:
         member, task, capability, _ = action.args
         if task in m.tasks:
             amount = remaining_shortfall(m, task, capability)
-            return DomainAction(action.name, (member, task, capability, amount))
+            return _request(action.name, (member, task, capability, amount))
     return action
 
 
@@ -470,15 +501,15 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
         raise InvalidArgumentError(f"{name} takes {lo} argument(s), got {len(args)}", name)
 
     if name == "can_run":
-        return can_run(m, _name_arg(ctx, args[0], "can_run task"))
+        return can_run(m, _name_arg(ctx, args[0], "can_run", "task"))
     if name == "active":
-        task = _name_arg(ctx, args[0], "active task")
+        task = _name_arg(ctx, args[0], "active", "task")
         if task not in m.tasks:
             raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
         return ctx.is_active(task)
     if name == "task_type":
-        task = _name_arg(ctx, args[0], "task_type task")
-        wanted = _name_arg(ctx, args[1], "task_type type")
+        task = _name_arg(ctx, args[0], "task_type", "task")
+        wanted = _name_arg(ctx, args[1], "task_type", "type")
         if task not in m.tasks:
             raise UnresolvedIdentifierError(f"unknown task {task!r}", task)
         try:
@@ -486,17 +517,17 @@ def eval_predicate(ctx: EvalContext, name: str, args: tuple[Arg, ...]) -> bool:
         except (KeyError, TypeError):  # an unhashable name is no type either
             raise InvalidArgumentError(f"unknown task type {wanted!r}", wanted) from None
     if name == "has_capacity":
-        member = _name_arg(ctx, args[0], "has_capacity member")
-        capability = _name_arg(ctx, args[1], "has_capacity capability")
-        amount = _amount_arg(ctx, args[2], "has_capacity amount")
+        member = _name_arg(ctx, args[0], "has_capacity", "member")
+        capability = _name_arg(ctx, args[1], "has_capacity", "capability")
+        amount = _amount_arg(ctx, args[2], "has_capacity")
         who = m.anyone(member)
         if who is None:
             raise UnresolvedIdentifierError(f"unknown member {member!r}", member)
         declared = who.capabilities.get(capability)  # the free units are declared - reserved
         return declared is not None and declared - m._reserved.get((member, capability), 0) >= amount
     # has_capability: declaration is required, reservations are irrelevant
-    member = _name_arg(ctx, args[0], "has_capability member")
-    capability = _name_arg(ctx, args[1], "has_capability capability")
+    member = _name_arg(ctx, args[0], "has_capability", "member")
+    capability = _name_arg(ctx, args[1], "has_capability", "capability")
     who = m.anyone(member)
     if who is None:
         raise UnresolvedIdentifierError(f"unknown member {member!r}", member)
@@ -627,8 +658,8 @@ def _allocate(ctx: EvalContext, task: str) -> list[DomainAction]:
                     continue
                 take = min(free, shortfall)
                 held = m._duties.get((mid, task, capability), 0)
-                steps = [DomainAction("add_member", (mid,))] if as_candidate else []
-                steps.append(DomainAction("assign_duty", (mid, task, capability, held + take)))
+                steps = [_request("add_member", (mid,))] if as_candidate else []
+                steps.append(_request("assign_duty", (mid, task, capability, held + take)))
                 mark = journal_mark(m)
                 try:
                     for step in steps:

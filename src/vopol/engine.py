@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from .policy.ast import ActionCall, GroupNode, Ident, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf, TriggerSpec
@@ -371,7 +370,9 @@ class Engine:
             outcomes.append(("ACTION-FAILED", (*fields, ("error", err.code), ("detail", err.message))))
             return False
 
-        def attempt(policy_name: str, call: ActionCall) -> bool:
+        def attempt(call: ActionCall) -> bool:
+            # a request of the policy that the loop below is evaluating
+            policy_name = policy.name
             try:
                 action = resolve_action(ctx, call)
             except ModelError as err:
@@ -408,9 +409,7 @@ class Engine:
             saved = len(journal)
             marks = len(requests), len(conflicts), len(outcomes)
             try:
-                applied = evaluate_rule_group(
-                    policy.body, event_spec, trig.task, predicate, partial(attempt, policy.name)
-                )
+                applied = evaluate_rule_group(policy.body, event_spec, trig.task, predicate, attempt)
             except ModelError as err:
                 undo(self.model, saved)
                 for log, kept in zip((requests, conflicts, outcomes), marks):

@@ -313,6 +313,8 @@ class _Parser:
         self.k += negated
         if self.kinds[self.k] == "(":
             node = self.nested(self.condition)
+        elif negated:  # one negation: no second "not" is expected
+            node = self.call(Pred, "IDENT", "(")
         else:
             node = self.call(Pred, "IDENT", "(", "not")
         return NotCond(node) if negated else node

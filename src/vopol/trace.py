@@ -66,14 +66,34 @@ def _quote(value: str) -> str:
     return f'"{escaped}"'
 
 
+def _render(records: list[TraceRecord], text: bool) -> str:
+    """One line per record, each ended by a newline: ``seq=<n> kind=<KIND>``,
+    or for ``text`` the seq and kind padded into columns, then each field
+    as ``key=value``, and for ``text`` no trailing space. Each distinct
+    value is quoted once per call; a trace repeats most of its values."""
+    quotes: dict[str, str] = {}
+    lines = []
+    for rec in records:
+        parts = [f"[{rec.seq:>4}] {rec.kind:<14}" if text else f"seq={rec.seq} kind={rec.kind}"]
+        for key, value in rec.payload:
+            shown = quotes.get(value)
+            if shown is None:
+                shown = quotes[value] = _quote(value)
+            parts.append(f"{key}={shown}")
+        line = " ".join(parts)
+        lines.append(line.rstrip() if text else line)
+    lines.append("")
+    return "\n".join(lines)
+
+
 def format_record(rec: TraceRecord) -> str:
-    parts = [f"seq={rec.seq}", f"kind={rec.kind}"]
-    parts.extend(f"{key}={_quote(value)}" for key, value in rec.payload)
-    return " ".join(parts)
+    return _render([rec], False)[:-1]
 
 
 def format_trace(records: list[TraceRecord]) -> str:
-    return "".join(format_record(r) + "\n" for r in records)
+    """The records, one line each: equal to ``"".join(format_record(r) +
+    "\\n" for r in records)``."""
+    return _render(records, False)
 
 
 def _split_fields(line: str, line_no: int) -> list[str]:
@@ -141,9 +161,9 @@ def parse_trace(text: str) -> list[TraceRecord]:
 
 
 def format_text(records: list[TraceRecord]) -> str:
-    """Human-oriented rendering of the same stream."""
-    lines = []
-    for rec in records:
-        body = " ".join(f"{k}={_quote(v)}" for k, v in rec.payload)
-        lines.append(f"[{rec.seq:>4}] {rec.kind:<14} {body}".rstrip())
-    return "".join(line + "\n" for line in lines)
+    """Human-oriented rendering of the same stream, one line per record:
+    the seq right-aligned in 4 columns inside brackets, the kind
+    left-aligned in 14, then the fields quoted as in :func:`format_record`,
+    with trailing whitespace stripped. It equals the record-by-record
+    rendering ``f"[{seq:>4}] {kind:<14} {fields}".rstrip() + "\\n"``."""
+    return _render(records, True)

@@ -39,6 +39,10 @@ helper call per attribute, an ``Enum`` call per kind and type, a model
 written row by row; the engine's loader parses rows into plain tables and
 makes the model from them).
 
+And it keeps the first form of ``format_text``: each line rendered on
+its own, each value quoted where it appears (the engine's renderer quotes
+each distinct value once per call and joins each line once).
+
 So the engine's journal is checked against copy and swap: no write of
 the naive engine ever reaches a model that a snapshot still holds.
 
@@ -117,7 +121,7 @@ from vopol.policy.ast import (
     iter_rules,
 )
 from vopol.state import Status
-from vopol.trace import TraceRecord
+from vopol.trace import TraceRecord, _quote
 
 # policy walk --------------------------------------------------------------
 
@@ -188,7 +192,7 @@ def can_run(m: VoModel, task: str) -> bool:
 
 def eval_predicate(ctx: EvalContext, name: str, args: tuple) -> bool:
     if name == "can_run" and len(args) == 1:
-        return can_run(ctx.model, _name_arg(ctx, args[0], "can_run task"))
+        return can_run(ctx.model, _name_arg(ctx, args[0], "can_run", "task"))
     return domain.eval_predicate(ctx, name, args)
 
 
@@ -582,13 +586,13 @@ class NaiveParser(parser._Parser):
     def cterm(self):
         if self.kinds[self.k] == "not":
             self.k += 1
-            return NotCond(self.cterm_base())
-        return self.cterm_base()
+            return NotCond(self.cterm_base("IDENT", "("))
+        return self.cterm_base("IDENT", "(", "not")
 
-    def cterm_base(self):
+    def cterm_base(self, *expected):
         if self.kinds[self.k] == "(":
             return self.nested(self.condition)
-        return self.call(Pred, "IDENT", "(", "not")
+        return self.call(Pred, *expected)
 
     def arg(self):
         k = self.k
@@ -791,3 +795,15 @@ def load_model(text: str) -> VoModel:
         task = model._tasks[target]
         _put_task(model, replace(task, inputs=task.inputs | {f.item for f in into}))
     return model
+
+
+# trace rendering ------------------------------------------------------------
+
+
+def format_text(records: list[TraceRecord]) -> str:
+    """The ``text`` rendering, line by line."""
+    lines = []
+    for rec in records:
+        body = " ".join(f"{k}={_quote(v)}" for k, v in rec.payload)
+        lines.append(f"[{rec.seq:>4}] {rec.kind:<14} {body}".rstrip())
+    return "".join(line + "\n" for line in lines)

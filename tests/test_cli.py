@@ -172,6 +172,20 @@ def test_run_golden_matches_frozen_trace():
     assert result.stdout == golden
 
 
+def test_run_golden_text_matches_frozen_text(tmp_path):
+    out = tmp_path / "morebeds.text"
+    code = main([
+        "run",
+        "--model", str(FIXTURES / "visitus.vo"),
+        "--policies", str(FIXTURES / "morebeds.pol"),
+        "--scenario", str(FIXTURES / "golden.scenario"),
+        "--format", "text",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / "morebeds.text").read_bytes()
+
+
 def test_run_empty_scenario(tmp_path):
     scenario = tmp_path / "empty.scenario"
     scenario.write_text("# nothing happens\n")

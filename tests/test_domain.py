@@ -4,6 +4,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vopol.policy.ast import ActionCall, Ident, Number, Text
 from vopol.conflict import detect_conflicts
@@ -11,6 +13,7 @@ from vopol.domain import (
     VOCABULARY,
     DomainAction,
     EvalContext,
+    _request,
     apply_action,
     can_run,
     eval_predicate,
@@ -855,6 +858,40 @@ def test_a_malformed_action_is_refused_where_it_is_built(name, args, message):
     with pytest.raises(InvalidArgumentError) as caught:
         DomainAction(name, args)
     assert (caught.value.code, caught.value.message) == ("InvalidArgument", message)
+
+
+# a well-formed request has names in every position; up to two positions
+# take a value of a type the checks tell apart, at the edges of the digit limit
+_ODD_ARGS = [None, True, False, 0, -3, "M", 10**640 - 1, 10**640, -(10**640)]
+
+
+@st.composite
+def _requests(draw) -> tuple[str, tuple]:
+    name = draw(st.sampled_from(sorted(VOCABULARY.actions)))
+    hi = VOCABULARY.actions[name][1]
+    size = draw(st.sampled_from([hi, hi, hi, hi - 1, hi + 1]))
+    args = draw(st.lists(st.sampled_from(["M", "Topen", "", "3"]), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2)) if args else 0):
+        args[draw(st.integers(0, len(args) - 1))] = draw(st.sampled_from(_ODD_ARGS))
+    return name, tuple(args)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_requests())
+@example(("assign_duty", ("M", "Topen", "a", 10**640 - 1)))
+@example(("assign_duty", ("M", "Topen", "a", -(10**640))))
+def test_a_request_built_inside_the_domain_is_checked_as_the_constructor_checks_it(request):
+    # the domain's own builder skips the checks only where they pass
+    name, args = request
+    try:
+        want = DomainAction(name, args)
+    except InvalidArgumentError as err:
+        with pytest.raises(InvalidArgumentError) as caught:
+            _request(name, args)
+        assert caught.value.message == err.message
+    else:
+        got = _request(name, args)
+        assert got == want and got.args is args
 
 
 def test_an_unknown_action_name_takes_any_arguments(visitus):

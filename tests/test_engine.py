@@ -10,7 +10,9 @@ from vopol.domain import VOCABULARY, DomainAction, DomainTrigger, EvalContext, a
 from vopol.engine import Engine, ScenarioEvent, init_instance, ready_set, run_scenario
 from vopol.errors import InvalidArgumentError, InvalidModelError, ModelError, quoted
 from vopol.model import adjust_reserved_capacity, canonical_dump, commit, journal_mark, load_model, undo, validate_model
-from vopol.policy.ast import ActionCall, ActionOp, GroupNode, Ident, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf
+from vopol.policy.ast import (
+    ActionCall, ActionOp, GroupNode, Ident, Number, Policy, PolicyDocument, PolicyRule, Pred, RuleLeaf, Text,
+)
 from vopol.policy.parser import parse_policy_document
 from vopol.state import Status
 from vopol.trace import format_trace
@@ -825,6 +827,43 @@ def test_a_malformed_hand_built_policy_is_an_error_record_or_refused(body, detai
     assert "newHotel" not in engine.model.members and engine.model._journal is None
     assert kinds(engine.handle_event(ev("complete", "BookFlight"))) == ["EVENT", "TRIGGER", "ERROR", "STATE"]
     assert engine.instance.status == {"BookFlight": Status.COMPLETED, "HotelProv": Status.READY}
+
+
+def _duty_call(amount):
+    return ActionCall("assign_duty", (Ident("Hotel"), Ident("this"), Ident("beds"), Number(amount)))
+
+
+@pytest.mark.parametrize(
+    "call, args, detail",
+    [
+        pytest.param(ActionCall("add_member", (Ident(5),)), "5", "add_member takes names as str, got 5", id="int-name"),
+        pytest.param(ActionCall("change_type", (Ident("this"), Text(None))), "this,None",
+                     "change_type takes names as str, got None", id="none-type"),
+        pytest.param(_duty_call(True), "Hotel,this,beds,True", "assign_duty takes a int or None last, got True",
+                     id="bool-amount"),
+        pytest.param(_duty_call("3"), "Hotel,this,beds,3", "assign_duty takes a int or None last, got '3'",
+                     id="str-amount"),
+        pytest.param(_duty_call(int("1" * 641)), "Hotel,this,beds," + "1" * 641,
+                     "assign_duty amount must have at most 640 digits", id="641-digit-amount"),
+        # the bare value is refused where the arguments are read, so its
+        # message wins over the request check's for the int name before it
+        pytest.param(ActionCall("assign_duty", (Ident(5), "beds", Ident("beds"))), "5,beds,beds",
+                     "assign_duty argument must be a name, got 'beds'", id="bare-value-and-int-name"),
+    ],
+)
+def test_a_malformed_hand_built_request_fails_with_the_request_checks_message(call, args, detail):
+    # the request checks run where the engine resolves a call; each message
+    # is the DomainAction constructor's, and the request is never applied
+    policies = PolicyDocument((Policy("Odd", RuleLeaf(PolicyRule(None, (), None, call))),))
+    engine = Engine(load_model(VISITUS), policies)
+    before = canonical_dump(engine.model)
+    records = engine.handle_event(ev("activate", "BookFlight"))
+    assert kinds(records) == ["EVENT", "TRIGGER", "POLICY-FIRED", "ACTION-FAILED", "STATE"]
+    failed = records[3]
+    assert failed.payload == (
+        ("policy", "Odd"), ("action", call.name), ("args", args), ("error", "InvalidArgument"), ("detail", detail),
+    )
+    assert engine.model._journal is None and canonical_dump(engine.model) == before
 
 
 def test_policy_fired_records_precede_action_records():

@@ -204,6 +204,10 @@ MALFORMED = [
         "policy P do a() seq\t# x",
         ParseError, "unexpected 'end of input'", 1, 21, ("appliesTo", "when", "if", "do", "("),
     ),
+    # a condition term takes one negation: after it only a call or a group
+    ("policy P if not not active(this) do a()", ParseError, "unexpected 'not'", 1, 17, ("IDENT", "(")),
+    ("policy P if not ) do a()", ParseError, "unexpected ')'", 1, 17, ("IDENT", "(")),
+    ("policy P if ) do a()", ParseError, "unexpected ')'", 1, 13, ("IDENT", "(", "not")),
 ]
 
 
@@ -214,6 +218,12 @@ def test_malformed_document_error(text, kind, message, line, col, expected):
     assert type(err.value) is kind
     assert (err.value.bare_message, err.value.line, err.value.col) == (message, line, col)
     assert err.value.expected == expected
+
+
+def test_a_negation_does_not_expect_a_second_not():
+    with pytest.raises(ParseError) as err:
+        parse_policy_document("policy P if not not active(this) do a()")
+    assert err.value.message == "1:17: unexpected 'not' (expected IDENT | ()"
 
 
 def test_tokenize_kinds_values_and_positions():

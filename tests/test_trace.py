@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NOT_INTEGERS, VISITUS
+from reference import naive
 
 from vopol.engine import Engine, ScenarioEvent
 from vopol.errors import ParseError
 from vopol.model import load_model
 from vopol.policy.parser import parse_policy_document
 from vopol.trace import (
+    KINDS,
     TraceRecord,
     format_record,
     format_text,
@@ -111,3 +115,38 @@ def test_record_seq_follows_the_one_integer_rule(seq):
 
 def test_record_seq_takes_a_sign():
     assert parse_record("seq=-3 kind=STATE").seq == -3
+
+
+# values mix safe characters with every kind the quoting escapes or quotes
+# for: a space, a quote, a backslash, "=", each C0 control character and
+# the other line breaks; values over 64 characters share their first 64
+_UNSAFE = [" ", '"', "\\", "=", *map(chr, range(0x20)), "\x85", "\u2028", "\u2029"]
+_CHARS = st.sampled_from([*"aZ09_.:,;@()[]{}|/+*'<>!?~^$%&-", "é", *_UNSAFE])
+_VALUES = st.one_of(
+    st.text(_CHARS, max_size=8),
+    st.text(_CHARS, min_size=1, max_size=8).map(lambda tail: "p" * 64 + tail),
+    st.sampled_from(["", "p" * 64, 'q"uo=te ' * 9]),
+)
+
+
+@st.composite
+def _records(draw) -> list[TraceRecord]:
+    # most values come from a small pool, so a trace repeats them as a run does
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=5))
+    values = st.one_of(st.sampled_from(pool), st.sampled_from(pool), _VALUES)
+    keys = st.sampled_from(["task", "policy", "args", "detail", "k_2"])
+    records = []
+    for seq in range(draw(st.integers(-2, 3)), draw(st.integers(0, 12))):
+        payload = draw(st.lists(st.tuples(keys, values), max_size=5))
+        records.append(TraceRecord(seq, draw(st.sampled_from(KINDS)), tuple(payload)))
+    return records
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_records())
+def test_rendering_equals_the_record_by_record_definition(records):
+    text = format_trace(records)
+    assert text == "".join(format_record(r) + "\n" for r in records)
+    assert format_text(records) == naive.format_text(records)
+    assert parse_trace(text) == records
+
